@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: test bench bench-scaling bench-record perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
+.PHONY: test bench bench-scaling bench-record benchmark-smoke perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
 
 # Knobs for `make profile` (self-profiler tier/scheduler).
 PROFILE_TIER      ?= full
@@ -58,6 +58,17 @@ perf-smoke:
 	REPRO_BENCH_PLACEMENT_TIER=smoke REPRO_BENCH_ENFORCE=1 \
 		$(PYTHON) -m pytest benchmarks/test_bench_scaling.py -q -s -k placement
 
+## The repo's benchmark (BENCHMARK.json) end to end at smoke sizes: the
+## harness that judges perf PRs must itself run, check its outputs and
+## fail no operation.  The verdict is the JSON object on the last line.
+benchmark-smoke:
+	@set -e; for w in gfs_replay service_session; do \
+		echo "benchmark-smoke: $$w"; \
+		$(PYTHON) benchmarks/perf/run.py --workload $$w --smoke | tail -n 1 \
+			| grep '"correct": true' | grep -q '"failed": 0' \
+			|| { echo "benchmark-smoke: $$w failed"; exit 1; }; \
+	done
+
 ## Scenario sweep through the parallel experiment engine, e.g.
 ##   make sweep SCENARIO=spot_heavy WORKERS=8 SCALE=medium
 sweep:
@@ -101,10 +112,12 @@ profile:
 	$(PYTHON) -m repro.experiments.cli profile \
 		--tier $(PROFILE_TIER) --scheduler $(PROFILE_SCHEDULER) --check-overhead
 
-## Observability smoke for CI: profile + trace export on the smoke tier,
-## plus the /metrics scrape exercised by the service smoke.
+## Observability smoke for CI: profile (Chronus, then GFS with its
+## policy tick hook) + trace export on the smoke tier, plus the /metrics
+## scrape exercised by the service smoke.
 obs-smoke:
 	$(PYTHON) -m repro.experiments.cli profile --tier smoke --check-overhead
+	$(PYTHON) -m repro.experiments.cli profile --tier smoke --scheduler gfs --check-overhead
 	$(PYTHON) -m repro.experiments.cli trace-viz --scenario node_churn \
 		--nodes 16 --hours 4.0 --trace-out .obs-smoke-trace.json
 	$(PYTHON) -m repro.service.smoke

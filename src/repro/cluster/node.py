@@ -7,6 +7,7 @@ and spot tasks (used by the co-location score), and an eviction history
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -240,17 +241,31 @@ class Node:
     # ------------------------------------------------------------------
     def record_eviction(self, timestamp: float) -> None:
         """Record that a spot task was evicted from this node at ``timestamp``."""
-        self.eviction_history.append(timestamp)
+        history = self.eviction_history
+        if history and timestamp < history[-1]:
+            # Counting and pruning stop at the first old entry, so the
+            # history stays time-ordered even for out-of-order callers.
+            insort(history, timestamp)
+        else:
+            history.append(timestamp)
 
     def eviction_count_since(self, now: float, window: float) -> int:
         """Number of recorded evictions in the trailing ``window`` seconds."""
+        history = self.eviction_history
+        if not history:
+            return 0
         cutoff = now - window
         # Old entries are dropped lazily to keep the deque bounded, but never
         # entries that are still inside the requested window.
         retention = now - max(window, 90 * 86400.0)
-        while self.eviction_history and self.eviction_history[0] < retention:
-            self.eviction_history.popleft()
-        return sum(1 for t in self.eviction_history if t >= cutoff)
+        while history and history[0] < retention:
+            history.popleft()
+        count = 0
+        for timestamp in reversed(history):
+            if timestamp < cutoff:
+                break
+            count += 1
+        return count
 
     def snapshot(self) -> Dict[str, float]:
         """A dictionary snapshot used by reporting and tests."""

@@ -561,7 +561,11 @@ class ClusterSimulator:
                 self.allocation_samples.append(self.cluster.allocation_rate())
                 self.allocation_sample_times.append(self.now)
         if hasattr(self.scheduler, "on_tick"):
-            self.scheduler.on_tick(self.cluster, self.now, self.pending.snapshot())
+            if rec.enabled:
+                with rec.span("sim.scheduler_tick_s"):
+                    self.scheduler.on_tick(self.cluster, self.now, self.pending.snapshot())
+            else:
+                self.scheduler.on_tick(self.cluster, self.now, self.pending.snapshot())
         pending_before = len(self.pending)
         self._schedule_pending(trigger="tick")
         if rec.enabled:

@@ -8,6 +8,7 @@ ICDF upper bounds used by the inventory estimation of Eq. (9).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -16,6 +17,7 @@ import numpy as np
 from .forecaster import OnlineForecaster, SeasonalQuantileForecaster
 
 
+@functools.lru_cache
 def normal_quantile(p: float) -> float:
     """Standard-normal quantile via the inverse error function."""
     if not 0.0 < p < 1.0:
@@ -59,14 +61,17 @@ class GPUDemandEstimator:
 
     def upper_bound(self, org: str, start_hour: int, horizon: int, p: float) -> np.ndarray:
         """ICDF upper-bound sequence ``y_hat_{o|p}[1:H]`` of Section 3.3.1."""
+        return self._upper_bound(org, start_hour, horizon, normal_quantile(p))
+
+    def _upper_bound(self, org: str, start_hour: int, horizon: int, z: float) -> np.ndarray:
         mu, sigma = self.predict(org, start_hour, horizon)
-        z = normal_quantile(p)
         return mu + z * np.maximum(sigma, 0.0)
 
     def peak_demand(self, start_hour: int, horizon: int, p: float) -> Dict[str, float]:
         """Per-organization peak of the upper-bound sequence over the horizon."""
+        z = normal_quantile(p)
         return {
-            org: float(np.max(self.upper_bound(org, start_hour, horizon, p)))
+            org: float(np.max(self._upper_bound(org, start_hour, horizon, z)))
             for org in self.organizations()
         }
 

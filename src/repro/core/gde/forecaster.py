@@ -17,7 +17,7 @@ interface:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -59,6 +59,22 @@ class OnlineForecaster(ABC):
         """Gaussian (mu, sigma) forecast for the next ``horizon`` hours."""
 
 
+class _SlotStats:
+    """Per-slot statistics of one organization, as of ``size`` samples."""
+
+    __slots__ = ("values", "size", "means", "stds", "dirty")
+
+    def __init__(self, values: List[float], period: int):
+        #: the ``history`` list the statistics describe
+        self.values = values
+        self.size = len(values)
+        self.means = np.zeros(period)
+        self.stds = np.zeros(period)
+        #: slots overwritten since the statistics were last brought up to
+        #: date (appended slots follow from ``len(values) - size``)
+        self.dirty: Set[int] = set()
+
+
 class SeasonalQuantileForecaster(OnlineForecaster):
     """Hour-of-week seasonal profile with empirical dispersion.
 
@@ -66,7 +82,15 @@ class SeasonalQuantileForecaster(OnlineForecaster):
     deviation of demand per hour-of-week slot, blended with a trailing
     short-term level so that recent shifts are tracked.  This is the
     default GDE predictor inside simulations: probabilistic, adaptive and
-    cheap enough to query at every quota update.
+    cheap enough to query at every quota update, because the slot
+    statistics are kept per organization and ``predict`` recomputes only
+    the slots written since the previous query — one per observed hour —
+    not all ``period`` of them.
+
+    The kept statistics assume ``history`` changes only through ``fit``
+    and ``observe``.  Replacing, shortening or appending to an
+    organization's list from outside is detected; overwriting elements of
+    it in place, bypassing ``observe``, is not.
     """
 
     name = "SeasonalQuantile"
@@ -76,27 +100,52 @@ class SeasonalQuantileForecaster(OnlineForecaster):
         self.period = period
         self.recent_hours = recent_hours
         self.blend = blend
+        self._slot_stats_by_org: Dict[str, _SlotStats] = {}
 
-    def _slot_stats(self, org: str) -> Tuple[np.ndarray, np.ndarray]:
-        series = np.asarray(self.history.get(org, []), dtype=float)
-        means = np.zeros(self.period)
-        stds = np.zeros(self.period)
-        if series.size == 0:
-            return means, stds
-        for slot in range(self.period):
-            values = series[slot :: self.period] if slot < series.size else series[-1:]
-            if values.size == 0:
-                values = series[-1:]
-            means[slot] = float(values.mean())
-            stds[slot] = float(values.std()) if values.size > 1 else float(series.std())
+    def _refit(self) -> None:
+        self._slot_stats_by_org.clear()
+
+    def observe(self, org: str, hour_index: int, value: float) -> None:
+        stats = self._slot_stats_by_org.get(org)
+        if stats is not None and hour_index < len(stats.values):
+            stats.dirty.add(hour_index % self.period)
+        super().observe(org, hour_index, value)
+
+    def _slot_stats(self, org: str, values: List[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-slot (means, stds) of ``values``, the non-empty history of ``org``."""
+        period = self.period
+        stats = self._slot_stats_by_org.get(org)
+        if stats is None or stats.values is not values or len(values) < stats.size:
+            stats = None  # nothing kept, or the list was replaced or shortened
+        else:
+            stats.dirty.update(h % period for h in range(stats.size, len(values)))
+            if not stats.dirty:
+                return stats.means, stats.stds
+        series = np.asarray(values, dtype=float)
+        # Below two periods some slot has a single sample (its std is the
+        # whole series') or none (it reads the last element), so any write
+        # can move any slot; from two periods on a slot depends on its own
+        # samples only.
+        if stats is None or stats.size < 2 * period:
+            stats = self._slot_stats_by_org[org] = _SlotStats(values, period)
+            slots: Iterable[int] = range(period)
+        else:
+            slots = stats.dirty
+        means, stds = stats.means, stats.stds
+        for slot in slots:
+            samples = series[slot::period] if slot < series.size else series[-1:]
+            means[slot] = float(samples.mean())
+            stds[slot] = float(samples.std()) if samples.size > 1 else float(series.std())
+        stats.dirty.clear()
+        stats.size = series.size
         return means, stds
 
     def predict(self, org: str, start_hour: int, horizon: int) -> Tuple[np.ndarray, np.ndarray]:
-        series = np.asarray(self.history.get(org, []), dtype=float)
-        if series.size == 0:
+        values = self.history.get(org)
+        if values is None or len(values) == 0:
             return np.zeros(horizon), np.ones(horizon)
-        means, stds = self._slot_stats(org)
-        recent = series[-self.recent_hours :]
+        means, stds = self._slot_stats(org, values)
+        recent = np.asarray(values[-self.recent_hours :], dtype=float)
         recent_level = float(recent.mean())
         slots = [(start_hour + h) % self.period for h in range(horizon)]
         seasonal = means[slots]

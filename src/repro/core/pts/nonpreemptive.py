@@ -16,11 +16,11 @@ during the task's own greedy loop, so the restriction is exact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...cluster import Node, PodPlacement, Task
 from ...schedulers.placement import NodeView, PlacementContext
-from .scoring import ScoringConfig, circuit_breaker_active, score_tuple
+from .scoring import ScoringConfig, packing_score, static_scores
 
 
 def non_preemptive_placement(
@@ -55,37 +55,35 @@ def non_preemptive_placement(
     if not view_map:
         return None
 
+    # Within one call ``now``, the eviction histories and the nodes' real
+    # HP/spot allocation are fixed: the circuit breaker, Score 2 and Score 3
+    # are evaluated once per node, the first time it can host a pod; only
+    # feasibility and Score 1 follow the tentative assignments.
+    whole_gpu_pods = task.gpus_per_pod >= 1.0
+    breaker_applies = task.is_spot and whole_gpu_pods
+    static: Dict[str, Tuple[bool, float, float]] = {}
     placements: List[PodPlacement] = []
     for _ in range(task.num_pods):
-        feasible: List[NodeView] = []
-        for view in view_map.values():
+        chosen: Optional[NodeView] = None
+        chosen_key = None
+        for node_id, view in view_map.items():
             if not view.can_fit_pod(task.gpus_per_pod):
                 continue
-            if (
-                task.is_spot
-                and use_eviction_awareness
-                and task.gpus_per_pod >= 1.0
-                and circuit_breaker_active(view.node, now, config)
-            ):
+            node = view.node
+            scores = static.get(node_id)
+            if scores is None:
+                scores = static[node_id] = static_scores(
+                    node, task, now, config, use_colocation, use_eviction_awareness
+                )
+            broken, s2, s3 = scores
+            if broken and breaker_applies:
                 continue
-            feasible.append(view)
-        if not feasible:
+            s1 = packing_score(node, view.idle_gpus if whole_gpu_pods else view.free_capacity)
+            key = (s1, s2, s3, node_id)
+            if chosen is None or key > chosen_key:
+                chosen, chosen_key = view, key
+        if chosen is None:
             return None
-        chosen = max(
-            feasible,
-            key=lambda v: (
-                score_tuple(
-                    v.node,
-                    v.idle_gpus if task.gpus_per_pod >= 1.0 else v.free_capacity,
-                    task,
-                    now,
-                    config,
-                    use_colocation=use_colocation,
-                    use_eviction_awareness=use_eviction_awareness,
-                ),
-                v.node.node_id,
-            ),
-        )
         chosen.assign_pod(task.gpus_per_pod)
         placements.append(
             PodPlacement(node_id=chosen.node.node_id, gpu_indices=(), fraction=task.gpus_per_pod)

@@ -55,19 +55,50 @@ def weighted_eviction_rate(node: Node, now: float, config: ScoringConfig) -> flo
     return config.gamma * short + (1.0 - config.gamma) * long / long_hours
 
 
+def _eviction_penalty(node: Node, now: float, config: ScoringConfig) -> float:
+    """The penalty term ``0.01 * m * e_bar`` of Eq. (16)."""
+    return 0.01 * config.penalty * weighted_eviction_rate(node, now, config)
+
+
+def _eviction_awareness(penalty: float, task: Task) -> float:
+    if task.is_hp:
+        return min(penalty, 1.0)
+    return max(1.0 - penalty, 0.0)
+
+
+def _circuit_broken(penalty: float) -> bool:
+    return 1.0 - penalty <= 0.0
+
+
 def eviction_awareness_score(node: Node, task: Task, now: float, config: ScoringConfig) -> float:
     """Score 3 (Eq. 16) with asymmetric penalties for HP and spot tasks."""
-    e_bar = weighted_eviction_rate(node, now, config)
-    raw = 0.01 * config.penalty * e_bar
-    if task.is_hp:
-        return min(raw, 1.0)
-    return max(1.0 - raw, 0.0)
+    return _eviction_awareness(_eviction_penalty(node, now, config), task)
 
 
 def circuit_breaker_active(node: Node, now: float, config: ScoringConfig) -> bool:
     """Whether the node is blacklisted for spot scheduling (Score 3 == 0)."""
-    e_bar = weighted_eviction_rate(node, now, config)
-    return 1.0 - 0.01 * config.penalty * e_bar <= 0.0
+    return _circuit_broken(_eviction_penalty(node, now, config))
+
+
+def static_scores(
+    node: Node,
+    task: Task,
+    now: float,
+    config: ScoringConfig,
+    use_colocation: bool = True,
+    use_eviction_awareness: bool = True,
+) -> Tuple[bool, float, float]:
+    """``(circuit breaker, Score 2, Score 3)`` of ``node`` for ``task``.
+
+    These depend on the node's real allocation and eviction history, not
+    on tentative pod assignments, so they hold for a whole placement call
+    and the eviction history is read once for the breaker and Score 3.
+    """
+    s2 = colocation_score(node, task) if use_colocation else 0.0
+    if not use_eviction_awareness:
+        return False, s2, 0.0
+    penalty = _eviction_penalty(node, now, config)
+    return _circuit_broken(penalty), s2, _eviction_awareness(penalty, task)
 
 
 def score_tuple(
@@ -80,7 +111,5 @@ def score_tuple(
     use_eviction_awareness: bool = True,
 ) -> Tuple[float, float, float]:
     """The <Score1, Score2, Score3> tuple used to rank candidate nodes."""
-    s1 = packing_score(node, idle_gpus)
-    s2 = colocation_score(node, task) if use_colocation else 0.0
-    s3 = eviction_awareness_score(node, task, now, config) if use_eviction_awareness else 0.0
-    return (s1, s2, s3)
+    _, s2, s3 = static_scores(node, task, now, config, use_colocation, use_eviction_awareness)
+    return (packing_score(node, idle_gpus), s2, s3)

@@ -3,7 +3,9 @@
 Runs an instrumented simulation and reports the per-phase cost breakdown
 ROADMAP item 1 ("profile a 512-node / 1M-task replay and attack the top
 costs") needs: event dispatch by kind, placement search (scheduling
-passes), and metric accrual, plus headline rates (events/s, tasks/s).
+passes), the scheduler's tick hook (policy code: GDE forecast and SQA
+quota under GFS) and metric accrual, plus headline rates (events/s,
+tasks/s).
 
 The default target is the BENCH_4 placement tier (512 nodes, 56 h,
 Chronus, seed 11 — ``benchmarks/test_bench_scaling.py``'s
@@ -121,10 +123,11 @@ class ProfileReport:
 def phase_breakdown(recorder: Recorder, wall_time_s: float) -> List[PhaseCost]:
     """Fold the recorder's wall histograms into the per-phase cost rows.
 
-    Scheduling passes and metric accrual happen *inside* event handlers,
-    so their time is subtracted from the per-kind dispatch totals to
-    leave ``event dispatch (other)`` — bookkeeping, heap churn and
-    handler logic that is neither placement search nor metric work.
+    Scheduling passes, the scheduler's tick hook (policy code such as
+    the GFS demand forecast and quota update) and metric accrual happen
+    *inside* event handlers, so their time is subtracted from the
+    per-kind dispatch totals to leave ``event dispatch (other)`` —
+    bookkeeping, heap churn and handler logic that is none of those.
     """
     phases: List[PhaseCost] = []
     dispatch_total = 0.0
@@ -134,8 +137,10 @@ def phase_breakdown(recorder: Recorder, wall_time_s: float) -> List[PhaseCost]:
             dispatch_total += hist.total
             dispatch_count += hist.count
     pass_hist = recorder.histograms.get("sim.pass_wall_s")
+    tick_hist = recorder.histograms.get("sim.scheduler_tick_s")
     accrual_hist = recorder.histograms.get("sim.metric_accrual_s")
     pass_total = pass_hist.total if pass_hist else 0.0
+    tick_total = tick_hist.total if tick_hist else 0.0
     accrual_total = accrual_hist.total if accrual_hist else 0.0
 
     def add(name: str, seconds: float, count: int) -> None:
@@ -143,10 +148,11 @@ def phase_breakdown(recorder: Recorder, wall_time_s: float) -> List[PhaseCost]:
         phases.append(PhaseCost(name=name, seconds=seconds, count=count, share=share))
 
     add("placement search (passes)", pass_total, pass_hist.count if pass_hist else 0)
+    add("scheduler tick hook (policy)", tick_total, tick_hist.count if tick_hist else 0)
     add("metric accrual", accrual_total, accrual_hist.count if accrual_hist else 0)
     add(
         "event dispatch (other)",
-        max(0.0, dispatch_total - pass_total - accrual_total),
+        max(0.0, dispatch_total - pass_total - tick_total - accrual_total),
         dispatch_count,
     )
     for name, hist in sorted(recorder.histograms.items()):

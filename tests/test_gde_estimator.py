@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.gde import (
     GPUDemandEstimator,
@@ -65,6 +67,171 @@ class TestSeasonalQuantileForecaster:
         forecaster = SeasonalQuantileForecaster().fit({"o": np.array([1.0, 2.0, 3.0])})
         forecaster.observe("o", 1, 7.0)
         assert forecaster.history["o"][1] == 7.0
+
+
+class FrozenSeasonalReference:
+    """The pre-cache ``SeasonalQuantileForecaster``, frozen as the oracle.
+
+    ``predict`` recomputes the statistics of every slot from the whole
+    series on every call; the forecaster under test must return the very
+    same floats whatever it keeps between calls.
+    """
+
+    def __init__(self, period, recent_hours=12, blend=0.1):
+        self.period = period
+        self.recent_hours = recent_hours
+        self.blend = blend
+        self.history = {}
+
+    def fit(self, history):
+        self.history = {org: list(map(float, series)) for org, series in history.items()}
+
+    def observe(self, org, hour_index, value):
+        series = self.history.setdefault(org, [])
+        if hour_index < len(series):
+            series[hour_index] = float(value)
+            return
+        last = series[-1] if series else float(value)
+        while len(series) < hour_index:
+            series.append(last)
+        series.append(float(value))
+
+    def _slot_stats(self, org):
+        series = np.asarray(self.history.get(org, []), dtype=float)
+        means = np.zeros(self.period)
+        stds = np.zeros(self.period)
+        if series.size == 0:
+            return means, stds
+        for slot in range(self.period):
+            values = series[slot :: self.period] if slot < series.size else series[-1:]
+            if values.size == 0:
+                values = series[-1:]
+            means[slot] = float(values.mean())
+            stds[slot] = float(values.std()) if values.size > 1 else float(series.std())
+        return means, stds
+
+    def predict(self, org, start_hour, horizon):
+        series = np.asarray(self.history.get(org, []), dtype=float)
+        if series.size == 0:
+            return np.zeros(horizon), np.ones(horizon)
+        means, stds = self._slot_stats(org)
+        recent = series[-self.recent_hours :]
+        recent_level = float(recent.mean())
+        slots = [(start_hour + h) % self.period for h in range(horizon)]
+        seasonal = means[slots]
+        mu = (1.0 - self.blend) * seasonal + self.blend * recent_level
+        sigma = np.maximum(stds[slots], 1e-3)
+        return mu, sigma
+
+
+def assert_same_forecasts(forecaster, reference, orgs, start_hour, horizon):
+    for org in orgs:
+        mu, sigma = forecaster.predict(org, start_hour, horizon)
+        ref_mu, ref_sigma = reference.predict(org, start_hour, horizon)
+        assert np.array_equal(mu, ref_mu), org
+        assert np.array_equal(sigma, ref_sigma), org
+
+
+class TestSlotStatisticsMatchFrozenReference:
+    """Kept slot statistics are bit-identical to a full recomputation."""
+
+    ORGS = ("org-A", "org-B", "org-C")
+    #: history lengths, in periods: under one, one to two (single-sample
+    #: slots), two and more, and nine and more (numpy's pairwise summation
+    #: regroups from eight samples per slot on)
+    LENGTH_BANDS = ((0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (9.0, 10.5))
+
+    def _draw_history(self, data, period):
+        history = {}
+        for org in data.draw(st.lists(st.sampled_from(self.ORGS), unique=True), label="fit orgs"):
+            low, high = data.draw(st.sampled_from(self.LENGTH_BANDS), label=f"band {org}")
+            length = data.draw(st.integers(int(low * period), int(high * period)), label=f"len {org}")
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=f"seed {org}"))
+            history[org] = rng.uniform(0.0, 1000.0, size=length)
+        return history
+
+    @pytest.mark.parametrize("check_every_step", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_interleavings(self, check_every_step, data):
+        period = data.draw(st.sampled_from([3, 24]), label="period")
+        forecaster = SeasonalQuantileForecaster(period=period)
+        reference = FrozenSeasonalReference(period=period)
+        value = st.floats(0.0, 1000.0, allow_nan=False)
+        queried = self.ORGS + ("ghost",)
+
+        def check():
+            start_hour = data.draw(st.integers(0, 12 * period), label="start hour")
+            horizon = data.draw(st.integers(1, period + 2), label="horizon")
+            assert_same_forecasts(forecaster, reference, queried, start_hour, horizon)
+
+        history = self._draw_history(data, period)
+        forecaster.fit(history)
+        reference.fit(history)
+        for _ in range(data.draw(st.integers(1, 25), label="steps")):
+            op = data.draw(
+                st.sampled_from(["append", "append", "overwrite", "gap", "predict", "fit"]),
+                label="op",
+            )
+            if op == "fit":
+                history = self._draw_history(data, period)
+                forecaster.fit(history)
+                reference.fit(history)
+            elif op == "predict":
+                check()
+            else:
+                org = data.draw(st.sampled_from(self.ORGS), label="org")
+                size = len(reference.history.get(org, ()))
+                if op == "append":
+                    hour = size
+                elif op == "gap":
+                    hour = size + data.draw(st.integers(1, period + 2), label="gap")
+                else:
+                    hour = data.draw(st.integers(0, max(size - 1, 0)), label="old hour")
+                observed = data.draw(value, label="value")
+                forecaster.observe(org, hour, observed)
+                reference.observe(org, hour, observed)
+            if check_every_step:
+                check()
+        check()
+        assert forecaster.history == reference.history
+
+    def test_hourly_observations_over_weekly_period(self, seasonal_history):
+        """The simulator's pattern: fit, then per hour one observe and 12 queries."""
+        rng = np.random.default_rng(7)
+        history = {org: series + rng.normal(0.0, 3.0, series.size) for org, series in seasonal_history.items()}
+        history["short"] = rng.uniform(0.0, 50.0, size=200)
+        forecaster = SeasonalQuantileForecaster().fit(history)
+        reference = FrozenSeasonalReference(period=168)
+        reference.fit(history)
+        for hour in range(336, 336 + 30):
+            for org in history:
+                observed = float(rng.uniform(0.0, 200.0))
+                forecaster.observe(org, hour, observed)
+                reference.observe(org, hour, observed)
+            for _ in range(2):
+                assert_same_forecasts(forecaster, reference, list(history) + ["ghost"], hour, 4)
+
+    def test_history_replaced_from_outside(self, seasonal_history):
+        """``OrgLinearOnlineForecaster`` assigns ``history`` directly."""
+        forecaster = SeasonalQuantileForecaster().fit(seasonal_history)
+        reference = FrozenSeasonalReference(period=168)
+        reference.fit(seasonal_history)
+        assert_same_forecasts(forecaster, reference, seasonal_history, 336, 6)
+        # Same organizations, same lengths, different values: only the
+        # identity of the list tells the kept statistics are stale.
+        replaced = {org: list(np.asarray(series)[::-1] * 1.5) for org, series in seasonal_history.items()}
+        forecaster.history = {org: list(series) for org, series in replaced.items()}
+        reference.history = {org: list(series) for org, series in replaced.items()}
+        assert_same_forecasts(forecaster, reference, replaced, 336, 6)
+        # One organization's list swapped in place of the old one, shorter.
+        forecaster.history["org-A"] = replaced["org-A"][:100]
+        reference.history["org-A"] = replaced["org-A"][:100]
+        assert_same_forecasts(forecaster, reference, replaced, 340, 6)
+        # ... and appended to without going through observe().
+        forecaster.history["org-B"].extend([7.0, 9.0])
+        reference.history["org-B"].extend([7.0, 9.0])
+        assert_same_forecasts(forecaster, reference, replaced, 340, 6)
 
 
 class TestPreviousWeekPeakForecaster:

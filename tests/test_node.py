@@ -90,6 +90,45 @@ class TestEvictionHistory:
 
     def test_no_evictions(self, small_node):
         assert small_node.eviction_count_since(1000.0, 3600.0) == 0
+        assert not small_node.eviction_history
+
+    def test_all_evictions_inside_window(self, small_node):
+        for t in (8000.0, 8500.0, 9000.0):
+            small_node.record_eviction(t)
+        assert small_node.eviction_count_since(9100.0, 3600.0) == 3
+
+    def test_all_evictions_outside_window(self, small_node):
+        for t in (100.0, 200.0, 300.0):
+            small_node.record_eviction(t)
+        assert small_node.eviction_count_since(9100.0, 3600.0) == 0
+        # Outside the window but well inside the retention horizon: kept.
+        assert len(small_node.eviction_history) == 3
+
+    def test_eviction_exactly_at_the_cutoff_counts(self, small_node):
+        small_node.record_eviction(5499.0)
+        small_node.record_eviction(5500.0)
+        small_node.record_eviction(5500.0)
+        small_node.record_eviction(9100.0)
+        assert small_node.eviction_count_since(9100.0, 3600.0) == 3
+
+    def test_out_of_order_evictions_are_counted(self, small_node):
+        small_node.record_eviction(9000.0)
+        small_node.record_eviction(100.0)
+        small_node.record_eviction(5000.0)
+        assert list(small_node.eviction_history) == [100.0, 5000.0, 9000.0]
+        assert small_node.eviction_count_since(9100.0, 3600.0) == 1
+        assert small_node.eviction_count_since(9100.0, 2 * 3600.0) == 2
+
+    def test_entries_past_retention_are_pruned_lazily(self, small_node):
+        day = 86400.0
+        small_node.record_eviction(0.0)
+        small_node.record_eviction(50 * day)
+        small_node.record_eviction(99 * day)
+        now = 100 * day
+        assert small_node.eviction_count_since(now, 3600.0) == 0
+        assert list(small_node.eviction_history) == [50 * day, 99 * day]
+        # A window wider than the retention horizon keeps what it covers.
+        assert small_node.eviction_count_since(now, 95 * day) == 2
 
 
 class TestNodeValidation:

@@ -27,6 +27,7 @@ from repro.obs import (
     parse_prometheus_text,
     render_recorder,
 )
+from repro.obs.profiler import phase_breakdown
 from repro.obs.prometheus import metric_name, render_histogram
 
 
@@ -73,6 +74,25 @@ def test_recorder_span_times_into_histogram():
         pass
     assert rec.histograms["phase"].count == 1
     assert rec.histograms["phase"].total >= 0.0
+
+
+def test_phase_breakdown_splits_the_scheduler_tick_hook_out_of_dispatch():
+    rec = Recorder()
+    rec.observe("sim.dispatch_s.QUOTA_TICK", 1.0)
+    rec.observe("sim.dispatch_s.TASK_ARRIVAL", 0.5)
+    rec.observe("sim.pass_wall_s", 0.4)
+    rec.observe("sim.scheduler_tick_s", 0.25)
+    rec.observe("sim.scheduler_tick_s", 0.05)
+    rec.observe("sim.metric_accrual_s", 0.1)
+    rows = {phase.name.strip(): phase for phase in phase_breakdown(rec, wall_time_s=2.0)}
+    hook = rows["scheduler tick hook (policy)"]
+    assert hook.seconds == pytest.approx(0.3) and hook.count == 2
+    assert hook.share == pytest.approx(0.15)
+    assert rows["event dispatch (other)"].seconds == pytest.approx(1.5 - 0.4 - 0.3 - 0.1)
+    # A recorder that never saw a tick still reports the row, empty.
+    quiet = {phase.name.strip(): phase for phase in phase_breakdown(Recorder(), wall_time_s=1.0)}
+    assert quiet["scheduler tick hook (policy)"].seconds == 0.0
+    assert quiet["scheduler tick hook (policy)"].count == 0
 
 
 def test_pass_record_limit_drops_oldest_deterministically():

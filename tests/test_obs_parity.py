@@ -57,6 +57,10 @@ def test_instrumented_run_is_bit_identical(scheduler_kind):
         v for (name, _), v in recorder.counters.items() if name == "sim.events"
     ) > 0
     assert recorder.pass_records and recorder.tick_samples
+    # The scheduler's tick hook (GDE forecast + SQA quota under GFS) is
+    # timed once per quota tick, so the profiler can attribute it.
+    ticks = recorder.counter_value("sim.events", {"kind": "QUOTA_TICK"})
+    assert recorder.histograms["sim.scheduler_tick_s"].count == ticks > 0
 
 
 @pytest.mark.parametrize("scheduler_kind", ["gfs", "chronus"])

@@ -1,5 +1,8 @@
 """Tests for the Preemptive Task Scheduler: scoring, Algorithms 1-3."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.cluster import Cluster, GPUModel, PodPlacement, TaskType
@@ -18,6 +21,7 @@ from repro.core.pts import (
     score_tuple,
     weighted_eviction_rate,
 )
+from repro.schedulers.placement import NodeView, PlacementContext
 from tests.conftest import build_task
 
 
@@ -117,6 +121,117 @@ class TestNonPreemptive:
         run_on(cluster, build_task(TaskType.SPOT, gpus_per_pod=7.0), 0)  # most packed node
         placements = non_preemptive_placement(build_task(TaskType.SPOT, gpus_per_pod=1.0), cluster.nodes, 200.0, config)
         assert placements[0].node_id != bad_node.node_id
+
+
+def brute_force_placement(task, nodes, now, config, use_colocation, use_eviction_awareness):
+    """Algorithm 1 spelled out: every pod re-ranks every node from scratch."""
+    views = [NodeView.from_node(node) for node in nodes]
+    placements = []
+    for _ in range(task.num_pods):
+        feasible = [
+            view
+            for view in views
+            if view.can_fit_pod(task.gpus_per_pod)
+            and not (
+                task.is_spot
+                and use_eviction_awareness
+                and task.gpus_per_pod >= 1.0
+                and circuit_breaker_active(view.node, now, config)
+            )
+        ]
+        if not feasible:
+            return None
+        chosen = max(
+            feasible,
+            key=lambda view: (
+                score_tuple(
+                    view.node,
+                    view.idle_gpus if task.gpus_per_pod >= 1.0 else view.free_capacity,
+                    task,
+                    now,
+                    config,
+                    use_colocation=use_colocation,
+                    use_eviction_awareness=use_eviction_awareness,
+                ),
+                view.node.node_id,
+            ),
+        )
+        chosen.assign_pod(task.gpus_per_pod)
+        placements.append(
+            PodPlacement(node_id=chosen.node.node_id, gpu_indices=(), fraction=task.gpus_per_pod)
+        )
+    return placements
+
+
+class TestNonPreemptiveMatchesBruteForce:
+    """Scoring each node once per call changes no placement."""
+
+    NOW = 200_000.0
+
+    def _random_cluster(self, rng):
+        cluster = Cluster.homogeneous(rng.randint(3, 8), 8, GPUModel.A100)
+        for node in cluster.nodes:
+            for _ in range(rng.randint(0, 4)):
+                resident = build_task(
+                    rng.choice([TaskType.HP, TaskType.SPOT]),
+                    gpus_per_pod=rng.choice([0.25, 0.5, 1.0, 2.0, 4.0]),
+                )
+                if node.can_fit_pod(resident.gpus_per_pod):
+                    cluster.place_task(resident, [PodPlacement(node_id=node.node_id, gpu_indices=())])
+            # Evictions older than both windows, inside the 24 h window
+            # only, and inside the last hour.
+            ages = [rng.uniform(90_000.0, 150_000.0) for _ in range(rng.randint(0, 3))]
+            ages += [rng.uniform(3_700.0, 86_000.0) for _ in range(rng.randint(0, 12))]
+            ages += [rng.uniform(0.0, 3_600.0) for _ in range(rng.choice([0, 0, 1, 3, 8]))]
+            for age in sorted(ages, reverse=True):
+                node.record_eviction(self.NOW - age)
+        return cluster
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_placements_as_per_pod_rescoring(self, seed):
+        rng = random.Random(seed)
+        cluster = self._random_cluster(rng)
+        # A low penalty never trips the circuit breaker, a high one trips
+        # it on every node with a recent eviction.
+        config = ScoringConfig(gamma=rng.choice([0.5, 0.8]), penalty=rng.choice([3.0, 20.0, 60.0]))
+        switches = list(itertools.product([True, False], repeat=2))
+        for _ in range(12):
+            task = build_task(
+                rng.choice([TaskType.HP, TaskType.SPOT]),
+                num_pods=rng.randint(1, 5),
+                gpus_per_pod=rng.choice([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]),
+            )
+            for use_colocation, use_eviction_awareness in switches:
+                expected = brute_force_placement(
+                    task, cluster.nodes, self.NOW, config, use_colocation, use_eviction_awareness
+                )
+                scanned = non_preemptive_placement(
+                    task, cluster.nodes, self.NOW, config,
+                    use_colocation=use_colocation, use_eviction_awareness=use_eviction_awareness,
+                )
+                indexed = non_preemptive_placement(
+                    task, None, self.NOW, config,
+                    use_colocation=use_colocation, use_eviction_awareness=use_eviction_awareness,
+                    ctx=PlacementContext(cluster),
+                )
+                assert scanned == expected
+                assert indexed == expected
+
+    def test_scenarios_cover_breaker_gangs_and_failures(self):
+        """The random scenarios must reach the cases the comparison is for."""
+        tripped = multi_node_gangs = unplaceable = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            cluster = self._random_cluster(rng)
+            config = ScoringConfig(penalty=60.0)
+            tripped += sum(circuit_breaker_active(n, self.NOW, config) for n in cluster.nodes)
+            gang = build_task(TaskType.SPOT, num_pods=4, gpus_per_pod=4.0)
+            placements = non_preemptive_placement(gang, cluster.nodes, self.NOW, config)
+            if placements is None:
+                unplaceable += 1
+            elif len({p.node_id for p in placements}) > 1:
+                multi_node_gangs += 1
+        assert tripped > 0 and multi_node_gangs > 0 and unplaceable > 0
 
 
 class TestPreemptive:

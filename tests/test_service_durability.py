@@ -434,9 +434,9 @@ class TestRequestDeadline:
             client = AsyncServiceClient(server.host, server.port)
             try:
                 sid = (await client.create_session(**PARAMS))["session_id"]
-                await client.submit(sid, _wave("slow", 80))
+                await client.submit(sid, _wave("slow", 1200))
                 with pytest.raises(ServiceError) as err:
-                    await client.advance(sid)  # full run: ~0.7s >> 150ms
+                    await client.advance(sid)  # full run: ~0.8s >> 150ms
                 assert err.value.status == 504
                 assert "deadline" in err.value.message
                 # The operation was shielded, not cancelled: it finishes
@@ -454,7 +454,7 @@ class TestRequestDeadline:
                         break
                     await asyncio.sleep(0.05)
                 assert status is not None and status["done"]
-                assert status["submitted_tasks"] == 80
+                assert status["submitted_tasks"] == 1200
             finally:
                 await client.close()
 

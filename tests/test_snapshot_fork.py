@@ -19,11 +19,13 @@ corruption mode must collapse into ``SnapshotError`` before unpickling.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from tests.conftest import assert_metrics_identical, build_task
 from tests.test_stepping_determinism import DURATION_HOURS, SCHEDULERS, build_sim
 from repro.cluster.simulator import ClusterSimulator, SimulationError
+from repro.core.gde import SeasonalQuantileForecaster
 from repro.service.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -171,6 +173,55 @@ def test_fork_of_restored_snapshot_matches_original_continuation():
     restored = ClusterSimulator.restore(blob)
     restored.advance()
     assert_metrics_identical(forked.finalize(), restored.finalize(), "fork vs restore")
+
+
+def _mid_hour_with_unforecast_observations(sim: ClusterSimulator) -> ClusterSimulator:
+    """Stop mid-hour (slot statistics warm from the quota ticks so far) and
+    leave observations that no forecast has consumed yet."""
+    sim.advance(until=2.5 * 3600.0)
+    gde = sim.scheduler.gde
+    first, second = sorted(gde.organizations())[:2]
+    size = len(gde.forecaster.history[first])
+    gde.observe(first, size - 200, 321.0)  # overwrite of an old hour
+    gde.observe(second, size + 2, 123.0)  # append past a two-hour gap
+    return sim
+
+
+def test_gfs_forecaster_statistics_survive_snapshot_and_fork():
+    """The forecaster's kept slot statistics are ordinary simulator state:
+    a snapshot or fork taken with some of them stale continues exactly as
+    the uninterrupted run does, and without rebuilding them."""
+    uninterrupted = _mid_hour_with_unforecast_observations(build_sim("gfs"))
+    uninterrupted.advance()
+    expected = uninterrupted.finalize()
+
+    live = _mid_hour_with_unforecast_observations(build_sim("gfs"))
+    kept = live.scheduler.gde.forecaster._slot_stats_by_org
+    assert kept and any(stats.dirty for stats in kept.values())
+    assert any(stats.size < len(stats.values) for stats in kept.values())
+
+    blob = live.snapshot()
+    copies = {"fork": live.fork(), "restored": ClusterSimulator.restore(blob)}
+    for label, copy in copies.items():
+        forecaster = copy.scheduler.gde.forecaster
+        assert forecaster is not live.scheduler.gde.forecaster
+        for org, stats in forecaster._slot_stats_by_org.items():
+            # Still attached to the copy's own history, stale slots included.
+            assert stats.values is forecaster.history[org], label
+            assert stats.dirty == kept[org].dirty and stats.size == kept[org].size, label
+
+    probe = ClusterSimulator.restore(blob).scheduler.gde.forecaster
+    fresh = SeasonalQuantileForecaster().fit(probe.history)
+    hour = live.scheduler._hour_index(live.now)
+    for org in probe.organizations():
+        for got, want in zip(probe.predict(org, hour, 4), fresh.predict(org, hour, 4)):
+            assert np.array_equal(got, want), org
+
+    for label, copy in copies.items():
+        copy.advance()
+        assert_metrics_identical(copy.finalize(), expected, f"{label} continuation")
+    live.advance()
+    assert_metrics_identical(live.finalize(), expected, "live after snapshot and fork")
 
 
 # ----------------------------------------------------------------------
