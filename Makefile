@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: test bench bench-scaling bench-record benchmark-smoke perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
+.PHONY: test bench bench-scaling bench-record benchmark-smoke bench-service perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
 
 # Knobs for `make profile` (self-profiler tier/scheduler).
 PROFILE_TIER      ?= full
@@ -68,6 +68,13 @@ benchmark-smoke:
 			| grep '"correct": true' | grep -q '"failed": 0' \
 			|| { echo "benchmark-smoke: $$w failed"; exit 1; }; \
 	done
+
+## The service workload of the repo's benchmark at full size with the
+## per-layer trace (~30 s): where a client iteration goes — fork,
+## snapshot, store save, policy code (docs/performance.md, "Service
+## state-copy path").
+bench-service:
+	$(PYTHON) benchmarks/perf/run.py --workload service_session --seed 11 --trace 1
 
 ## Scenario sweep through the parallel experiment engine, e.g.
 ##   make sweep SCENARIO=spot_heavy WORKERS=8 SCALE=medium

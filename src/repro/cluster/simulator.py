@@ -53,7 +53,6 @@ already failed against unchanged capacity are skipped without a search
 
 from __future__ import annotations
 
-import copy
 import heapq
 import inspect
 import itertools
@@ -101,6 +100,32 @@ class SimulationError(RuntimeError):
     """Raised when the simulator reaches an inconsistent state."""
 
 
+#: what ``pickle.dumps`` raises for lambdas, closures, local classes and
+#: open handles (``PicklingError``, ``AttributeError`` and ``TypeError``
+#: respectively, depending on the object and the Python version)
+_PICKLE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
+
+
+def _unpicklable_attribute(obj: object, depth: int = 4) -> str:
+    """Dotted path of the first attribute under ``obj`` that pickle refuses.
+
+    Only runs after a failed :meth:`ClusterSimulator.snapshot`, to turn an
+    error from deep inside pickle into one a scheduler author can act on.
+    It walks what pickle would store (``__getstate__``), so the recorder
+    the simulator swaps out is never blamed.
+    """
+    state = None if isinstance(obj, type) else obj.__getstate__()
+    if not isinstance(state, dict):  # a class, no instance dict, or slots
+        return ""
+    for name, value in state.items():
+        try:
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        except _PICKLE_ERRORS:
+            inner = _unpicklable_attribute(value, depth - 1) if depth > 0 else ""
+            return f"{name}.{inner}" if inner else name
+    return ""
+
+
 class ClusterSimulator:
     """Event-driven simulator binding a scheduler to a cluster and a trace.
 
@@ -140,8 +165,9 @@ class ClusterSimulator:
     * :meth:`snapshot` / :meth:`restore` round-trip the **complete**
       simulator state (event heap, pending queue, cluster + capacity
       index, scheduler including its RNGs, run logs, accounting) through
-      bytes, and :meth:`fork` produces an independent deep copy for
-      speculative what-if runs that leave the live state untouched.
+      bytes, and :meth:`fork` round-trips those bytes into an independent
+      copy for speculative what-if runs that leave the live state
+      untouched.
     """
 
     def __init__(
@@ -320,6 +346,10 @@ class ClusterSimulator:
         for task in tasks:
             self.submit(task)
 
+    def has_task(self, task_id: str) -> bool:
+        """Whether a task with this id was ever submitted (O(1))."""
+        return task_id in self._epochs
+
     def inject(
         self,
         action: DynamicsAction,
@@ -477,30 +507,42 @@ class ClusterSimulator:
     # Snapshot / fork (streaming service mode)
     # ------------------------------------------------------------------
     def fork(self) -> "ClusterSimulator":
-        """An independent deep copy sharing no mutable state with ``self``.
+        """An independent copy sharing no mutable state with ``self``.
 
-        The copy carries the complete simulator graph — cluster, capacity
-        index, event heap, pending queue, tasks, scheduler (including any
-        RNG state) — with object identity preserved *within* the copy, so
-        it can be advanced, submitted to and finished without perturbing
-        the live simulator by a single bit.  This is what serves
-        speculative what-if queries in :mod:`repro.service`.
+        ``restore(snapshot())``: the pickle round trip is the one way a
+        simulator is copied, so a fork is exactly what a restored session
+        would be.  The copy carries the complete simulator graph —
+        cluster, capacity index, event heap, pending queue, tasks,
+        scheduler (including any RNG state) — with object identity
+        preserved *within* the copy, so it can be advanced, submitted to
+        and finished without perturbing the live simulator by a single
+        bit.  Like a restored simulator it starts unobserved (see
+        :meth:`__getstate__`), and like :meth:`snapshot` it needs a
+        picklable scheduler.  This is what serves speculative what-if
+        queries in :mod:`repro.service`.
         """
-        return copy.deepcopy(self)
+        return self.restore(self.snapshot())
 
     def snapshot(self) -> bytes:
         """Serialise the complete simulator state to bytes.
 
-        The snapshot captures everything :meth:`fork` copies, in pickled
-        form, so ``ClusterSimulator.restore(sim.snapshot())`` continues
+        ``ClusterSimulator.restore(sim.snapshot())`` continues
         bit-identically to the simulator it was taken from — including
         mid-outage dynamics state and same-timestamp event ties (guarded
         by ``tests/test_snapshot_fork.py``).  Registry schedulers are all
-        picklable; a custom scheduler must be too for snapshots to work.
+        picklable; a custom scheduler must be too, or this raises a
+        :class:`SimulationError` naming the attribute pickle refused.
         The service layer wraps these bytes in a versioned, checksummed
         envelope (:mod:`repro.service.snapshot`) for transport.
         """
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        except _PICKLE_ERRORS as exc:
+            where = _unpicklable_attribute(self) or "<unknown>"
+            raise SimulationError(
+                f"simulator state is not picklable (scheduler "
+                f"{type(self.scheduler).__name__}): attribute {where!r} — {exc}"
+            ) from exc
 
     @classmethod
     def restore(cls, data: bytes) -> "ClusterSimulator":

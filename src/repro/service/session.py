@@ -252,8 +252,7 @@ class SimulationSession:
         ids = {t.task_id for t in tasks}
         if len(ids) != len(tasks):
             raise SessionError("duplicate task_id within one submit batch")
-        known = {t.task_id for t in self.sim.all_tasks}
-        clash = sorted(ids & known)
+        clash = sorted(i for i in ids if self.sim.has_task(i))
         if clash:
             raise SessionError(f"task ids already submitted: {', '.join(clash[:5])}")
         for task in tasks:
@@ -408,11 +407,12 @@ class SimulationSession:
         horizon_hours = float(horizon_hours)
         if horizon_hours <= 0:
             raise SessionError("horizon_hours must be positive")
-        fork = self.sim.fork()
-        known = {t.task_id for t in fork.all_tasks}
-        if candidate.task_id in known:
+        # Validate against the live simulator first: a rejected request
+        # must not pay for the copy.
+        if self.sim.has_task(candidate.task_id):
             raise SessionError(f"task id {candidate.task_id!r} already submitted")
-        evictions_before = sum(t.eviction_count for t in fork.all_tasks)
+        evictions_before = sum(t.eviction_count for t in self.sim.all_tasks)
+        fork = self.sim.fork()
         fork.submit(candidate)
         deadline = max(fork.now, candidate.submit_time) + horizon_hours * 3600.0
         # Bounded chunks so one advice request can never wedge the server

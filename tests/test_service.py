@@ -22,10 +22,12 @@ loop via ``asyncio.run`` so the suite runs on the baked-in toolchain.
 from __future__ import annotations
 
 import asyncio
+import copy
 import json
 
 import pytest
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.obs.logging import parse_log_line
 from repro.service import AsyncServiceClient, SchedulerServer, ServiceError
 from repro.service.session import (
@@ -130,6 +132,25 @@ def test_what_if_answers_without_perturbing_the_session():
     assert all(t.task_id != "wif-probe" for t in session.sim.all_tasks)
 
 
+def test_rejected_what_if_and_submit_cost_no_copy(monkeypatch):
+    """Validation runs against the live simulator, before any fork."""
+    session = SimulationSession(PARAMS)
+    session.submit(_wave("dup", 4))
+    assert session.sim.has_task("dup-000") and not session.sim.has_task("dup-999")
+
+    def no_fork(sim):
+        raise AssertionError("a rejected request reached ClusterSimulator.fork")
+
+    monkeypatch.setattr(ClusterSimulator, "fork", no_fork)
+    with pytest.raises(SessionError, match="already submitted"):
+        session.what_if(_payload("dup-000", 0.0))
+    with pytest.raises(SessionError, match="horizon_hours"):
+        session.what_if(_payload("fresh", 0.0), horizon_hours=0.0)
+    with pytest.raises(SessionError, match="already submitted: dup-001, dup-003"):
+        session.submit([_payload("dup-003", 0.0), _payload("new", 0.0), _payload("dup-001", 0.0)])
+    assert not session.sim.has_task("new")  # all-or-nothing
+
+
 def test_preloaded_session_carries_scenario_trace():
     session = SimulationSession({**PARAMS, "preload": True})
     assert session.status()["submitted_tasks"] > 0
@@ -185,6 +206,78 @@ def test_http_session_lifecycle_and_errors():
             await client.close()
 
     asyncio.run(_with_server(body))
+
+
+def test_state_copies_per_request_are_exact_counts(tmp_path, monkeypatch):
+    """The service's state-copy budget as counts, which no host can blur:
+    with persistence on, a mutating request serialises the simulator once,
+    a read never does, a what-if forks once, and nothing deep-copies."""
+    copies = {"snapshot": 0, "fork": 0}
+    forking = []
+    real_snapshot, real_fork = ClusterSimulator.snapshot, ClusterSimulator.fork
+    real_deepcopy = copy.deepcopy
+
+    def snapshot(sim):
+        if not forking:  # fork() is itself restore(snapshot())
+            copies["snapshot"] += 1
+        return real_snapshot(sim)
+
+    def fork(sim):
+        copies["fork"] += 1
+        forking.append(sim)
+        try:
+            return real_fork(sim)
+        finally:
+            forking.pop()
+
+    def deepcopy(obj, memo=None):
+        if type(obj).__module__.startswith("repro."):
+            raise AssertionError(f"copy.deepcopy reached a {type(obj).__name__}")
+        return real_deepcopy(obj, memo)
+
+    monkeypatch.setattr(ClusterSimulator, "snapshot", snapshot)
+    monkeypatch.setattr(ClusterSimulator, "fork", fork)
+    monkeypatch.setattr(copy, "deepcopy", deepcopy)
+
+    async def counted(awaitable):
+        before = dict(copies)
+        result = await awaitable
+        return result, {k: copies[k] - before[k] for k in copies}
+
+    async def body():
+        server = SchedulerServer(state_dir=tmp_path)
+        await server.start(port=0)
+        client = AsyncServiceClient(server.host, server.port)
+        persisted, free, forked = ({"snapshot": 1, "fork": 0}, {"snapshot": 0, "fork": 0},
+                                   {"snapshot": 0, "fork": 1})
+        try:
+            session, cost = await counted(client.create_session(**PARAMS))
+            sid = session["session_id"]
+            assert cost == persisted
+            node_id = server._sessions[sid].sim.cluster.nodes[0].node_id
+
+            for request in (
+                client.submit(sid, _wave("cnt", 10)),
+                client.advance(sid, until=1800.0),
+                client.inject(sid, node_id=node_id, kind="NODE_FAIL"),
+            ):
+                assert (await counted(request))[1] == persisted
+            for request in (client.status(sid), client.quota(sid), client.occupancy(sid)):
+                assert (await counted(request))[1] == free
+            advice, cost = await counted(client.what_if(sid, _payload("cnt-probe", 1800.0), 2.0))
+            assert advice["task_id"] == "cnt-probe" and cost == forked
+            with pytest.raises(ServiceError) as err:
+                await counted(client.what_if(sid, _payload("cnt-000", 0.0)))
+            assert err.value.status == 400
+            blob, cost = await counted(client.snapshot(sid))
+            assert cost == persisted  # the export itself
+            assert (await counted(client.restore(sid, blob)))[1] == persisted
+            assert copies == {"snapshot": 6, "fork": 1}  # create, 3 mutations, export, restore
+        finally:
+            await client.close()
+            await server.stop()
+
+    asyncio.run(body())
 
 
 def test_http_snapshot_restore_rewinds_session():

@@ -177,3 +177,54 @@ class TestInvariants:
         metrics = run_simulation(cluster, YarnCSScheduler(), tiny_trace.sorted_tasks()[:200])
         assert metrics.unfinished_tasks == 0
         assert metrics.hp.jct_mean > 0
+
+
+class _Policy:
+    """A helper object a custom scheduler might hang its state on."""
+
+    def __init__(self, rank):
+        self.rank = rank
+
+
+class TestUnpicklableScheduler:
+    """fork() and snapshot() both copy through pickle, so a scheduler that
+    cannot be pickled must fail with an error its author can act on."""
+
+    @staticmethod
+    def _sim(scheduler):
+        sim = ClusterSimulator(simple_cluster(), scheduler)
+        sim.submit(build_task(duration=600.0))
+        sim.advance(until=60.0)
+        return sim
+
+    @pytest.mark.parametrize("copy_method", ["fork", "snapshot"])
+    def test_lambda_attribute_is_named(self, copy_method):
+        scheduler = FirstFitScheduler()
+        scheduler.tie_break = lambda task: task.task_id
+        with pytest.raises(SimulationError, match=r"FirstFitScheduler.*'scheduler\.tie_break'"):
+            getattr(self._sim(scheduler), copy_method)()
+
+    @pytest.mark.parametrize("copy_method", ["fork", "snapshot"])
+    def test_nested_closure_and_open_handle_are_named(self, copy_method, tmp_path):
+        offset = 3
+        scheduler = FirstFitScheduler()
+        scheduler.policy = _Policy(rank=lambda task: task.num_pods + offset)
+        with pytest.raises(SimulationError, match=r"'scheduler\.policy\.rank'") as info:
+            getattr(self._sim(scheduler), copy_method)()
+        assert info.value.__cause__ is not None  # pickle's own error stays attached
+
+        with open(tmp_path / "decisions.log", "w") as handle:
+            scheduler.policy = _Policy(rank=1)
+            scheduler.log = handle
+            with pytest.raises(SimulationError, match=r"'scheduler\.log'"):
+                getattr(self._sim(scheduler), copy_method)()
+
+    def test_picklable_custom_scheduler_still_forks(self):
+        scheduler = FirstFitScheduler()
+        scheduler.policy = _Policy(rank=1)
+        sim = self._sim(scheduler)
+        fork = sim.fork()
+        fork.advance()
+        assert fork.finalize().unfinished_tasks == 0
+        assert sim.finalize().unfinished_tasks == 1
+        assert fork.scheduler.policy is not scheduler.policy

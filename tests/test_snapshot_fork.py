@@ -8,6 +8,11 @@ accounting half-accumulated) and with same-timestamp ties sitting
 unprocessed in the event heap.  Forks must be perfectly isolated: a
 fully-advanced fork must not move the live simulator by one bit.
 
+``fork()`` is ``restore(snapshot())`` — the pickle round trip is the one
+way a simulator is copied.  The ``copy.deepcopy`` it replaced is frozen
+here as :func:`_fork_reference` and compared against it for every
+scheduler family over static, chaotic and ingested-trace scenarios.
+
 All round-trip tests run with ``REPRO_VALIDATE_AGGREGATES`` enabled, so
 a restored cluster whose O(1) aggregates drifted from its node state
 fails loudly inside the run, not just at the final metric compare.
@@ -19,13 +24,31 @@ corruption mode must collapse into ``SnapshotError`` before unpickling.
 
 from __future__ import annotations
 
+import copy
+import enum
+import hashlib
+import struct
+import types
+import zlib
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import assert_metrics_identical, build_task
-from tests.test_stepping_determinism import DURATION_HOURS, SCHEDULERS, build_sim
+from tests.test_stepping_determinism import (
+    DURATION_HOURS,
+    FIXTURES,
+    SCHEDULERS,
+    build_sim,
+)
 from repro.cluster.simulator import ClusterSimulator, SimulationError
 from repro.core.gde import SeasonalQuantileForecaster
+from repro.obs import Recorder
+from repro.obs.recorder import NULL_RECORDER
+from repro.service.session import SimulationSession
 from repro.service.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -34,6 +57,7 @@ from repro.service.snapshot import (
     snapshot_from_text,
     snapshot_to_text,
 )
+from repro.service.store import STORE_VERSION, SessionStore
 
 
 @pytest.fixture(autouse=True)
@@ -175,6 +199,115 @@ def test_fork_of_restored_snapshot_matches_original_continuation():
     assert_metrics_identical(forked.finalize(), restored.finalize(), "fork vs restore")
 
 
+# ----------------------------------------------------------------------
+# fork() == the deepcopy it replaced (old implementation frozen here)
+# ----------------------------------------------------------------------
+def _fork_reference(sim: ClusterSimulator) -> ClusterSimulator:
+    """``ClusterSimulator.fork`` as it was before the pickle round trip."""
+    return copy.deepcopy(sim)
+
+
+#: values that are immutable or process-wide by design, so two simulators
+#: may legitimately hold the same object
+_SHAREABLE = (
+    int, float, complex, str, bytes, bool, type(None), type, enum.Enum, np.generic,
+    types.FunctionType, types.BuiltinFunctionType, types.MethodType, types.ModuleType,
+)
+
+
+def _mutable_objects(root) -> dict:
+    """``id -> object`` for every mutable object pickle would copy from ``root``.
+
+    Walks containers and ``__getstate__`` (so the simulator's recorder
+    swap applies, as it does to a fork).  Tuples and frozensets are
+    descended into but not reported: ``()`` is one object per process.
+    """
+    found, visited, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _SHAREABLE) or obj is NULL_RECORDER or id(obj) in visited:
+            continue
+        visited.add(id(obj))
+        if isinstance(obj, (tuple, frozenset)):
+            stack.extend(obj)
+            continue
+        found[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, set, deque)):
+            stack.extend(obj)
+        elif not isinstance(obj, np.ndarray):
+            stack.append(obj.__getstate__())  # None, a dict, or (dict, slots)
+    return found
+
+
+FORK_SCENARIOS = ("default", "node_churn", f"trace:{FIXTURES / 'philly_small.csv'}")
+
+
+def _probe_task(now: float):
+    return build_task(duration=2400.0, submit_time=now, gpus_per_pod=4.0, num_pods=2,
+                      task_id="fork-probe")
+
+
+@pytest.mark.parametrize("scenario_name", FORK_SCENARIOS, ids=["static", "node_churn", "trace"])
+@pytest.mark.parametrize("scheduler_kind", SCHEDULERS)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(events=st.integers(min_value=0, max_value=300))  # the runs have 116-316 events
+def test_fork_matches_frozen_deepcopy_reference(scheduler_kind, scenario_name, events):
+    """At any event boundary the fork behaves as the deepcopy did, leaves
+    the live simulator untouched to the byte and shares nothing with it."""
+    live = build_sim(scheduler_kind, scenario_name)
+    live.advance(max_events=events)
+    before = live.snapshot()
+
+    fork, reference = live.fork(), _fork_reference(live)
+    shared = _mutable_objects(live).keys() & _mutable_objects(fork).keys()
+    assert not shared, [type(obj).__name__ for obj in _mutable_objects(live).values()
+                        if id(obj) in shared][:10]
+
+    results = []
+    for sim in (fork, reference):
+        sim.submit(_probe_task(sim.now))
+        sim.advance()
+        results.append(sim.finalize())
+    assert_metrics_identical(results[0], results[1], f"{scheduler_kind}/{scenario_name}@{events}")
+    assert live.snapshot() == before
+
+
+def test_fork_copies_rng_state_and_warm_slot_statistics():
+    """The two pieces of scheduler state a shallow copy would alias."""
+    live = build_sim("gfs-p")
+    live.advance(until=DURATION_HOURS * 1800.0)
+    fork = live.fork()
+    # The walker the comparison test relies on does see aliasing where there is some.
+    assert _mutable_objects(live).keys() & _mutable_objects(copy.copy(live)).keys()
+
+    rng, forked_rng = live.scheduler.pts._rng, fork.scheduler.pts._rng
+    assert forked_rng is not rng and forked_rng.getstate() == rng.getstate()
+    forked_rng.random()
+    assert forked_rng.getstate() != rng.getstate()
+
+    kept = live.scheduler.gde.forecaster._slot_stats_by_org
+    forked = fork.scheduler.gde.forecaster._slot_stats_by_org
+    assert kept and kept.keys() == forked.keys()
+    for org, stats in kept.items():
+        assert forked[org] is not stats and forked[org].values is not stats.values
+        for name in ("means", "stds"):
+            ours, theirs = getattr(stats, name), getattr(forked[org], name)
+            assert np.array_equal(ours, theirs) and not np.shares_memory(ours, theirs)
+
+
+def test_fork_starts_unobserved():
+    """A fork is a restored snapshot: it carries the null recorder, so a
+    what-if never lands in the live session's instrumentation."""
+    sim = build_sim("chronus")
+    sim.obs = recorder = Recorder()
+    sim.advance(until=3600.0)
+    assert sim.fork().obs is NULL_RECORDER
+    assert sim.obs is recorder
+
+
 def _mid_hour_with_unforecast_observations(sim: ClusterSimulator) -> ClusterSimulator:
     """Stop mid-hour (slot statistics warm from the quota ticks so far) and
     leave observations that no forecast has consumed yet."""
@@ -238,6 +371,47 @@ def test_envelope_base64_roundtrip():
     assert snapshot_from_text(snapshot_to_text(envelope)) == envelope
 
 
+def _level6_envelope(raw: bytes) -> bytes:
+    """The envelope as builds up to PR 14 wrote it into every ``--state-dir``
+    (zlib level 6), laid out by hand so the wire format is pinned here."""
+    payload = zlib.compress(raw, 6)
+    header = struct.pack(">8sH32s", b"REPROSNP", 1, hashlib.sha256(payload).digest())
+    return header + payload
+
+
+def test_level6_envelope_from_earlier_builds_still_restores():
+    sim = build_sim("gfs")
+    sim.advance(until=DURATION_HOURS * 1800.0)
+    raw = sim.snapshot()
+    old, new = _level6_envelope(raw), encode_snapshot(raw)
+    assert SNAPSHOT_VERSION == 1 and old[:10] == new[:10] and old != new  # only the level differs
+    assert decode_snapshot(old) == decode_snapshot(new) == raw
+    restored = ClusterSimulator.restore(decode_snapshot(old))
+    restored.advance()
+    sim.advance()
+    assert_metrics_identical(restored.finalize(), sim.finalize(), "level-6 envelope")
+
+
+def test_store_file_holding_a_level6_envelope_recovers_and_continues(tmp_path):
+    """A state directory written by the parent build boots under this one."""
+    params = {"scheduler": "gfs", "num_nodes": 8, "duration_hours": 4.0,
+              "spot_scale": 2.0, "seed": 5, "preload": True}
+    witness = SimulationSession(params, session_id="session-0001")
+    witness.advance(until=5400.0)
+    store = SessionStore(tmp_path)
+    store.save("session-0001", witness.params, _level6_envelope(witness.sim.snapshot()))
+
+    assert STORE_VERSION == 1
+    report = store.recover()
+    assert not report.quarantined and len(report.recovered) == 1
+    stored = report.recovered[0]
+    revived = SimulationSession.from_stored(stored.params, stored.session_id, stored.snapshot)
+    for session in (witness, revived):
+        session.advance()
+    assert_metrics_identical(revived.sim.finalize(), witness.sim.finalize(), "recovered session")
+
+
+@pytest.mark.parametrize("write", [encode_snapshot, _level6_envelope], ids=["level1", "level6"])
 @pytest.mark.parametrize(
     "mutilate, match",
     [
@@ -251,8 +425,8 @@ def test_envelope_base64_roundtrip():
     ids=["truncated-half", "truncated-header", "bad-magic", "future-version",
          "tail-corruption", "payload-bitflip"],
 )
-def test_envelope_rejects_every_corruption_mode(mutilate, match):
-    envelope = encode_snapshot(b"payload bytes that will be damaged in transit")
+def test_envelope_rejects_every_corruption_mode(mutilate, match, write):
+    envelope = write(b"payload bytes that will be damaged in transit")
     with pytest.raises(SnapshotError, match=match):
         decode_snapshot(mutilate(envelope))
 
