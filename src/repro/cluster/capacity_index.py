@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .gpu import EPSILON, GPUModel
+from .gpu import EPSILON, GPUModel, is_fractional_pod
 from .node import Node
 
 
@@ -247,7 +247,7 @@ class CapacityIndex:
 
     def can_host_pod(self, model: Optional[GPUModel], gpus_per_pod: float) -> bool:
         """Whether any node could host one pod right now (O(1) for whole pods)."""
-        if gpus_per_pod < 1.0 - EPSILON:
+        if is_fractional_pod(gpus_per_pod):
             return any(ix.frac for ix in self._indexes_for(model))
         return self.max_idle_gpus(model) >= int(round(gpus_per_pod))
 
@@ -275,7 +275,7 @@ class CapacityIndex:
         Fractional pods require a single card with enough free fraction;
         whole-GPU pods require enough completely idle cards.
         """
-        if gpus_per_pod < 1.0 - EPSILON:
+        if is_fractional_pod(gpus_per_pod):
             found = [
                 n
                 for ix in self._indexes_for(model)
@@ -292,7 +292,7 @@ class CapacityIndex:
 
         Fractional pods only need aggregate free capacity on the node.
         """
-        if gpus_per_pod < 1.0 - EPSILON:
+        if is_fractional_pod(gpus_per_pod):
             found = [
                 n
                 for ix in self._indexes_for(model)
@@ -403,7 +403,7 @@ class CapacityIndex:
                 if node.can_fit_pod(gpus_per_pod):
                     found.append(node)
             else:
-                if gpus_per_pod < 1.0 - EPSILON:
+                if is_fractional_pod(gpus_per_pod):
                     if node.free_capacity + EPSILON >= gpus_per_pod:
                         found.append(node)
                 elif node.idle_gpus >= int(round(gpus_per_pod)):

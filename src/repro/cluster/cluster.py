@@ -210,10 +210,20 @@ class Cluster:
         if self._validate:
             self.validate_aggregates()
 
-    def _models_for(self, model: Optional[GPUModel]) -> List[GPUModel]:
+    def _sum(self, field: str, model: Optional[GPUModel]) -> float:
+        """One cached aggregate, summed over the models ``model`` selects (all for ``None``).
+
+        Unchecked, so compound queries (stats, allocation_rate) validate
+        once per public call, not once per sub-query.
+        """
         if model is None:
-            return list(self._agg)
-        return [model] if model in self._agg else []
+            aggs = self._agg.values()
+        else:
+            aggs = (self._agg[model],) if model in self._agg else ()
+        total = 0
+        for agg in aggs:
+            total += getattr(agg, field)
+        return float(total)
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -234,49 +244,32 @@ class Cluster:
     # ------------------------------------------------------------------
     # Capacity accounting (O(1) from cached aggregates)
     # ------------------------------------------------------------------
-    # Unchecked internals so compound queries (stats, allocation_rate)
-    # validate once per public call, not once per sub-query.
-    def _total(self, model: Optional[GPUModel]) -> float:
-        return float(sum(self._agg[m].total for m in self._models_for(model)))
-
-    def _idle(self, model: Optional[GPUModel]) -> float:
-        return float(sum(self._agg[m].free for m in self._models_for(model)))
-
-    def _allocated(self, model: Optional[GPUModel]) -> float:
-        return float(sum(self._agg[m].allocated for m in self._models_for(model)))
-
-    def _spot(self, model: Optional[GPUModel]) -> float:
-        return float(sum(self._agg[m].spot for m in self._models_for(model)))
-
-    def _hp(self, model: Optional[GPUModel]) -> float:
-        return float(sum(self._agg[m].hp for m in self._models_for(model)))
-
     def total_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._total(model)
+        return self._sum("total", model)
 
     def idle_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._idle(model)
+        return self._sum("free", model)
 
     def allocated_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._allocated(model)
+        return self._sum("allocated", model)
 
     def spot_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._spot(model)
+        return self._sum("spot", model)
 
     def hp_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._hp(model)
+        return self._sum("hp", model)
 
     def allocation_rate(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        total = self._total(model)
+        total = self._sum("total", model)
         if total <= 0:
             return 0.0
-        return self._allocated(model) / total
+        return self._sum("allocated", model) / total
 
     def _running_count(self, model: Optional[GPUModel], task_type: TaskType) -> int:
         if model is None:
@@ -292,10 +285,10 @@ class Cluster:
         """A snapshot of aggregate cluster statistics (O(1))."""
         self._check()
         return ClusterStats(
-            total_gpus=self._total(model),
-            idle_gpus=self._idle(model),
-            hp_gpus=self._hp(model),
-            spot_gpus=self._spot(model),
+            total_gpus=self._sum("total", model),
+            idle_gpus=self._sum("free", model),
+            hp_gpus=self._sum("hp", model),
+            spot_gpus=self._sum("spot", model),
             running_hp_tasks=self._running_count(model, TaskType.HP),
             running_spot_tasks=self._running_count(model, TaskType.SPOT),
             successful_spot_runs=self.successful_spot_runs,

@@ -15,6 +15,14 @@ from typing import Dict
 EPSILON = 1e-9
 
 
+def is_fractional_pod(gpus_per_pod: float) -> bool:
+    """Whether a pod shares one card (< 1 GPU) rather than taking whole cards.
+
+    Fit checks, allocation, candidate indexes and scores all ask this one.
+    """
+    return gpus_per_pod < 1.0 - EPSILON
+
+
 class GPUModel(str, Enum):
     """GPU models present in the production cluster of Table 1.
 
@@ -89,9 +97,9 @@ class GPUDevice:
 
     def can_fit(self, fraction: float) -> bool:
         """Whether ``fraction`` of this card can still be allocated."""
-        if fraction >= 1.0 - EPSILON:
-            return self.is_idle
-        return self.free_fraction + EPSILON >= fraction
+        if is_fractional_pod(fraction):
+            return self.free_fraction + EPSILON >= fraction
+        return self.is_idle
 
     def allocate(self, task_id: str, fraction: float) -> None:
         """Assign ``fraction`` of this card to ``task_id``.

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from .gpu import EPSILON, GPUDevice, GPUModel
+from .gpu import EPSILON, GPUDevice, GPUModel, is_fractional_pod
 from .task import Task, TaskType
 
 
@@ -60,14 +60,20 @@ class Node:
         self._refresh_capacity()
 
     def _refresh_capacity(self) -> None:
-        """Recompute cached idle/free figures (called after every mutation)."""
+        """Recompute cached idle/free figures (called after every mutation).
+
+        Always the ordered sum over the cards: next to a fractional share a
+        running ``free -= cards`` rounds differently (2.7 - 1.0 != 0.7 + 1.0).
+        """
         idle = 0
         free = 0.0
         max_card = 0.0
         for g in self.gpus:
-            if g.is_idle:
+            if g.allocations:
+                fraction = g.free_fraction
+            else:  # an idle card: nothing used, so exactly 1.0 free
                 idle += 1
-            fraction = g.free_fraction
+                fraction = 1.0
             free += fraction
             if fraction > max_card:
                 max_card = fraction
@@ -104,13 +110,15 @@ class Node:
             )
         self._capacity_listener = listener
 
-    def _notify(self, free_before: float, hp_before: float, spot_before: float) -> None:
+    def _notify(self, free_before: float, task_type: Optional[TaskType], held_before: float) -> None:
+        """Report the change in free capacity and in ``task_type``'s held GPUs."""
         if self._capacity_listener is not None:
+            held_delta = 0.0 if task_type is None else self._type_gpus[task_type] - held_before
             self._capacity_listener(
                 self,
                 self._free_cache - free_before,
-                self.hp_gpus - hp_before,
-                self.spot_gpus - spot_before,
+                held_delta if task_type is TaskType.HP else 0.0,
+                held_delta if task_type is TaskType.SPOT else 0.0,
             )
 
     # ------------------------------------------------------------------
@@ -147,15 +155,15 @@ class Node:
 
     def allocated_gpus_by_type(self, task_type: TaskType) -> float:
         """GPU capacity held on this node by tasks of ``task_type``."""
-        return max(0.0, self._type_gpus.get(task_type, 0.0))
+        return self._type_gpus[task_type]
 
     @property
     def hp_gpus(self) -> float:
-        return self.allocated_gpus_by_type(TaskType.HP)
+        return self._type_gpus[TaskType.HP]
 
     @property
     def spot_gpus(self) -> float:
-        return self.allocated_gpus_by_type(TaskType.SPOT)
+        return self._type_gpus[TaskType.SPOT]
 
     def running_task_ids(self, task_type: Optional[TaskType] = None) -> List[str]:
         """Ids of tasks holding GPUs on this node, optionally filtered by type."""
@@ -168,13 +176,13 @@ class Node:
     # ------------------------------------------------------------------
     def can_fit_pod(self, gpus_per_pod: float) -> bool:
         """Whether one pod of ``gpus_per_pod`` GPUs fits on this node right now."""
-        if gpus_per_pod < 1.0 - EPSILON:
+        if is_fractional_pod(gpus_per_pod):
             return any(g.can_fit(gpus_per_pod) for g in self.gpus)
         return self.idle_gpus >= int(round(gpus_per_pod))
 
     def max_pods(self, gpus_per_pod: float) -> int:
         """Maximum number of pods of the given size that fit simultaneously."""
-        if gpus_per_pod < 1.0 - EPSILON:
+        if is_fractional_pod(gpus_per_pod):
             return sum(int(g.free_fraction / gpus_per_pod + EPSILON) for g in self.gpus)
         whole = int(round(gpus_per_pod))
         return self.idle_gpus // whole if whole else 0
@@ -190,50 +198,53 @@ class Node:
         if not self.available:
             raise ValueError(f"node {self.node_id} is offline (failed/drained)")
         g = task.gpus_per_pod if gpus_per_pod is None else gpus_per_pod
-        free_before, hp_before, spot_before = self._free_cache, self.hp_gpus, self.spot_gpus
-        if g < 1.0 - EPSILON:
+        task_id, task_type = task.task_id, task.task_type
+        free_before, held_before = self._free_cache, self._type_gpus[task_type]
+        if is_fractional_pod(g):
             # Fractional request: pick the busiest card that still fits
             # (best-fit within the node limits fragmentation).
             candidates = [dev for dev in self.gpus if dev.can_fit(g)]
             if not candidates:
                 raise ValueError(f"node {self.node_id} cannot fit fractional pod of {g}")
             device = min(candidates, key=lambda d: d.free_fraction)
-            device.allocate(task.task_id, g)
-            used = ((device.index, g),)
+            device.allocate(task_id, g)
+            used = [(device.index, g)]
         else:
             whole = int(round(g))
-            idle = [dev for dev in self.gpus if dev.is_idle]
-            if len(idle) < whole:
+            if self._idle_cache < whole:
                 raise ValueError(
-                    f"node {self.node_id} has {len(idle)} idle GPUs, pod needs {whole}"
+                    f"node {self.node_id} has {self._idle_cache} idle GPUs, pod needs {whole}"
                 )
-            chosen = idle[:whole]
-            for dev in chosen:
-                dev.allocate(task.task_id, 1.0)
-            used = tuple((dev.index, 1.0) for dev in chosen)
+            used = []
+            for dev in self.gpus:
+                if dev.is_idle:
+                    dev.allocate(task_id, 1.0)
+                    used.append((dev.index, 1.0))
+                    if len(used) == whole:
+                        break
 
-        shares = self.task_shares.setdefault(task.task_id, [])
-        shares.extend(used)
-        self.task_types[task.task_id] = task.task_type
-        self._type_gpus[task.task_type] = self._type_gpus.get(task.task_type, 0.0) + sum(
-            fraction for _, fraction in used
-        )
+        self.task_shares.setdefault(task_id, []).extend(used)
+        self.task_types[task_id] = task_type
+        self._type_gpus[task_type] = held_before + sum(fraction for _, fraction in used)
         self._refresh_capacity()
-        self._notify(free_before, hp_before, spot_before)
+        self._notify(free_before, task_type, held_before)
         return tuple(index for index, _ in used)
 
     def release_task(self, task_id: str) -> float:
         """Release every GPU share held by ``task_id`` on this node."""
-        free_before, hp_before, spot_before = self._free_cache, self.hp_gpus, self.spot_gpus
-        freed = 0.0
-        for device in self.gpus:
-            freed += device.release(task_id)
-        self.task_shares.pop(task_id, None)
+        shares = self.task_shares.pop(task_id, ())
         task_type = self.task_types.pop(task_id, None)
+        free_before = self._free_cache
+        held_before = 0.0 if task_type is None else self._type_gpus[task_type]
+        freed = 0.0
+        # Card by card, in card order, so a task holding several shares of
+        # one card frees it once and ``freed`` is the same float sum as ever.
+        for index in sorted({index for index, _ in shares}):
+            freed += self.gpus[index].release(task_id)
         if task_type is not None:
-            self._type_gpus[task_type] = max(0.0, self._type_gpus.get(task_type, 0.0) - freed)
+            self._type_gpus[task_type] = max(0.0, held_before - freed)
         self._refresh_capacity()
-        self._notify(free_before, hp_before, spot_before)
+        self._notify(free_before, task_type, held_before)
         return freed
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..cluster import Cluster, SchedulingDecision, Task
+from ..cluster import Cluster, SchedulingDecision, Task, TaskType
 from ..schedulers.base import Scheduler
 from ..schedulers.placement import PlacementContext
 from .gde import (
@@ -125,6 +125,8 @@ class GFSScheduler(Scheduler):
             )
         )
         self.sqa: Optional[SpotQuotaAllocator] = None
+        #: set with ``sqa`` at simulation start; ``sort_queue`` is not handed it
+        self._cluster: Optional[Cluster] = None
 
         # Online bookkeeping for the feedback loop.
         self._start_time: float = 0.0
@@ -156,6 +158,7 @@ class GFSScheduler(Scheduler):
     # ------------------------------------------------------------------
     def on_simulation_start(self, cluster: Cluster, now: float) -> None:
         self._start_time = now
+        self._cluster = cluster
         history = self.org_history or {"default": np.zeros(1)}
         self.gde.fit(history)
         inventory = GPUInventoryEstimator(self.gde, capacity=cluster.total_gpus())
@@ -192,6 +195,13 @@ class GFSScheduler(Scheduler):
     # Queue ordering and scheduling
     # ------------------------------------------------------------------
     def sort_queue(self, pending: List[Task], now: float) -> List[Task]:
+        # A congested queue is mostly spot tasks waiting for quota, re-offered
+        # on every pass.  With no HP task waiting nothing is evicted during the
+        # pass, so the spot GPUs in use only grow: a task the quota turns away
+        # now is turned away whenever the pass reaches it, and is not offered.
+        if self.sqa is not None and all(t.task_type is TaskType.SPOT for t in pending):
+            admits, in_use = self.sqa.admits, self._cluster.spot_gpus()
+            pending = [t for t in pending if admits(t.num_pods * t.gpus_per_pod, in_use)]
         return self.pts.sort_queue(pending, now)
 
     def try_schedule(

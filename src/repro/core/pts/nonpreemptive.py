@@ -16,11 +16,12 @@ during the task's own greedy loop, so the restriction is exact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ...cluster import Node, PodPlacement, Task
+from ...cluster.gpu import EPSILON, is_fractional_pod
 from ...schedulers.placement import NodeView, PlacementContext
-from .scoring import ScoringConfig, packing_score, static_scores
+from .scoring import ScoringConfig, eviction_penalty, eviction_terms
 
 
 def non_preemptive_placement(
@@ -30,7 +31,6 @@ def non_preemptive_placement(
     config: ScoringConfig,
     use_colocation: bool = True,
     use_eviction_awareness: bool = True,
-    views: Optional[Dict[str, NodeView]] = None,
     ctx: Optional[PlacementContext] = None,
 ) -> Optional[List[PodPlacement]]:
     """Algorithm 1: place every pod of ``task`` without preempting anyone.
@@ -39,53 +39,59 @@ def non_preemptive_placement(
     tests) or ``ctx`` (capacity-indexed candidates and shared views).
     """
     if ctx is not None:
-        view_map = ctx.clone_views(ctx.view_fit_candidates(task))
+        views = [ctx.base_view(n) for n in ctx.view_fit_candidates(task)]
     else:
-        candidates = [
-            n for n in (nodes or ()) if task.gpu_model is None or n.gpu_model is task.gpu_model
+        views = [
+            NodeView.from_node(n)
+            for n in nodes or ()
+            if task.gpu_model is None or n.gpu_model is task.gpu_model
         ]
-        if not candidates:
-            return None
-        if views is None:
-            view_map = {n.node_id: NodeView.from_node(n) for n in candidates}
-        else:
-            view_map = {
-                n.node_id: views[n.node_id].clone() for n in candidates if n.node_id in views
-            }
-    if not view_map:
-        return None
+
+    # A whole-GPU pod consumes (and Score 1 ranks) idle cards, a fractional
+    # pod free capacity: either way one number per node, and the views are
+    # only read.  A pod fits while ``capacity + slack >= need``.
+    gpus_per_pod = task.gpus_per_pod
+    fractional = is_fractional_pod(gpus_per_pod)
+    need = gpus_per_pod if fractional else int(round(gpus_per_pod))
+    slack = EPSILON if fractional else 0
+    breaker_applies = task.is_spot and not fractional
+    task_type = task.task_type
 
     # Within one call ``now``, the eviction histories and the nodes' real
-    # HP/spot allocation are fixed: the circuit breaker, Score 2 and Score 3
-    # are evaluated once per node, the first time it can host a pod; only
-    # feasibility and Score 1 follow the tentative assignments.
-    whole_gpu_pods = task.gpus_per_pod >= 1.0
-    breaker_applies = task.is_spot and whole_gpu_pods
-    static: Dict[str, Tuple[bool, float, float]] = {}
+    # HP/spot allocation are fixed: the circuit breaker, Score 2 (Eq. 14)
+    # and Score 3 (Eqs. 15-16) are evaluated once per node that can host a
+    # pod; only feasibility and Score 1 follow the tentative assignments.
+    # A node without eviction history has penalty exactly 0.0.
+    calm = eviction_terms(0.0, task) if use_eviction_awareness else (False, 0.0)
+    rows = []
+    for view in views:
+        capacity = view.free_capacity if fractional else view.idle_gpus
+        if capacity + slack < need:
+            continue
+        node = view.node
+        if use_eviction_awareness and node.eviction_history:
+            broken, s3 = eviction_terms(eviction_penalty(node, now, config), task)
+        else:
+            broken, s3 = calm
+        if broken and breaker_applies:
+            continue
+        total = node.num_gpus
+        s2 = node.allocated_gpus_by_type(task_type) / total if use_colocation and total > 0 else 0.0
+        rows.append([capacity, total, s2, s3, node.node_id])
+
     placements: List[PodPlacement] = []
     for _ in range(task.num_pods):
-        chosen: Optional[NodeView] = None
-        chosen_key = None
-        for node_id, view in view_map.items():
-            if not view.can_fit_pod(task.gpus_per_pod):
+        chosen = chosen_key = None
+        for row in rows:
+            capacity, total, s2, s3, node_id = row
+            if capacity + slack < need:
                 continue
-            node = view.node
-            scores = static.get(node_id)
-            if scores is None:
-                scores = static[node_id] = static_scores(
-                    node, task, now, config, use_colocation, use_eviction_awareness
-                )
-            broken, s2, s3 = scores
-            if broken and breaker_applies:
-                continue
-            s1 = packing_score(node, view.idle_gpus if whole_gpu_pods else view.free_capacity)
-            key = (s1, s2, s3, node_id)
+            # Score 1 (Eq. 13): fewer idle GPUs rank higher.
+            key = (1.0 - capacity / total if total > 0 else 0.0, s2, s3, node_id)
             if chosen is None or key > chosen_key:
-                chosen, chosen_key = view, key
+                chosen, chosen_key = row, key
         if chosen is None:
             return None
-        chosen.assign_pod(task.gpus_per_pod)
-        placements.append(
-            PodPlacement(node_id=chosen.node.node_id, gpu_indices=(), fraction=task.gpus_per_pod)
-        )
+        chosen[0] -= need
+        placements.append(PodPlacement(node_id=chosen[4], gpu_indices=(), fraction=gpus_per_pod))
     return placements

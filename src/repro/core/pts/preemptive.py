@@ -23,10 +23,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...cluster import Cluster, Node, PodPlacement, Task
-from ...schedulers.placement import NodeView, PlacementContext, spot_tasks_on_node
+from ...cluster.gpu import EPSILON, is_fractional_pod
+from ...schedulers.placement import (
+    NodeView,
+    PlacementContext,
+    freed_by_preempting,
+    spot_tasks_on_node,
+    writable_view,
+)
 
 
 @dataclass
@@ -51,22 +58,34 @@ def node_preemption_plan(
     The paper sorts candidates by descending waste and removes the most
     wasteful tasks from the preemption set while the pod still fits; this
     is equivalent to greedily adding victims in ascending-waste order until
-    the pod fits, which is what this function does.
+    the pod fits, which is what this function does.  ``view`` is only read.
     """
-    if view.can_fit_pod(task.gpus_per_pod):
+    gpus_per_pod = task.gpus_per_pod
+    if view.can_fit_pod(gpus_per_pod):
         return []
+    # The probe is two numbers: what ``view`` has plus what the victims free.
+    fractional = is_fractional_pod(gpus_per_pod)
+    cards_needed = int(round(gpus_per_pod))
+    idle, free = view.idle_gpus, view.free_capacity
+    # Most nodes cannot host the pod even with every spot task gone, and
+    # idle cards are integers, so that is settled exactly before any waste
+    # is computed or sorted.
+    candidates = []
+    reclaimable = idle
+    for t in spot_tasks_on_node(node, cluster):
+        if t.task_id not in already_victims and t.task_id not in view.preempted:
+            freed = freed_by_preempting(t, node)
+            reclaimable += freed[0]
+            candidates.append((t, freed))
+    if not fractional and reclaimable < cards_needed:
+        return None
+    candidates.sort(key=lambda c: c[0].preemption_waste(now))
     victims: List[Task] = []
-    candidates = [
-        t
-        for t in spot_tasks_on_node(node, cluster)
-        if t.task_id not in already_victims and t.task_id not in view.preempted
-    ]
-    candidates.sort(key=lambda t: t.preemption_waste(now))
-    probe = view.clone()
-    for candidate in candidates:
-        probe.virtually_preempt(candidate)
+    for candidate, (whole, gpus_here) in candidates:
+        idle += whole
+        free += gpus_here
         victims.append(candidate)
-        if probe.can_fit_pod(task.gpus_per_pod):
+        if (free + EPSILON >= gpus_per_pod) if fractional else (idle >= cards_needed):
             return victims
     return None
 
@@ -111,7 +130,7 @@ def preemptive_placement(
         raise ValueError("preemptive scheduling is reserved for HP tasks")
     if ctx is not None:
         candidates = ctx.preemption_candidates(task)
-        views = ctx.clone_views(candidates)
+        views = {n.node_id: ctx.base_view(n) for n in candidates}
     else:
         candidates = [
             n for n in (nodes or ()) if task.gpu_model is None or n.gpu_model is task.gpu_model
@@ -123,34 +142,42 @@ def preemptive_placement(
     placements: List[PodPlacement] = []
     all_victims: List[Task] = []
     victim_ids: Set[str] = set()
+    owned: Set[str] = set()  # ids of the views copied so far (copy on first write)
+    # A node's plan follows from its view and the victims taken on it, so after
+    # the first pod only the nodes the previous pod wrote to are planned again.
+    plans: Dict[str, PreemptionCandidate] = {}
+    stale: Sequence[Node] = candidates
 
     for _ in range(task.num_pods):
-        plans: List[PreemptionCandidate] = []
-        for node in candidates:
-            view = views[node.node_id]
-            victims = node_preemption_plan(node, view, task, cluster, now, victim_ids)
+        for node in stale:
+            victims = node_preemption_plan(
+                node, views[node.node_id], task, cluster, now, victim_ids
+            )
             if victims is None:
+                plans.pop(node.node_id, None)
                 continue
             cost = preemption_cost(victims, cluster, now, beta, total_gpu_seconds)
-            plans.append(PreemptionCandidate(node=node, victims=victims, cost=cost))
+            plans[node.node_id] = PreemptionCandidate(node=node, victims=victims, cost=cost)
         if not plans:
             return None
         if random_selection:
-            chosen = rng.choice(plans)
+            chosen = rng.choice([plans[n.node_id] for n in candidates if n.node_id in plans])
         else:
-            chosen = min(plans, key=lambda p: (p.cost, p.node.node_id))
-        view = views[chosen.node.node_id]
+            chosen = min(plans.values(), key=lambda p: (p.cost, p.node.node_id))
+        written = {chosen.node.node_id}
         for victim in chosen.victims:
             # The victim may span several nodes; free it everywhere so later
             # pods see the reclaimed capacity.
             for pod in victim.placements:
                 victim_view = views.get(pod.node_id)
                 if victim_view is not None and victim.task_id not in victim_view.preempted:
-                    victim_view.virtually_preempt(victim)
+                    writable_view(views, owned, pod.node_id).virtually_preempt(victim)
+                    written.add(pod.node_id)
             victim_ids.add(victim.task_id)
             all_victims.append(victim)
-        view.assign_pod(task.gpus_per_pod)
+        writable_view(views, owned, chosen.node.node_id).assign_pod(task.gpus_per_pod)
         placements.append(
             PodPlacement(node_id=chosen.node.node_id, gpu_indices=(), fraction=task.gpus_per_pod)
         )
+        stale = [n for n in candidates if n.node_id in written]
     return placements, [t.task_id for t in all_victims]

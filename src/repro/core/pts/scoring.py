@@ -43,8 +43,7 @@ def colocation_score(node: Node, task: Task) -> float:
     """Score 2 (Eq. 14): same-type GPU share on the node."""
     if node.total_gpus <= 0:
         return 0.0
-    same_type = node.hp_gpus if task.is_hp else node.spot_gpus
-    return same_type / node.total_gpus
+    return node.allocated_gpus_by_type(task.task_type) / node.total_gpus
 
 
 def weighted_eviction_rate(node: Node, now: float, config: ScoringConfig) -> float:
@@ -55,8 +54,12 @@ def weighted_eviction_rate(node: Node, now: float, config: ScoringConfig) -> flo
     return config.gamma * short + (1.0 - config.gamma) * long / long_hours
 
 
-def _eviction_penalty(node: Node, now: float, config: ScoringConfig) -> float:
-    """The penalty term ``0.01 * m * e_bar`` of Eq. (16)."""
+def eviction_penalty(node: Node, now: float, config: ScoringConfig) -> float:
+    """The penalty term ``0.01 * m * e_bar`` of Eq. (16).
+
+    Exactly ``0.0`` for a node with an empty eviction history, so a caller
+    scoring many nodes may skip the call for those.
+    """
     return 0.01 * config.penalty * weighted_eviction_rate(node, now, config)
 
 
@@ -70,35 +73,19 @@ def _circuit_broken(penalty: float) -> bool:
     return 1.0 - penalty <= 0.0
 
 
+def eviction_terms(penalty: float, task: Task) -> Tuple[bool, float]:
+    """``(circuit breaker, Score 3)`` for ``task`` on a node with ``penalty``."""
+    return _circuit_broken(penalty), _eviction_awareness(penalty, task)
+
+
 def eviction_awareness_score(node: Node, task: Task, now: float, config: ScoringConfig) -> float:
     """Score 3 (Eq. 16) with asymmetric penalties for HP and spot tasks."""
-    return _eviction_awareness(_eviction_penalty(node, now, config), task)
+    return _eviction_awareness(eviction_penalty(node, now, config), task)
 
 
 def circuit_breaker_active(node: Node, now: float, config: ScoringConfig) -> bool:
     """Whether the node is blacklisted for spot scheduling (Score 3 == 0)."""
-    return _circuit_broken(_eviction_penalty(node, now, config))
-
-
-def static_scores(
-    node: Node,
-    task: Task,
-    now: float,
-    config: ScoringConfig,
-    use_colocation: bool = True,
-    use_eviction_awareness: bool = True,
-) -> Tuple[bool, float, float]:
-    """``(circuit breaker, Score 2, Score 3)`` of ``node`` for ``task``.
-
-    These depend on the node's real allocation and eviction history, not
-    on tentative pod assignments, so they hold for a whole placement call
-    and the eviction history is read once for the breaker and Score 3.
-    """
-    s2 = colocation_score(node, task) if use_colocation else 0.0
-    if not use_eviction_awareness:
-        return False, s2, 0.0
-    penalty = _eviction_penalty(node, now, config)
-    return _circuit_broken(penalty), s2, _eviction_awareness(penalty, task)
+    return _circuit_broken(eviction_penalty(node, now, config))
 
 
 def score_tuple(
@@ -111,5 +98,6 @@ def score_tuple(
     use_eviction_awareness: bool = True,
 ) -> Tuple[float, float, float]:
     """The <Score1, Score2, Score3> tuple used to rank candidate nodes."""
-    _, s2, s3 = static_scores(node, task, now, config, use_colocation, use_eviction_awareness)
+    s2 = colocation_score(node, task) if use_colocation else 0.0
+    s3 = eviction_awareness_score(node, task, now, config) if use_eviction_awareness else 0.0
     return (packing_score(node, idle_gpus), s2, s3)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..cluster import Cluster, Node, SchedulingDecision, Task
+from ..cluster.gpu import is_fractional_pod
 from .base import Scheduler
 from .placement import (
     NodeView,
@@ -31,7 +32,7 @@ def fragmentation_after(view: NodeView, gpus_per_pod: float) -> float:
     same size count as fragmented capacity; fractional remainders always
     count.  Lower is better.
     """
-    if gpus_per_pod < 1.0:
+    if is_fractional_pod(gpus_per_pod):
         remaining = view.free_capacity - gpus_per_pod
     else:
         remaining = view.idle_gpus - int(round(gpus_per_pod))

@@ -16,11 +16,14 @@ model-compatible node, linearly rescan them all — with three mechanisms:
   ever touches nodes that can actually host a pod (or donate spot
   capacity, for preemptive searches), and an oversized request is rejected
   in O(1) by the per-model watermarks before any node is looked at.
-* **Shared per-pass views.**  Base node views are built lazily, cached on
-  the context and refreshed only for nodes the cluster mutated since the
-  cached copy (placements applied earlier in the same pass, evictions).
-  Searches clone the few candidate views they need; the bases are never
-  mutated.
+* **Shared per-pass views, copied on write.**  Base node views are built
+  lazily, cached on the context and refreshed only for nodes the cluster
+  mutated since the cached copy (placements applied earlier in the same
+  pass, evictions).  A search *reads* the bases and clones a view only
+  when it assigns a pod to it or virtually preempts on it
+  (:func:`writable_view`): one clone per node it changes, not one per
+  candidate.  The bases are shared by every task of every pass, so a
+  search must never write to one.
 * **Failed-shape memo.**  When a search fails, the task's *shape*
   ``(pool, task_type, gpu_model, gpus_per_pod, num_pods)`` is recorded
   together with the index's capacity sequence numbers.  A later task of
@@ -39,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..cluster import Cluster, Node, PodPlacement, Task
-from ..cluster.gpu import EPSILON
+from ..cluster import Cluster, Node, PodPlacement, Task, TaskType
+from ..cluster.gpu import EPSILON, is_fractional_pod
 
 #: A node-scoring function: higher scores are preferred.
 NodeScore = Callable[[Node, "NodeView", Task], float]
@@ -69,14 +72,14 @@ class NodeView:
 
     # ------------------------------------------------------------------
     def can_fit_pod(self, gpus_per_pod: float) -> bool:
-        if gpus_per_pod < 1.0 - EPSILON:
+        if is_fractional_pod(gpus_per_pod):
             return self.free_capacity + EPSILON >= gpus_per_pod
         return self.idle_gpus >= int(round(gpus_per_pod))
 
     def assign_pod(self, gpus_per_pod: float) -> None:
         if not self.can_fit_pod(gpus_per_pod):
             raise ValueError("pod does not fit in node view")
-        if gpus_per_pod < 1.0 - EPSILON:
+        if is_fractional_pod(gpus_per_pod):
             self.free_capacity -= gpus_per_pod
         else:
             whole = int(round(gpus_per_pod))
@@ -97,14 +100,30 @@ class NodeView:
 
     def virtually_preempt(self, task: Task) -> None:
         """Free the GPUs a running spot task holds on this node (virtual)."""
-        gpus_here = sum(
-            fraction for _, fraction in self.node.task_shares.get(task.task_id, [])
-        )
-        whole = int(round(gpus_here)) if gpus_here >= 1.0 - EPSILON else 0
+        whole, gpus_here = freed_by_preempting(task, self.node)
         self.idle_gpus += whole
         self.free_capacity += gpus_here
         self.reclaimed_gpus += gpus_here
         self.preempted.add(task.task_id)
+
+
+def freed_by_preempting(task: Task, node: Node) -> Tuple[int, float]:
+    """``(idle cards, free capacity)`` that evicting ``task`` returns on ``node``."""
+    gpus_here = gpus_held_on_node(task, node)
+    return (0 if is_fractional_pod(gpus_here) else int(round(gpus_here))), gpus_here
+
+
+def writable_view(views: Dict[str, NodeView], owned: Set[str], node_id: str) -> NodeView:
+    """The search's own copy of ``views[node_id]``, cloned on first write.
+
+    ``views`` holds views the search does not own (the context's shared
+    bases, a caller's views) except for the ids in ``owned``.
+    """
+    view = views[node_id]
+    if node_id not in owned:
+        view = views[node_id] = view.clone()
+        owned.add(node_id)
+    return view
 
 
 def build_views(nodes: Iterable[Node]) -> List[NodeView]:
@@ -138,7 +157,7 @@ def _cheap_infeasibility(task: Task, view_map: Dict[str, NodeView]) -> bool:
     """
     if sum(v.free_capacity for v in view_map.values()) + EPSILON < task.total_gpus:
         return True
-    if task.gpus_per_pod >= 1.0 - EPSILON:
+    if not is_fractional_pod(task.gpus_per_pod):
         whole = int(round(task.gpus_per_pod))
         if whole > 0 and sum(v.idle_gpus // whole for v in view_map.values()) < task.num_pods:
             return True
@@ -152,9 +171,11 @@ def _greedy_fill(
 ) -> Optional[List[PodPlacement]]:
     """Place every pod greedily onto the best feasible view (gang semantics).
 
-    Mutates the views in ``view_map``; callers pass clones.
+    The views passed in are only read: a view that receives a pod is
+    replaced in ``view_map`` by a private clone first.
     """
     placements: List[PodPlacement] = []
+    owned: Set[str] = set()
     for _ in range(task.num_pods):
         feasible = [
             v for v in view_map.values() if v.can_fit_pod(task.gpus_per_pod)
@@ -168,9 +189,10 @@ def _greedy_fill(
                 feasible,
                 key=lambda v: (score(v.node, v, task), v.node.node_id),
             )
-        chosen.assign_pod(task.gpus_per_pod)
+        node_id = chosen.node.node_id
+        writable_view(view_map, owned, node_id).assign_pod(task.gpus_per_pod)
         placements.append(
-            PodPlacement(node_id=chosen.node.node_id, gpu_indices=(), fraction=task.gpus_per_pod)
+            PodPlacement(node_id=node_id, gpu_indices=(), fraction=task.gpus_per_pod)
         )
     return placements
 
@@ -202,10 +224,10 @@ def find_placement(
             if n.can_fit_pod(task.gpus_per_pod)
         }
     else:
-        # Trial placements must never mutate the caller's views; only nodes
-        # that could host at least one pod are worth cloning.
+        # The caller's views are only read: the greedy fill copies what it
+        # assigns to.  Only nodes that could host a pod are worth a look.
         view_map = {
-            n.node_id: views[n.node_id].clone()
+            n.node_id: views[n.node_id]
             for n in candidates
             if n.node_id in views and views[n.node_id].can_fit_pod(task.gpus_per_pod)
         }
@@ -264,7 +286,7 @@ class PlacementContext:
     # Shared views
     # ------------------------------------------------------------------
     def base_view(self, node: Node) -> NodeView:
-        """The cached, never-mutated view of ``node`` (refreshed lazily)."""
+        """The cached view of ``node`` (refreshed lazily): shared, so read-only."""
         node_id = node.node_id
         stamp = self.index.node_mutation(node_id)
         view = self._views.get(node_id)
@@ -275,7 +297,7 @@ class PlacementContext:
         return view
 
     def clone_views(self, nodes: Iterable[Node]) -> Dict[str, NodeView]:
-        """Task-local clones of the base views for ``nodes``."""
+        """Task-local clones of the base views, for sweeps that write to most."""
         return {n.node_id: self.base_view(n).clone() for n in nodes}
 
     # ------------------------------------------------------------------
@@ -355,7 +377,7 @@ class PlacementContext:
             candidates = self.fit_candidates(task)
         placements: Optional[List[PodPlacement]] = None
         if candidates:
-            view_map = self.clone_views(candidates)
+            view_map = {n.node_id: self.base_view(n) for n in candidates}
             if not _cheap_infeasibility(task, view_map):
                 self.pass_searches += 1
                 placements = _greedy_fill(task, view_map, score)
@@ -382,14 +404,18 @@ def virtually_preempt_task(views: Dict[str, NodeView], task: Task) -> None:
 
 def spot_tasks_on_node(node: Node, cluster) -> List[Task]:
     """Running spot tasks that hold GPUs on ``node``."""
+    running = cluster.running_tasks
     tasks = []
-    for task_id in node.running_task_ids():
-        task = cluster.running_tasks.get(task_id)
-        if task is not None and task.is_spot:
+    for task_id in node.task_shares:
+        task = running.get(task_id)
+        if task is not None and task.task_type is TaskType.SPOT:
             tasks.append(task)
     return tasks
 
 
 def gpus_held_on_node(task: Task, node: Node) -> float:
     """How many GPUs ``task`` holds on ``node``."""
-    return sum(fraction for _, fraction in node.task_shares.get(task.task_id, []))
+    held = 0
+    for _, fraction in node.task_shares.get(task.task_id, ()):
+        held += fraction
+    return held

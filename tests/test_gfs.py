@@ -5,7 +5,9 @@ import pytest
 
 from repro.cluster import Cluster, GPUModel, SimulatorConfig, TaskType, run_simulation
 from repro.core import ABLATION_OVERRIDES, GFSConfig, GFSScheduler, make_ablation
+from repro.cluster.task import reset_task_counter
 from repro.core.gde import PreviousWeekPeakForecaster, SeasonalQuantileForecaster
+from repro.workloads import generate_trace
 from tests.conftest import build_task
 
 
@@ -95,6 +97,64 @@ class TestQuotaIntegration:
         scheduler.on_task_evicted(young, cluster, now=600.0)          # violated guarantee
         scheduler.on_task_evicted(old, cluster, now=2 * 3600.0)      # past the guarantee
         assert len(scheduler._spot_evictions) == 1
+
+
+class TestQuotaFilteredQueue:
+    """``sort_queue`` leaves out spot tasks the quota turns away for the whole pass."""
+
+    def test_spot_only_queue_offers_what_the_quota_admits(self, started):
+        _, scheduler = started
+        scheduler.sqa.current_quota = 8.0
+        small = build_task(TaskType.SPOT, gpus_per_pod=4.0)
+        big = build_task(TaskType.SPOT, gpus_per_pod=4.0, num_pods=4)
+        assert scheduler.sort_queue([big, small], 0.0) == [small]
+
+    def test_spot_gpus_in_use_count_against_the_quota(self, started):
+        cluster, scheduler = started
+        scheduler.sqa.current_quota = 8.0
+        running = build_task(TaskType.SPOT, gpus_per_pod=8.0)
+        cluster.place_task(running, scheduler.try_schedule(running, cluster, 0.0).placements)
+        assert scheduler.sort_queue([build_task(TaskType.SPOT, gpus_per_pod=1.0)], 0.0) == []
+
+    def test_a_waiting_hp_task_keeps_every_task_on_offer(self, started):
+        # An HP task may preempt, which frees quota later in the same pass.
+        _, scheduler = started
+        scheduler.sqa.current_quota = 0.0
+        hp = build_task(TaskType.HP, gpus_per_pod=8.0)
+        spot = build_task(TaskType.SPOT, gpus_per_pod=1.0)
+        assert scheduler.sort_queue([spot, hp], 0.0) == [hp, spot]
+
+    def test_before_simulation_start_nothing_is_filtered(self, flat_history):
+        spot = build_task(TaskType.SPOT, gpus_per_pod=1.0)
+        assert GFSScheduler(org_history=flat_history).sort_queue([spot], 0.0) == [spot]
+
+    def test_the_filter_changes_no_decision(self):
+        """Same metrics as offering every waiting task, from fewer offers."""
+
+        class OffersEveryTask(GFSScheduler):
+            def sort_queue(self, pending, now):
+                return self.pts.sort_queue(pending, now)
+
+        def run(scheduler_class):
+            offers = []
+
+            class Counting(scheduler_class):
+                def try_schedule(self, task, cluster, now, ctx=None):
+                    offers.append(task.task_id)
+                    return super().try_schedule(task, cluster, now, ctx=ctx)
+
+            reset_task_counter()
+            trace = generate_trace(cluster_gpus=64.0, duration_hours=8.0, spot_scale=3.0, seed=5)
+            cluster = Cluster.homogeneous(8, 8, GPUModel.A100)
+            metrics = run_simulation(
+                cluster, Counting(org_history=trace.org_history), trace.sorted_tasks()
+            )
+            return metrics, len(offers)
+
+        filtered, filtered_offers = run(GFSScheduler)
+        unfiltered, unfiltered_offers = run(OffersEveryTask)
+        assert filtered == unfiltered
+        assert filtered_offers < unfiltered_offers
 
 
 class TestEndToEnd:

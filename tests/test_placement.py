@@ -1,10 +1,17 @@
 """Tests for the shared placement machinery (NodeView, find_placement)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import Cluster, GPUModel, PodPlacement, TaskType
+from repro.cluster import Cluster, ClusterSimulator, GPUModel, PodPlacement, TaskState, TaskType
+from repro.cluster.task import RunLog
+from repro.cluster.gpu import EPSILON, is_fractional_pod
+from repro.core.pts import ScoringConfig, non_preemptive_placement
+from repro.schedulers.fgd import fgd_score
 from repro.schedulers.placement import (
     NodeView,
+    PlacementContext,
     build_views,
     filter_nodes,
     find_placement,
@@ -12,6 +19,9 @@ from repro.schedulers.placement import (
     spot_tasks_on_node,
     virtually_preempt_task,
 )
+from repro.schedulers.registry import available_schedulers, create_scheduler
+from repro.schedulers.yarn_cs import best_fit_score
+from repro.workloads import generate_trace
 from tests.conftest import build_task
 
 
@@ -136,3 +146,188 @@ class TestHelpers:
     def test_build_views_covers_all_nodes(self, cluster):
         views = build_views(cluster.nodes)
         assert len(views) == len(cluster.nodes)
+
+
+# ----------------------------------------------------------------------
+# Copy-on-assign search == the pre-change clone-every-candidate search
+# (frozen here), and the shared base views stay untouched
+# ----------------------------------------------------------------------
+def frozen_cheap_infeasibility(task, view_map):
+    if sum(v.free_capacity for v in view_map.values()) + EPSILON < task.total_gpus:
+        return True
+    if task.gpus_per_pod >= 1.0 - EPSILON:
+        whole = int(round(task.gpus_per_pod))
+        if whole > 0 and sum(v.idle_gpus // whole for v in view_map.values()) < task.num_pods:
+            return True
+    return False
+
+
+def frozen_greedy_fill(task, view_map, score):
+    """Mutates the views in ``view_map``; callers pass clones."""
+    placements = []
+    for _ in range(task.num_pods):
+        feasible = [v for v in view_map.values() if v.can_fit_pod(task.gpus_per_pod)]
+        if not feasible:
+            return None
+        if score is None:
+            chosen = min(feasible, key=lambda v: (v.free_capacity, v.node.node_id))
+        else:
+            chosen = max(feasible, key=lambda v: (score(v.node, v, task), v.node.node_id))
+        chosen.assign_pod(task.gpus_per_pod)
+        placements.append(
+            PodPlacement(node_id=chosen.node.node_id, gpu_indices=(), fraction=task.gpus_per_pod)
+        )
+    return placements
+
+
+def frozen_context_find_placement(ctx, task, score=None, candidates=None):
+    if candidates is None:
+        candidates = ctx.fit_candidates(task)
+    if not candidates:
+        return None
+    view_map = {n.node_id: ctx.base_view(n).clone() for n in candidates}
+    if frozen_cheap_infeasibility(task, view_map):
+        return None
+    return frozen_greedy_fill(task, view_map, score)
+
+
+def frozen_find_placement(task, nodes, score, views):
+    candidates = filter_nodes(task, nodes)
+    view_map = {
+        n.node_id: views[n.node_id].clone()
+        for n in candidates
+        if n.node_id in views and views[n.node_id].can_fit_pod(task.gpus_per_pod)
+    }
+    if not view_map or frozen_cheap_infeasibility(task, view_map):
+        return None
+    return frozen_greedy_fill(task, view_map, score)
+
+
+def assert_base_views_intact(ctx):
+    """The bases are shared by every task of every pass: nobody wrote to one."""
+    for node in ctx.cluster.nodes:
+        assert ctx.base_view(node) == NodeView.from_node(node), node.node_id
+
+
+POD_SIZES = (0.25, 0.4, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0)
+SCORES = (None, best_fit_score, fgd_score, lambda node, view, task: -view.idle_gpus)
+
+resident_ops = st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from(POD_SIZES[:7]), st.booleans(), st.booleans()),
+    max_size=30,
+)
+searches = st.lists(
+    st.tuples(
+        st.booleans(), st.integers(1, 4), st.sampled_from(POD_SIZES), st.integers(0, len(SCORES) - 1)
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def populate(cluster, ops):
+    """Random allocations and releases through the real cluster API."""
+    live = []
+    for node_index, size, spot, release in ops:
+        node = cluster.nodes[node_index % len(cluster.nodes)]
+        if release and live:
+            cluster.remove_task(live.pop(0))
+        elif node.can_fit_pod(size):
+            task = build_task(TaskType.SPOT if spot else TaskType.HP, gpus_per_pod=size)
+            cluster.place_task(task, [PodPlacement(node_id=node.node_id, gpu_indices=())])
+            live.append(task)
+    return live
+
+
+@settings(max_examples=80, deadline=None)
+@given(num_nodes=st.integers(1, 6), ops=resident_ops, searches=searches, subset=st.booleans())
+def test_copy_on_assign_search_equals_frozen_cloning_search(num_nodes, ops, searches, subset):
+    cluster = Cluster.homogeneous(num_nodes, 8, GPUModel.A100)
+    populate(cluster, ops)
+    ctx = PlacementContext(cluster)
+    for spot, num_pods, size, score_index in searches:
+        task = build_task(
+            TaskType.SPOT if spot else TaskType.HP, num_pods=num_pods, gpus_per_pod=size
+        )
+        score = SCORES[score_index]
+        candidates = ctx.fit_candidates(task)[::2] if subset else None
+        expected = frozen_context_find_placement(ctx, task, score, candidates)
+        assert ctx.find_placement(task, score=score, candidates=candidates, memo=False) == expected
+        assert_base_views_intact(ctx)
+
+        # The index-free entry point over a caller's views (the baselines'
+        # preemption sweeps): same answer, the caller's views only read.
+        views = ctx.clone_views(cluster.nodes)
+        for victim in list(cluster.running_tasks.values())[:2]:
+            virtually_preempt_task(views, victim)
+        before = {node_id: view.clone() for node_id, view in views.items()}
+        expected = frozen_find_placement(task, cluster.nodes, score, views)
+        assert find_placement(task, cluster.nodes, score=score, views=views) == expected
+        assert views == before
+
+
+def test_pod_one_ulp_under_a_whole_gpu_is_whole_everywhere(cluster):
+    """One predicate (``is_fractional_pod``): fitted and scored the same way."""
+    size = 1.0 - EPSILON / 2
+    assert not is_fractional_pod(size) and is_fractional_pod(1.0 - 2 * EPSILON)
+    # Node 0: one idle card plus five cards with 0.4 free each; node 1: two
+    # idle cards and nothing else free.  Scored on free capacity (the
+    # pre-change ``>= 1.0`` test) node 1 looks fuller; on idle cards node 0
+    # does, and idle cards are what the pod is fitted on.
+    for node, whole, partial in ((cluster.nodes[0], 2, 5), (cluster.nodes[1], 6, 0)):
+        node.allocate_pod(build_task(TaskType.HP, gpus_per_pod=float(whole)))
+        for _ in range(partial):
+            node.allocate_pod(build_task(TaskType.HP, gpus_per_pod=0.6))
+    cluster.nodes[2].allocate_pod(build_task(TaskType.HP, gpus_per_pod=8.0))
+    assert [n.idle_gpus for n in cluster.nodes] == [1, 2, 0]
+    assert cluster.nodes[0].free_capacity > cluster.nodes[1].free_capacity
+    task = build_task(TaskType.HP, gpus_per_pod=size)
+    for node in cluster.nodes:
+        view = NodeView.from_node(node)
+        assert node.can_fit_pod(size) == view.can_fit_pod(size) == (node.idle_gpus >= 1)
+    ctx = PlacementContext(cluster)
+    assert ctx.fit_candidates(task) == ctx.view_fit_candidates(task) == cluster.nodes[:2]
+    placements = non_preemptive_placement(task, None, 0.0, ScoringConfig(), ctx=ctx)
+    assert [p.node_id for p in placements] == [cluster.nodes[0].node_id]
+    assert len(cluster.nodes[0].allocate_pod(task)) == 1
+    assert cluster.nodes[0].idle_gpus == 0
+
+
+@pytest.mark.parametrize("name", sorted(set(available_schedulers()) - {"yarn_cs"}))
+def test_no_search_of_any_scheduler_family_writes_to_a_base_view(name):
+    """Success or failure, non-preemptive or preemptive: bases == nodes."""
+    trace = generate_trace(cluster_gpus=64.0, duration_hours=12.0, spot_scale=2.0, seed=5)
+    kwargs = {"org_history": trace.org_history} if name.startswith("gfs") else {}
+    scheduler = create_scheduler(name, **kwargs)
+    outcomes = {True: 0, False: 0}
+    search = scheduler.try_schedule
+
+    def checked(task, cluster, now, ctx=None):
+        decision = search(task, cluster, now, ctx=ctx)
+        assert_base_views_intact(ctx)
+        outcomes[decision is not None] += 1
+        return decision
+
+    scheduler.try_schedule = checked
+    sim = ClusterSimulator(Cluster.homogeneous(8, 8, GPUModel.A100), scheduler)
+    sim.submit_all(trace.sorted_tasks())
+    sim.run()
+    assert outcomes[True] and outcomes[False]
+
+    # Preemptive searches, forced: three nodes of spot tasks, one of HP.
+    cluster = Cluster.homogeneous(4, 8, GPUModel.A100)
+    for node in cluster.nodes:
+        kind = TaskType.HP if node is cluster.nodes[3] else TaskType.SPOT
+        for _ in range(2):
+            resident = build_task(kind, gpus_per_pod=4.0)
+            cluster.place_task(resident, [PodPlacement(node_id=node.node_id, gpu_indices=())])
+            resident.state = TaskState.RUNNING
+            resident.run_logs.append(RunLog(start=0.0))
+    ctx = PlacementContext(cluster)
+    impossible = checked(build_task(TaskType.HP, num_pods=4, gpus_per_pod=8.0), cluster, 60.0, ctx)
+    assert impossible is None
+    decision = checked(build_task(TaskType.HP, num_pods=2, gpus_per_pod=8.0), cluster, 60.0, ctx)
+    if scheduler.name == "Chronus":  # never preempts
+        assert decision is None
+    else:
+        assert len(decision.preempted_task_ids) == 4

@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import Cluster, GPUModel, PodPlacement, TaskType
+from repro.cluster import Cluster, ClusterSimulator, GPUModel, PodPlacement, TaskState, TaskType
 from repro.cluster.task import RunLog
 from repro.core.pts import (
     PTSConfig,
@@ -21,7 +23,9 @@ from repro.core.pts import (
     score_tuple,
     weighted_eviction_rate,
 )
-from repro.schedulers.placement import NodeView, PlacementContext
+from repro.schedulers.placement import NodeView, PlacementContext, spot_tasks_on_node
+from repro.schedulers.registry import create_scheduler
+from repro.workloads import generate_trace
 from tests.conftest import build_task
 
 
@@ -36,8 +40,6 @@ def run_on(cluster, task, node_index=0, start=0.0):
     placements = [PodPlacement(node_id=node.node_id, gpu_indices=())] * task.num_pods
     cluster.place_task(task, placements)
     task.run_logs.append(RunLog(start=start))
-    from repro.cluster import TaskState
-
     task.state = TaskState.RUNNING
     return task
 
@@ -327,3 +329,286 @@ class TestPTSFacade:
         assert ordered[0] is big_hp
         assert ordered[1] is small_hp
         assert ordered[2] is spot
+
+
+# ----------------------------------------------------------------------
+# Placing without cloning == the pre-change searches (frozen here), which
+# cloned every candidate view per task and probed on a clone per node
+# ----------------------------------------------------------------------
+def frozen_static_scores(node, task, now, config, use_colocation, use_eviction_awareness):
+    s2 = colocation_score(node, task) if use_colocation else 0.0
+    if not use_eviction_awareness:
+        return False, s2, 0.0
+    penalty = 0.01 * config.penalty * weighted_eviction_rate(node, now, config)
+    s3 = min(penalty, 1.0) if task.is_hp else max(1.0 - penalty, 0.0)
+    return 1.0 - penalty <= 0.0, s2, s3
+
+
+def frozen_non_preemptive_placement(
+    task, nodes, now, config, use_colocation=True, use_eviction_awareness=True, ctx=None
+):
+    if ctx is not None:
+        view_map = ctx.clone_views(ctx.view_fit_candidates(task))
+    else:
+        candidates = [
+            n for n in (nodes or ()) if task.gpu_model is None or n.gpu_model is task.gpu_model
+        ]
+        view_map = {n.node_id: NodeView.from_node(n) for n in candidates}
+    if not view_map:
+        return None
+    whole_gpu_pods = task.gpus_per_pod >= 1.0
+    breaker_applies = task.is_spot and whole_gpu_pods
+    static = {}
+    placements = []
+    for _ in range(task.num_pods):
+        chosen = None
+        chosen_key = None
+        for node_id, view in view_map.items():
+            if not view.can_fit_pod(task.gpus_per_pod):
+                continue
+            node = view.node
+            scores = static.get(node_id)
+            if scores is None:
+                scores = static[node_id] = frozen_static_scores(
+                    node, task, now, config, use_colocation, use_eviction_awareness
+                )
+            broken, s2, s3 = scores
+            if broken and breaker_applies:
+                continue
+            s1 = packing_score(node, view.idle_gpus if whole_gpu_pods else view.free_capacity)
+            key = (s1, s2, s3, node_id)
+            if chosen is None or key > chosen_key:
+                chosen, chosen_key = view, key
+        if chosen is None:
+            return None
+        chosen.assign_pod(task.gpus_per_pod)
+        placements.append(
+            PodPlacement(node_id=chosen.node.node_id, gpu_indices=(), fraction=task.gpus_per_pod)
+        )
+    return placements
+
+
+def frozen_node_preemption_plan(node, view, task, cluster, now, already_victims):
+    if view.can_fit_pod(task.gpus_per_pod):
+        return []
+    victims = []
+    candidates = [
+        t
+        for t in spot_tasks_on_node(node, cluster)
+        if t.task_id not in already_victims and t.task_id not in view.preempted
+    ]
+    candidates.sort(key=lambda t: t.preemption_waste(now))
+    probe = view.clone()
+    for candidate in candidates:
+        probe.virtually_preempt(candidate)
+        victims.append(candidate)
+        if probe.can_fit_pod(task.gpus_per_pod):
+            return victims
+    return None
+
+
+def frozen_preemptive_placement(
+    task, nodes, cluster, now, beta, total_gpu_seconds, random_selection=False, rng=None, ctx=None
+):
+    if ctx is not None:
+        candidates = ctx.preemption_candidates(task)
+        views = ctx.clone_views(candidates)
+    else:
+        candidates = [
+            n for n in (nodes or ()) if task.gpu_model is None or n.gpu_model is task.gpu_model
+        ]
+        views = {n.node_id: NodeView.from_node(n) for n in candidates}
+    if not candidates:
+        return None
+    rng = rng or random.Random(0)
+    placements = []
+    all_victims = []
+    victim_ids = set()
+    for _ in range(task.num_pods):
+        plans = []
+        for node in candidates:
+            view = views[node.node_id]
+            victims = frozen_node_preemption_plan(node, view, task, cluster, now, victim_ids)
+            if victims is None:
+                continue
+            cost = preemption_cost(victims, cluster, now, beta, total_gpu_seconds)
+            plans.append((node, victims, cost))
+        if not plans:
+            return None
+        if random_selection:
+            chosen = rng.choice(plans)
+        else:
+            chosen = min(plans, key=lambda p: (p[2], p[0].node_id))
+        view = views[chosen[0].node_id]
+        for victim in chosen[1]:
+            for pod in victim.placements:
+                victim_view = views.get(pod.node_id)
+                if victim_view is not None and victim.task_id not in victim_view.preempted:
+                    victim_view.virtually_preempt(victim)
+            victim_ids.add(victim.task_id)
+            all_victims.append(victim)
+        view.assign_pod(task.gpus_per_pod)
+        placements.append(
+            PodPlacement(node_id=chosen[0].node_id, gpu_indices=(), fraction=task.gpus_per_pod)
+        )
+    return placements, [t.task_id for t in all_victims]
+
+
+NOW = 200_000.0
+POD_SIZES = (0.25, 0.4, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+#: (node, pods, size, spot?, seconds since start, checkpoint interval) or an eviction
+cluster_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("run"),
+            st.integers(0, 5),
+            st.integers(1, 3),
+            st.sampled_from(POD_SIZES[:6]),
+            st.booleans(),
+            st.floats(0.0, 7000.0),
+            st.sampled_from([600.0, 1800.0, 7200.0]),
+        ),
+        st.tuples(st.just("evict"), st.integers(0, 5)),
+        # Evictions older than both windows, in the 24 h one, in the last hour.
+        st.tuples(
+            st.just("record"),
+            st.integers(0, 5),
+            st.sampled_from([120_000.0, 40_000.0, 3_000.0, 900.0, 30.0]),
+            st.integers(1, 12),
+        ),
+    ),
+    max_size=40,
+)
+
+
+def start_running(cluster, task, hosts, age):
+    cluster.place_task(task, [PodPlacement(node_id=n.node_id, gpu_indices=()) for n in hosts])
+    task.run_logs.append(RunLog(start=NOW - age))
+    task.state = TaskState.RUNNING
+
+
+def apply_cluster_ops(cluster, ops, packed):
+    """Random gangs, evictions and eviction records through the real cluster API.
+
+    ``packed`` then fills what is left idle with spot tasks, so that an HP
+    task has to preempt.
+    """
+    running = []
+    for op in ops:
+        node = cluster.nodes[op[1] % len(cluster.nodes)]
+        if op[0] == "run":
+            _, _, pods, size, spot, age, interval = op
+            task = build_task(
+                TaskType.SPOT if spot else TaskType.HP, num_pods=pods, gpus_per_pod=size,
+                duration=7200.0, checkpoint_interval=interval,
+            )
+            # A gang spreads over the nodes from ``node`` on, where it fits.
+            hosts = [n for n in cluster.nodes[op[1] % len(cluster.nodes):] if n.can_fit_pod(size)]
+            if len(hosts) >= pods:
+                start_running(cluster, task, hosts[:pods], age)
+                running.append(task)
+        elif op[0] == "evict" and running:
+            victim = running.pop(op[1] % len(running))
+            for node_id in {pod.node_id for pod in victim.placements}:
+                cluster.node(node_id).record_eviction(NOW - 10.0)
+            cluster.remove_task(victim)
+        elif op[0] == "record":
+            for k in range(op[3]):
+                node.record_eviction(NOW - op[2] - k)
+    if packed:
+        for i, node in enumerate(cluster.nodes):
+            while node.idle_gpus:
+                size = float(min(node.idle_gpus, 1 + (i + node.idle_gpus) % 3))
+                filler = build_task(
+                    TaskType.SPOT, gpus_per_pod=size, duration=7200.0,
+                    checkpoint_interval=(600.0, 1800.0, 7200.0)[node.idle_gpus % 3],
+                )
+                start_running(cluster, filler, [node], age=500.0 * node.idle_gpus + 37.0 * i)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    num_nodes=st.integers(1, 6),
+    ops=cluster_ops,
+    packed=st.booleans(),
+    tasks=st.lists(
+        st.tuples(st.booleans(), st.integers(1, 5), st.sampled_from(POD_SIZES)),
+        min_size=1,
+        max_size=6,
+    ),
+    penalty=st.sampled_from([3.0, 20.0, 60.0]),
+    use_colocation=st.booleans(),
+    use_eviction_awareness=st.booleans(),
+    random_selection=st.booleans(),
+)
+def test_placing_without_cloning_equals_the_frozen_cloning_searches(
+    num_nodes, ops, packed, tasks, penalty, use_colocation, use_eviction_awareness, random_selection
+):
+    cluster = Cluster.homogeneous(num_nodes, 8, GPUModel.A100)
+    apply_cluster_ops(cluster, ops, packed)
+    config = ScoringConfig(penalty=penalty)
+    ctx = PlacementContext(cluster)
+    switches = dict(use_colocation=use_colocation, use_eviction_awareness=use_eviction_awareness)
+    for spot, num_pods, size in tasks:
+        task = build_task(
+            TaskType.SPOT if spot else TaskType.HP, num_pods=num_pods, gpus_per_pod=size
+        )
+        expected = frozen_non_preemptive_placement(task, cluster.nodes, NOW, config, **switches)
+        assert expected == frozen_non_preemptive_placement(task, None, NOW, config, ctx=ctx, **switches)
+        assert non_preemptive_placement(task, cluster.nodes, NOW, config, **switches) == expected
+        assert non_preemptive_placement(task, None, NOW, config, ctx=ctx, **switches) == expected
+        if task.is_hp:
+            common = dict(beta=0.5, total_gpu_seconds=1e6, random_selection=random_selection)
+            expected = frozen_preemptive_placement(
+                task, cluster.nodes, cluster, NOW, rng=random.Random(7), **common
+            )
+            for entry in (dict(nodes=cluster.nodes), dict(nodes=None, ctx=ctx)):
+                got = preemptive_placement(
+                    task, cluster=cluster, now=NOW, rng=random.Random(7), **common, **entry
+                )
+                assert got == expected
+        for node in cluster.nodes:
+            assert ctx.base_view(node) == NodeView.from_node(node)
+
+
+def test_replay_clones_no_view_it_does_not_write(monkeypatch):
+    """Exact counts over a smoke-size PTS replay: a search copies a view
+    only to write to it, so clones are bounded by what decisions changed."""
+    counts = {"clones": 0, "writes": 0, "pods": 0, "preempted_on": 0}
+
+    def counting(name, key):
+        real = getattr(NodeView, name)
+
+        def wrapper(view, *args):
+            counts[key] += 1
+            return real(view, *args)
+
+        monkeypatch.setattr(NodeView, name, wrapper)
+
+    counting("clone", "clones")
+    counting("assign_pod", "writes")
+    counting("virtually_preempt", "writes")
+
+    cluster = Cluster.homogeneous(16, 8, GPUModel.A100)
+    trace = generate_trace(cluster_gpus=128.0, duration_hours=24.0, spot_scale=2.0, seed=11)
+    scheduler = create_scheduler("pts")
+    search = scheduler.try_schedule
+
+    def counted(task, cluster, now, ctx=None):
+        decision = search(task, cluster, now, ctx=ctx)
+        if decision is not None:
+            counts["pods"] += len(decision.placements)
+            counts["preempted_on"] += sum(
+                len({pod.node_id for pod in cluster.running_tasks[victim].placements})
+                for victim in decision.preempted_task_ids
+            )
+        return decision
+
+    scheduler.try_schedule = counted
+    sim = ClusterSimulator(cluster, scheduler)
+    sim.submit_all(trace.sorted_tasks())
+    sim.run()
+    assert counts["preempted_on"] > 0 and counts["pods"] > 100
+    assert 0 < counts["clones"] <= counts["writes"]
+    assert counts["clones"] <= counts["pods"] + counts["preempted_on"]
