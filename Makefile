@@ -103,12 +103,10 @@ chaos-smoke:
 		--scale small --workers 2 --spot-scale 2.0
 	$(PYTHON) -m pytest benchmarks/test_bench_dynamics.py tests/test_chaos_scenarios.py -q
 
-## Fault-tolerance smoke: kill-and-resume scenarios (SIGINT drain,
+## Fault-tolerance smoke: the crash-safety suites — SIGINT drain,
 ## kill -9 + journal resume, seeded worker chaos, durable service
-## restart — each asserting byte-identity with an uninterrupted
-## reference), then the crash-safety suites.
+## restart, each asserting byte-identity with an uninterrupted reference.
 chaos-harness-smoke:
-	$(PYTHON) -m repro.runtime.smoke
 	$(PYTHON) -m pytest tests/test_runtime.py tests/test_resume.py \
 		tests/test_chaos_harness.py tests/test_service_durability.py -q
 
@@ -122,13 +120,13 @@ profile:
 
 ## Observability smoke for CI: profile (Chronus, then GFS with its
 ## policy tick hook) + trace export on the smoke tier, plus the /metrics
-## scrape exercised by the service smoke.
+## scrape and per-session stats of a live server.
 obs-smoke:
 	$(PYTHON) -m repro.experiments.cli profile --tier smoke --check-overhead
 	$(PYTHON) -m repro.experiments.cli profile --tier smoke --scheduler gfs --check-overhead
 	$(PYTHON) -m repro.experiments.cli trace-viz --scenario node_churn \
 		--nodes 16 --hours 4.0 --trace-out .obs-smoke-trace.json
-	$(PYTHON) -m repro.service.smoke
+	$(PYTHON) -m pytest tests/test_service.py -q -k "metrics_endpoint or stats_endpoint"
 
 ## Live-telemetry smoke: SSE subscribe + mid-stream disconnect +
 ## Last-Event-ID resume against a real server (byte-for-byte lossless
@@ -136,13 +134,14 @@ obs-smoke:
 ## sweep whose JSONL telemetry capture is validated against the
 ## documented schema (see docs/observability.md).
 stream-smoke:
-	$(PYTHON) -m repro.service.stream_smoke
+	$(PYTHON) -m pytest tests/test_stream.py tests/test_telemetry.py -q
 
 ## Service smoke: boot the streaming scheduler server in-process, drive
-## one full session lifecycle over HTTP (create, stream submissions,
-## advance, occupancy/quota/what-if queries, snapshot/restore, shutdown).
+## one full session lifecycle over HTTP on both client transports (create,
+## stream submissions, advance, occupancy/quota/what-if queries,
+## snapshot/restore, /metrics scrape, shutdown).
 serve-smoke:
-	$(PYTHON) -m repro.service.smoke
+	$(PYTHON) -m pytest tests/test_service.py -q
 
 ## Lint: ruff when available, otherwise a byte-compile syntax sweep.
 lint:

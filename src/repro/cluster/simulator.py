@@ -200,8 +200,7 @@ class ClusterSimulator:
         #: run epoch per task; finish events from stale epochs are ignored
         self._epochs: Dict[str, int] = {}
         #: per-kind counters of heaped events (arrivals+finishes / dynamics
-        #: / ticks) so liveness decisions never scan the heap; the single
-        #: source of truth behind the ``_task_events`` shim properties
+        #: / ticks) so liveness decisions never scan the heap
         self._event_counts = EventLoopCounters()
         #: dynamics bookkeeping: event counters and the paid-capacity integral
         self.dynamics_counts = DynamicsCounts()
@@ -238,32 +237,6 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
-    def _count_event(self, kind: EventKind, delta: int) -> None:
-        """Thin shim over :class:`~repro.obs.EventLoopCounters`.
-
-        Kept under its pre-obs name so subclasses and tests that called
-        it keep working; the counters themselves now live on
-        ``self._event_counts`` (see the ``_task_events`` properties).
-        """
-        self._event_counts.count(
-            kind is EventKind.QUOTA_TICK, kind in DYNAMICS_EVENT_KINDS, delta
-        )
-
-    @property
-    def _task_events(self) -> int:
-        """Read-only shim: heaped arrival/finish events (pre-obs name)."""
-        return self._event_counts.task_events
-
-    @property
-    def _dynamics_events(self) -> int:
-        """Read-only shim: heaped dynamics events (pre-obs name)."""
-        return self._event_counts.dynamics_events
-
-    @property
-    def _tick_events(self) -> int:
-        """Read-only shim: heaped quota-tick events (pre-obs name)."""
-        return self._event_counts.tick_events
-
     def __getstate__(self) -> Dict[str, object]:
         """Pickle without the attached recorder.
 
@@ -283,9 +256,9 @@ class ClusterSimulator:
 
         Snapshots taken before the observability layer carry plain
         ``_task_events`` / ``_dynamics_events`` / ``_tick_events`` ints
-        (now shadowed by shim properties) and no ``obs`` attribute; fold
-        the ints into an :class:`~repro.obs.EventLoopCounters` and attach
-        the null recorder so old snapshots keep round-tripping.
+        and no ``obs`` attribute; fold the ints into an
+        :class:`~repro.obs.EventLoopCounters` and attach the null recorder
+        so old snapshots keep round-tripping.
         """
         if "_event_counts" not in state:
             state["_event_counts"] = EventLoopCounters(
@@ -305,7 +278,7 @@ class ClusterSimulator:
         payload: Optional[DynamicsAction] = None,
         tiebreak: str = "",
     ) -> None:
-        self._count_event(kind, +1)
+        self._event_counts.count(kind is EventKind.QUOTA_TICK, kind in DYNAMICS_EVENT_KINDS, +1)
         heapq.heappush(
             self._events,
             Event(
@@ -321,7 +294,8 @@ class ClusterSimulator:
 
     def _pop(self) -> Event:
         event = heapq.heappop(self._events)
-        self._count_event(event.kind, -1)
+        kind = event.kind
+        self._event_counts.count(kind is EventKind.QUOTA_TICK, kind in DYNAMICS_EVENT_KINDS, -1)
         return event
 
     def submit(self, task: Task) -> None:
@@ -402,7 +376,7 @@ class ClusterSimulator:
             return True
         return (
             head.kind in DYNAMICS_EVENT_KINDS
-            and self._task_events == 0
+            and self._event_counts.task_events == 0
             and not self.pending
             and not self.cluster.running_tasks
         )
@@ -625,7 +599,7 @@ class ClusterSimulator:
         # tick made no progress) — otherwise the loop would tick forever.
         # Future dynamics events do not keep ticks alive on their own: a
         # repair that unblocks stuck pending work revives the tick itself.
-        has_task_events = self._task_events > 0
+        has_task_events = self._event_counts.task_events > 0
         stuck = (
             bool(self.pending)
             and not self.cluster.running_tasks
@@ -749,8 +723,8 @@ class ClusterSimulator:
         """
         if (
             self.config.tick_interval > 0
-            and self._tick_events == 0
-            and (self.pending or self.cluster.running_tasks or self._task_events > 0)
+            and self._event_counts.tick_events == 0
+            and (self.pending or self.cluster.running_tasks or self._event_counts.task_events > 0)
         ):
             self._push(self.now + self.config.tick_interval, EventKind.QUOTA_TICK)
 

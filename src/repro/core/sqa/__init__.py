@@ -1,12 +1,11 @@
 """Spot Quota Allocator (SQA): inventory estimation and dynamic quota control."""
 
 from .inventory import GPUInventoryEstimator, InventoryEstimate
-from .quota import QuotaDecision, SQAConfig, SpotQuotaAllocator
+from .quota import SQAConfig, SpotQuotaAllocator
 
 __all__ = [
     "GPUInventoryEstimator",
     "InventoryEstimate",
-    "QuotaDecision",
     "SQAConfig",
     "SpotQuotaAllocator",
 ]

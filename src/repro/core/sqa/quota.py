@@ -15,9 +15,9 @@ high, grow it when evictions are rare but spot tasks queue for too long.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from .inventory import GPUInventoryEstimator, InventoryEstimate
+from .inventory import GPUInventoryEstimator
 
 
 @dataclass
@@ -41,20 +41,6 @@ class SQAConfig:
     update_interval: float = 300.0
 
 
-@dataclass
-class QuotaDecision:
-    """One quota update, kept for introspection and experiments."""
-
-    time: float
-    quota: float
-    eta: float
-    inventory: InventoryEstimate
-    idle_gpus: float
-    guaranteed_spot_gpus: float
-    observed_eviction_rate: float
-    max_queue_time: float
-
-
 class SpotQuotaAllocator:
     """Dynamic spot quota controller with eviction-aware feedback."""
 
@@ -63,7 +49,6 @@ class SpotQuotaAllocator:
         self.config = config or SQAConfig()
         self.eta = self.config.initial_eta
         self.current_quota: float = 0.0
-        self.history: List[QuotaDecision] = []
 
     # ------------------------------------------------------------------
     # Feedback rule (Eq. 11)
@@ -101,18 +86,6 @@ class SpotQuotaAllocator:
         estimate = self.inventory.estimate(start_hour, cfg.guarantee_hours, cfg.guarantee_rate)
         quota = min(estimate.available * self.eta, idle_gpus + guaranteed_spot_gpus)
         self.current_quota = max(0.0, quota)
-        self.history.append(
-            QuotaDecision(
-                time=now,
-                quota=self.current_quota,
-                eta=self.eta,
-                inventory=estimate,
-                idle_gpus=idle_gpus,
-                guaranteed_spot_gpus=guaranteed_spot_gpus,
-                observed_eviction_rate=eviction_rate,
-                max_queue_time=max_queue_time,
-            )
-        )
         return self.current_quota
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .artifacts import (
     metrics_from_payload,
     metrics_to_payload,
 )
-from .comparison import Table5Result, run_table5
+from .comparison import ComparisonResults, ExperimentResult, Table5Result, run_table5
 from .config import (
     ExperimentScale,
     FULL_SCALE,
@@ -61,15 +61,6 @@ from .observations import (
     run_request_cdf_observation,
     run_runtime_observation,
 )
-from .runner import (
-    ComparisonResults,
-    ExperimentResult,
-    baseline_factories,
-    gfs_factory,
-    gfs_variant_factory,
-    run_one,
-    run_sweep,
-)
 from .sensitivity import Table6Result, run_table6
 
 __all__ = [
@@ -93,7 +84,6 @@ __all__ = [
     "Table5Result",
     "Table6Result",
     "WorkloadSpec",
-    "baseline_factories",
     "baseline_specs",
     "cache_payload",
     "comparison_specs",
@@ -105,9 +95,7 @@ __all__ = [
     "export_grid_json",
     "flatten_metrics",
     "build_forecasting_datasets",
-    "gfs_factory",
     "gfs_spec",
-    "gfs_variant_factory",
     "gfs_variant_spec",
     "metrics_from_payload",
     "metrics_to_payload",
@@ -118,10 +106,8 @@ __all__ = [
     "run_forecasting_experiment",
     "run_heatmap_observation",
     "run_observations",
-    "run_one",
     "run_request_cdf_observation",
     "run_runtime_observation",
-    "run_sweep",
     "run_table10",
     "run_table5",
     "run_table6",

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence
 from ..analysis.reporting import format_table
 from .config import ExperimentScale, MEDIUM_SCALE
 from .engine import ExperimentEngine, WorkloadSpec, gfs_spec, gfs_variant_spec, sweep_jobs
-from .runner import ExperimentResult
+from .comparison import ExperimentResult
 
 
 @dataclass

@@ -73,7 +73,7 @@ from ..obs.telemetry import (
 from ..workloads import get_scenario, iter_scenarios
 from .ablation import run_table10, run_table8, run_table9
 from .artifacts import ArtifactCache, export_grid_csv, export_grid_json
-from .comparison import run_table5
+from .comparison import ExperimentResult, run_table5
 from .config import ExperimentScale, scale_by_name
 from .deployment import paper_reference_benefit, run_deployment_experiment
 from ..runtime import JobGuard, SweepError
@@ -86,7 +86,6 @@ from .engine import (
 )
 from .forecasting import run_forecasting_experiment
 from .observations import run_observations
-from .runner import ExperimentResult
 from .sensitivity import run_table6
 
 #: Engine used by the grid-backed runners of the current ``main`` call.

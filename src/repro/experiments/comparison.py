@@ -6,10 +6,41 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..analysis.reporting import format_scheduler_table, improvement_row
+from ..cluster import SimulationMetrics
 from ..workloads import SpotWorkloadLevel, all_levels, spot_scale
 from .config import ExperimentScale, MEDIUM_SCALE
 from .engine import ExperimentEngine, WorkloadSpec, comparison_specs, sweep_jobs
-from .runner import ComparisonResults, ExperimentResult
+
+
+@dataclass
+class ExperimentResult:
+    """Metrics of one scheduler under one workload."""
+
+    scheduler: str
+    workload: str
+    metrics: SimulationMetrics
+
+    def as_row(self) -> Dict[str, float]:
+        return {
+            "hp_jct_p99": self.metrics.hp.jct_p99,
+            "hp_jct": self.metrics.hp.jct_mean,
+            "hp_jqt": self.metrics.hp.jqt_mean,
+            "spot_jct": self.metrics.spot.jct_mean,
+            "spot_jqt": self.metrics.spot.jqt_mean,
+            "spot_eviction": self.metrics.spot.eviction_rate,
+            "allocation_rate": self.metrics.allocation_rate_mean,
+        }
+
+
+@dataclass
+class ComparisonResults:
+    """Results of a scheduler sweep for one workload level."""
+
+    workload: str
+    results: Dict[str, ExperimentResult] = field(default_factory=dict)
+
+    def rows(self) -> Dict[str, Dict[str, float]]:
+        return {name: r.as_row() for name, r in self.results.items()}
 
 
 @dataclass

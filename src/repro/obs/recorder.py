@@ -136,7 +136,6 @@ class EventLoopCounters:
     liveness checks (``done``, tick revival, trailing-dynamics
     abandonment).  It moved here from ad-hoc ``_task_events`` /
     ``_dynamics_events`` / ``_tick_events`` attributes on the simulator;
-    those names survive as read-only shim properties, and
     ``ClusterSimulator.__setstate__`` migrates pre-obs pickles that
     still carry the plain ints.
     """

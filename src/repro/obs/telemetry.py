@@ -28,7 +28,7 @@ Design rules, inherited from the recorder (see ``docs/observability.md``):
   :func:`validate_telemetry_record`.
 
 ``python -m repro.obs.telemetry validate <file.jsonl>`` validates a
-telemetry capture (used by ``make stream-smoke``).
+telemetry capture (``tests/test_telemetry.py`` runs it on a real sweep).
 """
 
 from __future__ import annotations
@@ -411,7 +411,7 @@ class MetricsServer:
 
 
 # ----------------------------------------------------------------------
-# CLI: validate a telemetry capture (used by `make stream-smoke`)
+# CLI: validate a telemetry capture
 # ----------------------------------------------------------------------
 def _validate_main(argv: List[str]) -> int:
     if len(argv) != 1:

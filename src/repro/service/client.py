@@ -1,17 +1,21 @@
 """Clients for the streaming scheduler service.
 
-Two flavours over the same JSON API:
+One API surface on two transports:
 
 * :class:`ServiceClient` — synchronous, built on :mod:`http.client`
-  with one persistent keep-alive connection.  For scripts, notebooks
-  and the smoke/benchmark harnesses.
+  with one persistent keep-alive connection.  For scripts and notebooks.
 * :class:`AsyncServiceClient` — asyncio, built on
   ``asyncio.open_connection``.  For concurrent load tests and callers
   already inside an event loop.
 
-Both raise :class:`ServiceError` on any non-200 response, carrying the
-HTTP status and the server's ``error`` message.  Method names mirror the
-routes one-to-one; see ``docs/service.md`` for the payload shapes.
+The route methods are written once, on :class:`_ServiceAPI`; each ends in
+``self._request(...)``, which the synchronous transport answers with the
+decoded reply and the asyncio transport with an awaitable of it — so
+``client.advance(sid)`` and ``await client.advance(sid)`` are the same
+method.  Both raise :class:`ServiceError` on any non-200 response,
+carrying the HTTP status and the server's ``error`` message.  Method
+names mirror the routes one-to-one; see ``docs/service.md`` for the
+payload shapes.
 
 Retry safety
 ------------
@@ -34,7 +38,7 @@ import http.client
 import json
 import time
 import uuid
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .snapshot import snapshot_from_text, snapshot_to_text
 from .stream import parse_sse_stream
@@ -62,82 +66,74 @@ class ServiceError(RuntimeError):
         self.message = message
 
 
-class ServiceClient:
-    """Synchronous client holding one persistent connection.
+# ----------------------------------------------------------------------
+# What both transports share: framing, the retry rule, reply decoding
+# ----------------------------------------------------------------------
+def _prepare(
+    method: str, payload: Optional[Mapping], idempotency_key: Optional[str], retries: int
+) -> Tuple[bytes, Dict[str, str], int]:
+    """Body, extra headers and delivery attempts of one logical request."""
+    body = json.dumps(payload).encode("utf-8") if payload is not None else b""
+    extra_headers = {"Idempotency-Key": idempotency_key} if idempotency_key else {}
+    # A request is only re-sent when delivering it twice is safe:
+    # GET/DELETE by HTTP semantics, POST only when an Idempotency-Key
+    # binds every delivery to one server-side operation.  An unkeyed
+    # POST that dies mid-flight may already have executed — replaying
+    # it blind could double-submit, so it fails loudly instead.
+    retryable = method in ("GET", "DELETE") or bool(idempotency_key)
+    return body, extra_headers, 1 + (retries if retryable else 0)
 
-    Example
-    -------
-    >>> client = ServiceClient("127.0.0.1", 8151)
-    >>> session = client.create_session(scheduler="gfs", num_nodes=16)
-    >>> client.submit(session["session_id"], [task_payload])
-    >>> client.advance(session["session_id"], until=3600.0)
-    >>> client.close()
+
+def _service_error(status: int, data: bytes) -> ServiceError:
+    """The error a non-200 reply stands for (the server's ``error`` field, else the body)."""
+    try:
+        decoded = json.loads(data) if data else {}
+    except ValueError:
+        decoded = {}
+    return ServiceError(status, decoded.get("error", data.decode("utf-8", "replace")))
+
+
+def _decode_json(data: bytes) -> Dict:
+    return json.loads(data) if data else {}
+
+
+def _decode_sessions(data: bytes) -> List[Dict]:
+    return _decode_json(data)["sessions"]
+
+
+def _decode_text(data: bytes) -> str:
+    return data.decode("utf-8")
+
+
+def _decode_snapshot(data: bytes) -> bytes:
+    return snapshot_from_text(_decode_json(data)["snapshot"])
+
+
+async def _read_head(reader: asyncio.StreamReader) -> Tuple[int, int]:
+    """Status code and ``Content-Length`` of the response head on ``reader``."""
+    status_line = await reader.readline()
+    if not status_line:
+        raise ConnectionError("connection closed before a response arrived")
+    status = int(status_line.split()[1])
+    length = 0
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value.strip())
+    return status, length
+
+
+class _ServiceAPI:
+    """The service's routes as methods, independent of the transport.
+
+    A transport supplies ``_request``; whatever it returns — the decoded
+    reply (:class:`ServiceClient`) or an awaitable of it
+    (:class:`AsyncServiceClient`) — is what every method here returns.
+    The annotations name the decoded reply.
     """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8151,
-        timeout: float = 60.0,
-        retries: int = DEFAULT_RETRIES,
-    ):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retries = max(0, int(retries))
-        self._conn: Optional[http.client.HTTPConnection] = None
-
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def _send_once(self, method: str, path: str, body: bytes, headers: Dict[str, str]):
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        self._conn.request(method, path, body=body, headers=headers)
-        response = self._conn.getresponse()
-        return response, response.read()
-
-    def _request_bytes(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Mapping] = None,
-        idempotency_key: Optional[str] = None,
-    ) -> bytes:
-        body = json.dumps(payload).encode("utf-8") if payload is not None else b""
-        headers = {"Content-Type": "application/json", "Content-Length": str(len(body))}
-        if idempotency_key:
-            headers["Idempotency-Key"] = idempotency_key
-        # A request is only re-sent when delivering it twice is safe:
-        # GET/DELETE by HTTP semantics, POST only when an Idempotency-Key
-        # binds every delivery to one server-side operation.  An unkeyed
-        # POST that dies mid-flight may already have executed — replaying
-        # it blind could double-submit, so it fails loudly instead.
-        retryable = method in ("GET", "DELETE") or bool(idempotency_key)
-        attempts = 1 + (self.retries if retryable else 0)
-        last_exc: Optional[Exception] = None
-        for attempt in range(1, attempts + 1):
-            try:
-                response, data = self._send_once(method, path, body, headers)
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                # The connection is poisoned either way (stale keep-alive,
-                # server restart); drop it so any retry reconnects fresh.
-                self.close()
-                last_exc = exc
-                if attempt < attempts:
-                    time.sleep(_retry_delay_s(attempt))
-                    continue
-                raise
-            if response.status != 200:
-                try:
-                    decoded = json.loads(data) if data else {}
-                except ValueError:
-                    decoded = {}
-                raise ServiceError(
-                    response.status, decoded.get("error", data.decode("utf-8", "replace"))
-                )
-            return data
-        raise last_exc  # unreachable; loop always returns or raises
 
     def _request(
         self,
@@ -145,28 +141,20 @@ class ServiceClient:
         path: str,
         payload: Optional[Mapping] = None,
         idempotency_key: Optional[str] = None,
-    ) -> Dict:
-        data = self._request_bytes(method, path, payload, idempotency_key=idempotency_key)
-        return json.loads(data) if data else {}
+        decode: Callable[[bytes], object] = _decode_json,
+    ):
+        """Deliver one logical request and ``decode`` the 200 reply body."""
+        raise NotImplementedError
 
-    def _post(self, path: str, payload: Optional[Mapping] = None) -> Dict:
+    def _post(
+        self,
+        path: str,
+        payload: Optional[Mapping] = None,
+        decode: Callable[[bytes], object] = _decode_json,
+    ):
         """A mutating POST: one fresh key spans all its delivery attempts."""
-        return self._request("POST", path, payload, idempotency_key=_new_idempotency_key())
+        return self._request("POST", path, payload, _new_idempotency_key(), decode)
 
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # API surface
-    # ------------------------------------------------------------------
     def healthz(self) -> Dict:
         return self._request("GET", "/healthz")
 
@@ -177,7 +165,7 @@ class ServiceClient:
         return self._request("GET", "/readyz")
 
     def list_sessions(self) -> List[Dict]:
-        return self._request("GET", "/sessions")["sessions"]
+        return self._request("GET", "/sessions", decode=_decode_sessions)
 
     def create_session(self, **params) -> Dict:
         return self._post("/sessions", params)
@@ -224,17 +212,99 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """Scrape the server-wide Prometheus exposition page (``GET /metrics``)."""
-        return self._request_bytes("GET", "/metrics").decode("utf-8")
+        return self._request("GET", "/metrics", decode=_decode_text)
 
     def snapshot(self, session_id: str) -> bytes:
         """Export the session's state as versioned envelope bytes."""
-        text = self._post(f"/sessions/{session_id}/snapshot")["snapshot"]
-        return snapshot_from_text(text)
+        return self._post(f"/sessions/{session_id}/snapshot", decode=_decode_snapshot)
 
     def restore(self, session_id: str, snapshot: bytes) -> Dict:
         return self._post(
             f"/sessions/{session_id}/restore", {"snapshot": snapshot_to_text(snapshot)}
         )
+
+
+class ServiceClient(_ServiceAPI):
+    """Synchronous client holding one persistent connection.
+
+    Example
+    -------
+    >>> client = ServiceClient("127.0.0.1", 8151)
+    >>> session = client.create_session(scheduler="gfs", num_nodes=16)
+    >>> client.submit(session["session_id"], [task_payload])
+    >>> client.advance(session["session_id"], until=3600.0)
+    >>> client.close()
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 8151,
+        timeout: float = 60.0,
+        retries: int = DEFAULT_RETRIES,
+    ):
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self.retries = max(0, int(retries))
+        self._conn: Optional[http.client.HTTPConnection] = None
+
+    def _send_once(
+        self, method: str, path: str, body: bytes, extra_headers: Mapping[str, str]
+    ) -> Tuple[int, bytes]:
+        if self._conn is None:
+            self._conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        headers = {
+            "Content-Type": "application/json",
+            "Content-Length": str(len(body)),
+            **extra_headers,
+        }
+        self._conn.request(method, path, body=body, headers=headers)
+        response = self._conn.getresponse()
+        return response.status, response.read()
+
+    def _request(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[Mapping] = None,
+        idempotency_key: Optional[str] = None,
+        decode: Callable[[bytes], object] = _decode_json,
+    ):
+        body, extra_headers, attempts = _prepare(method, payload, idempotency_key, self.retries)
+        for attempt in range(1, attempts + 1):
+            try:
+                status, data = self._send_once(method, path, body, extra_headers)
+            except (http.client.HTTPException, OSError):
+                # The connection is poisoned either way (stale keep-alive,
+                # server restart); drop it so any retry reconnects fresh.
+                self.close()
+                if attempt == attempts:
+                    raise
+                time.sleep(_retry_delay_s(attempt))
+                continue
+            if status != 200:
+                raise _service_error(status, data)
+            return decode(data)
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+async def _close_writer(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except OSError:
+        pass
 
 
 class SSESubscription:
@@ -286,14 +356,10 @@ class SSESubscription:
             return event
 
     async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await _close_writer(self._writer)
 
 
-class AsyncServiceClient:
+class AsyncServiceClient(_ServiceAPI):
     """Asyncio client over one persistent keep-alive connection.
 
     The transport is deliberately minimal — write request, read
@@ -318,77 +384,29 @@ class AsyncServiceClient:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
-    async def _connect(self) -> None:
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(self.host, self.port)
-
     async def close(self) -> None:
         if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await _close_writer(self._writer)
             self._reader = None
             self._writer = None
 
-    async def _send_once(self, method: str, path: str, body: bytes, extra_headers: str) -> tuple:
-        await self._connect()
+    async def _send_once(
+        self, method: str, path: str, body: bytes, extra_headers: Mapping[str, str]
+    ) -> Tuple[int, bytes]:
+        if self._writer is None:
+            self._reader, self._writer = await asyncio.open_connection(self.host, self.port)
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self.host}:{self.port}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"{extra_headers}"
-            f"Connection: keep-alive\r\n\r\n"
+            + "".join(f"{name}: {value}\r\n" for name, value in extra_headers.items())
+            + "Connection: keep-alive\r\n\r\n"
         )
         self._writer.write(head.encode("latin-1") + body)
         await self._writer.drain()
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("connection closed before a response arrived")
-        status = int(status_line.split()[1])
-        length = 0
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        data = await self._reader.readexactly(length) if length else b""
-        return status, data
-
-    async def _request_bytes(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Mapping] = None,
-        idempotency_key: Optional[str] = None,
-    ) -> bytes:
-        body = json.dumps(payload).encode("utf-8") if payload is not None else b""
-        extra = f"Idempotency-Key: {idempotency_key}\r\n" if idempotency_key else ""
-        # Same retry discipline as the sync client: re-send only what is
-        # safe to deliver twice (GET/DELETE, or a keyed POST).
-        retryable = method in ("GET", "DELETE") or bool(idempotency_key)
-        attempts = 1 + (self.retries if retryable else 0)
-        for attempt in range(1, attempts + 1):
-            try:
-                status, data = await self._send_once(method, path, body, extra)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError) as exc:
-                await self.close()
-                if attempt < attempts:
-                    await asyncio.sleep(_retry_delay_s(attempt))
-                    continue
-                raise
-            if status != 200:
-                try:
-                    decoded = json.loads(data) if data else {}
-                except ValueError:
-                    decoded = {}
-                raise ServiceError(status, decoded.get("error", data.decode("utf-8", "replace")))
-            return data
-        raise ConnectionError("request not delivered")  # unreachable
+        status, length = await _read_head(self._reader)
+        return status, (await self._reader.readexactly(length) if length else b"")
 
     async def _request(
         self,
@@ -396,75 +414,23 @@ class AsyncServiceClient:
         path: str,
         payload: Optional[Mapping] = None,
         idempotency_key: Optional[str] = None,
-    ) -> Dict:
-        data = await self._request_bytes(method, path, payload, idempotency_key=idempotency_key)
-        return json.loads(data) if data else {}
-
-    async def _post(self, path: str, payload: Optional[Mapping] = None) -> Dict:
-        """A mutating POST: one fresh key spans all its delivery attempts."""
-        return await self._request("POST", path, payload, idempotency_key=_new_idempotency_key())
-
-    # ------------------------------------------------------------------
-    # API surface (mirrors ServiceClient)
-    # ------------------------------------------------------------------
-    async def healthz(self) -> Dict:
-        return await self._request("GET", "/healthz")
-
-    async def shutdown(self) -> Dict:
-        return await self._post("/shutdown")
-
-    async def readyz(self) -> Dict:
-        return await self._request("GET", "/readyz")
-
-    async def list_sessions(self) -> List[Dict]:
-        return (await self._request("GET", "/sessions"))["sessions"]
-
-    async def create_session(self, **params) -> Dict:
-        return await self._post("/sessions", params)
-
-    async def status(self, session_id: str) -> Dict:
-        return await self._request("GET", f"/sessions/{session_id}")
-
-    async def delete_session(self, session_id: str) -> Dict:
-        return await self._request("DELETE", f"/sessions/{session_id}")
-
-    async def advance(
-        self,
-        session_id: str,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> Dict:
-        return await self._post(
-            f"/sessions/{session_id}/advance", {"until": until, "max_events": max_events}
-        )
-
-    async def submit(self, session_id: str, tasks: Sequence[Mapping]) -> Dict:
-        return await self._post(f"/sessions/{session_id}/submit", {"tasks": list(tasks)})
-
-    async def inject(self, session_id: str, **payload) -> Dict:
-        return await self._post(f"/sessions/{session_id}/inject", payload)
-
-    async def what_if(self, session_id: str, task: Mapping, horizon_hours: float = 24.0) -> Dict:
-        return await self._post(
-            f"/sessions/{session_id}/whatif", {"task": dict(task), "horizon_hours": horizon_hours}
-        )
-
-    async def occupancy(self, session_id: str) -> Dict:
-        return await self._request("GET", f"/sessions/{session_id}/occupancy")
-
-    async def quota(self, session_id: str) -> Dict:
-        return await self._request("GET", f"/sessions/{session_id}/quota")
-
-    async def metrics(self, session_id: str) -> Dict:
-        return await self._request("GET", f"/sessions/{session_id}/metrics")
-
-    async def stats(self, session_id: str) -> Dict:
-        """Live observability stats: status plus the session's recorder snapshot."""
-        return await self._request("GET", f"/sessions/{session_id}/stats")
-
-    async def metrics_text(self) -> str:
-        """Scrape the server-wide Prometheus exposition page (``GET /metrics``)."""
-        return (await self._request_bytes("GET", "/metrics")).decode("utf-8")
+        decode: Callable[[bytes], object] = _decode_json,
+    ):
+        body, extra_headers, attempts = _prepare(method, payload, idempotency_key, self.retries)
+        for attempt in range(1, attempts + 1):
+            try:
+                status, data = await self._send_once(method, path, body, extra_headers)
+            except (OSError, asyncio.IncompleteReadError, ValueError):
+                # Poisoned connection (see ServiceClient._request); a
+                # garbled status line surfaces as ValueError.
+                await self.close()
+                if attempt == attempts:
+                    raise
+                await asyncio.sleep(_retry_delay_s(attempt))
+                continue
+            if status != 200:
+                raise _service_error(status, data)
+            return decode(data)
 
     async def open_stream(
         self, session_id: str, last_event_id: Optional[int] = None
@@ -487,36 +453,12 @@ class AsyncServiceClient:
         head += "Connection: close\r\n\r\n"
         writer.write(head.encode("latin-1"))
         await writer.drain()
-        status_line = await reader.readline()
-        if not status_line:
-            raise ConnectionError("connection closed before the stream opened")
-        status = int(status_line.split()[1])
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
+        status, length = await _read_head(reader)
         if status != 200:
             data = await reader.readexactly(length) if length else b""
             writer.close()
-            try:
-                decoded = json.loads(data) if data else {}
-            except ValueError:
-                decoded = {}
-            raise ServiceError(status, decoded.get("error", data.decode("utf-8", "replace")))
+            raise _service_error(status, data)
         sub = SSESubscription(reader, writer)
         if last_event_id is not None:
             sub.last_event_id = int(last_event_id)
         return sub
-
-    async def snapshot(self, session_id: str) -> bytes:
-        text = (await self._post(f"/sessions/{session_id}/snapshot"))["snapshot"]
-        return snapshot_from_text(text)
-
-    async def restore(self, session_id: str, snapshot: bytes) -> Dict:
-        return await self._post(
-            f"/sessions/{session_id}/restore", {"snapshot": snapshot_to_text(snapshot)}
-        )

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 
 import pytest
 
 from repro.cluster import Cluster, GPUModel, Node, Task, TaskType, make_task, reset_task_counter
+from repro.service import AsyncServiceClient, SchedulerServer
 from repro.workloads import (
     WorkloadConfig,
     SyntheticTraceGenerator,
@@ -55,6 +57,37 @@ def build_task(
         submit_time=submit_time,
         **kwargs,
     )
+
+
+def task_payload(task_id: str, submit_time: float, *, hp: bool = False, gpus: float = 4.0) -> dict:
+    """One task as the service's JSON API takes it (``docs/service.md``)."""
+    return {
+        "task_id": task_id,
+        "task_type": 1 if hp else 0,
+        "num_pods": 1,
+        "gpus_per_pod": gpus,
+        "duration": 1800.0,
+        "submit_time": submit_time,
+        "org": "org-a" if hp else "org-b",
+    }
+
+
+@contextlib.asynccontextmanager
+async def service_server(**server_kwargs):
+    """A live ``SchedulerServer`` on an ephemeral port and one client on it.
+
+    pytest-asyncio is deliberately not a dependency, so this is a plain
+    async context manager: ``async with service_server() as (server,
+    client)`` inside a coroutine the test hands to ``asyncio.run``.
+    """
+    server = SchedulerServer(**server_kwargs)
+    await server.start(port=0)
+    client = AsyncServiceClient(server.host, server.port)
+    try:
+        yield server, client
+    finally:
+        await client.close()
+        await server.stop()
 
 
 @pytest.fixture
@@ -114,4 +147,4 @@ def assert_metrics_identical(new, old, label: str = "") -> None:
 
 
 # Re-export for tests that import from conftest.
-__all__ = ["assert_metrics_identical", "build_task"]
+__all__ = ["assert_metrics_identical", "build_task", "service_server", "task_payload"]

@@ -1,5 +1,7 @@
 """Tests for the experiments CLI and miscellaneous package plumbing."""
 
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -23,6 +25,12 @@ class TestPackage:
         import repro.optim
         import repro.schedulers
         import repro.workloads
+
+    def test_no_ci_programs_in_package(self):
+        # A subsystem's end-to-end gate is a pytest selection under tests/
+        # (see the Makefile's *-smoke targets), not a module users install.
+        package = Path(repro.__file__).parent
+        assert [str(p.relative_to(package)) for p in package.rglob("*smoke*.py")] == []
 
 
 class TestCLI:

@@ -3,25 +3,28 @@
 import pytest
 
 from repro.experiments import (
+    ExperimentEngine,
+    ExperimentResult,
     ExperimentScale,
     FULL_SCALE,
     MEDIUM_SCALE,
     SMALL_SCALE,
-    baseline_factories,
-    gfs_factory,
+    SchedulerSpec,
+    WorkloadSpec,
+    execute_job,
+    gfs_spec,
     paper_reference_benefit,
     run_deployment_experiment,
     run_forecasting_experiment,
     run_heatmap_observation,
-    run_one,
     run_request_cdf_observation,
-    run_sweep,
     run_table10,
     run_table5,
     run_table6,
     run_table8,
     run_table9,
     scale_by_name,
+    sweep_jobs,
 )
 from repro.experiments.forecasting import ForecastingExperimentConfig
 from repro.workloads import SpotWorkloadLevel
@@ -45,17 +48,18 @@ class TestConfig:
         assert trace.metadata["spot_scale"] == 2.0
 
 
-class TestRunner:
-    def test_run_one_produces_metrics(self):
-        result = run_one(TINY, gfs_factory(), "GFS", "tiny", spot_scale=1.0)
-        row = result.as_row()
+class TestEngineCells:
+    def test_execute_job_produces_metrics(self):
+        [job] = sweep_jobs(TINY, [gfs_spec()], [WorkloadSpec(spot_scale=1.0, label="tiny")])
+        row = ExperimentResult("GFS", "tiny", execute_job(job)).as_row()
         assert row["hp_jct"] > 0
         assert 0.0 <= row["spot_eviction"] <= 1.0
 
-    def test_run_sweep_covers_all_schedulers(self):
-        factories = {"YARN-CS": baseline_factories()["YARN-CS"], "GFS": gfs_factory()}
-        results = run_sweep(TINY, factories, "tiny", spot_scale=2.0)
-        assert set(results.rows()) == {"YARN-CS", "GFS"}
+    def test_engine_sweep_covers_all_schedulers(self):
+        specs = [SchedulerSpec(kind="yarn-cs"), gfs_spec()]
+        jobs = sweep_jobs(TINY, specs, [WorkloadSpec(spot_scale=2.0, label="tiny")])
+        results = ExperimentEngine(workers=1).run(jobs)
+        assert {job.scheduler.display for job in jobs if job.key in results} == {"YARN-CS", "GFS"}
 
 
 class TestTableRunners:

@@ -81,9 +81,9 @@ class TestQuotaIntegration:
 
     def test_tick_updates_quota_and_observes_demand(self, started):
         cluster, scheduler = started
-        before = len(scheduler.sqa.history)
+        scheduler.sqa.current_quota = -1.0  # a fresh computation is never negative
         scheduler.on_tick(cluster, now=3600.0, pending=[])
-        assert len(scheduler.sqa.history) == before + 1
+        assert scheduler.sqa.current_quota >= 0.0
         # The observed demand for the current hour was recorded.
         hour = scheduler._hour_index(3600.0)
         assert len(scheduler.gde.forecaster.history["org-A"]) >= hour

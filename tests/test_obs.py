@@ -145,13 +145,13 @@ def test_null_recorder_is_inert_and_pickles_to_singleton():
 
 
 # ----------------------------------------------------------------------
-# Simulator integration: counter shim, pickle semantics, migration
+# Simulator integration: event counters, pickle semantics, migration
 # ----------------------------------------------------------------------
-def test_simulator_event_counter_shim_properties():
+def test_simulator_event_counters_cover_the_heap():
     sim = build_sim("gfs")
-    assert sim._task_events == sim._event_counts.task_events > 0
-    assert sim._tick_events == sim._event_counts.tick_events
-    assert sim._dynamics_events == sim._event_counts.dynamics_events
+    counts = sim._event_counts
+    assert counts.task_events > 0
+    assert counts.task_events + counts.tick_events + counts.dynamics_events == len(sim._events)
 
 
 def test_simulator_pickle_strips_recorder():
@@ -180,10 +180,8 @@ def test_setstate_migrates_pre_obs_snapshot_counters():
     legacy.__setstate__(pickle.loads(pickle.dumps(state)))
     assert legacy.obs is NULL_RECORDER
     assert isinstance(legacy._event_counts, EventLoopCounters)
-    assert legacy._task_events == counts.task_events
-    assert legacy._tick_events == counts.tick_events
-    # The migrated ints live in the counters object, not the instance
-    # dict, so the shim properties stay authoritative.
+    assert legacy._event_counts == counts
+    # The migrated ints live in the counters object, not the instance dict.
     assert "_task_events" not in legacy.__dict__
 
     legacy.advance()

@@ -238,10 +238,10 @@ class TestStaleEpochsAndCutoff:
         )
         ticks = sum(1 for e in sim._events if e.kind is EventKind.QUOTA_TICK)
         dynamics = sum(1 for e in sim._events if e.kind in DYNAMICS_EVENT_KINDS)
-        assert sim._task_events == task_events
-        assert sim._tick_events == ticks
-        assert sim._dynamics_events == dynamics
-        assert sim._task_events == 0  # drained trace leaves no work behind
+        assert sim._event_counts.task_events == task_events
+        assert sim._event_counts.tick_events == ticks
+        assert sim._event_counts.dynamics_events == dynamics
+        assert sim._event_counts.task_events == 0  # drained trace leaves no work behind
 
 
 # ----------------------------------------------------------------------

@@ -29,28 +29,17 @@ import pytest
 
 from repro.cluster.simulator import ClusterSimulator
 from repro.obs.logging import parse_log_line
-from repro.service import AsyncServiceClient, SchedulerServer, ServiceError
+from repro.service import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.session import (
     SessionError,
     SimulationSession,
     task_from_payload,
     task_to_payload,
 )
+from tests.conftest import service_server, task_payload as _payload
 
 #: compact session so every server test stays sub-second per operation
 PARAMS = {"scheduler": "gfs", "num_nodes": 6, "duration_hours": 4.0, "seed": 11}
-
-
-def _payload(task_id: str, submit_time: float, *, hp: bool = False, gpus: float = 4.0) -> dict:
-    return {
-        "task_id": task_id,
-        "task_type": 1 if hp else 0,
-        "num_pods": 1,
-        "gpus_per_pod": gpus,
-        "duration": 1800.0,
-        "submit_time": submit_time,
-        "org": "org-a" if hp else "org-b",
-    }
 
 
 def _wave(prefix: str, count: int, start: float = 0.0) -> list:
@@ -159,19 +148,9 @@ def test_preloaded_session_carries_scenario_trace():
 # ----------------------------------------------------------------------
 # Server end-to-end
 # ----------------------------------------------------------------------
-async def _with_server(body):
-    server = SchedulerServer()
-    await server.start(port=0)
-    try:
-        return await body(server)
-    finally:
-        await server.stop()
-
-
 def test_http_session_lifecycle_and_errors():
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             assert (await client.healthz())["status"] == "ok"
             session = await client.create_session(**PARAMS)
             sid = session["session_id"]
@@ -202,10 +181,69 @@ def test_http_session_lifecycle_and_errors():
             with pytest.raises(ServiceError) as err:
                 await client.status(sid)
             assert err.value.status == 404
-        finally:
-            await client.close()
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
+
+
+@pytest.mark.parametrize("transport", ["asyncio", "http.client"])
+def test_client_lifecycle_on_both_transports(transport):
+    """One API surface: the same calls, awaited, drive either transport —
+    the blocking one from a worker thread beside the in-loop server."""
+    from repro.obs import parse_prometheus_text
+
+    async def body():
+        async with service_server() as (server, client):
+            call = lambda method, *args, **kwargs: method(*args, **kwargs)  # noqa: E731
+            if transport == "http.client":
+                client, call = ServiceClient(server.host, server.port), asyncio.to_thread
+            try:
+                sid = (await call(client.create_session, **PARAMS))["session_id"]
+                await call(client.submit, sid, _wave("life", 8))
+                step = await call(client.advance, sid, until=1800.0)
+                assert step["processed_events"] > 0
+                now = (await call(client.status, sid))["now"]
+                assert "orgs" in await call(client.quota, sid)
+                assert (await call(client.occupancy, sid))["total_gpus"] == 6 * 8
+                advice = await call(client.what_if, sid, _payload("life-probe", 1800.0), 2.0)
+                assert advice["task_id"] == "life-probe"
+                blob = await call(client.snapshot, sid)
+                await call(client.advance, sid, until=now + 3600.0)
+                assert (await call(client.restore, sid, blob))["now"] == now
+                samples = parse_prometheus_text(await call(client.metrics_text))
+                assert f'repro_session_now{{session="{sid}"}}' in samples
+                assert [s["session_id"] for s in await call(client.list_sessions)] == [sid]
+                await call(client.delete_session, sid)
+                with pytest.raises(ServiceError) as err:
+                    await call(client.status, sid)
+                assert err.value.status == 404
+            finally:
+                if transport == "http.client":
+                    client.close()
+
+    asyncio.run(body())
+
+
+def test_both_transports_expose_the_same_routes():
+    """A route added to one client only is a bug; SSE is asyncio-only."""
+
+    def public(cls):
+        return {n for n in dir(cls) if not n.startswith("_") and callable(getattr(cls, n))}
+
+    assert public(AsyncServiceClient) - {"open_stream"} == public(ServiceClient)
+
+
+def test_shutdown_route_makes_wait_closed_return():
+    async def body():
+        async with service_server() as (server, client):
+            closed = asyncio.ensure_future(server.wait_closed())
+            assert (await client.healthz())["status"] == "ok"
+            assert not closed.done()
+            await client.shutdown()
+            await asyncio.wait_for(closed, timeout=10.0)
+            with pytest.raises(OSError):  # the listener is gone
+                await asyncio.open_connection(server.host, server.port)
+
+    asyncio.run(body())
 
 
 def test_state_copies_per_request_are_exact_counts(tmp_path, monkeypatch):
@@ -245,12 +283,9 @@ def test_state_copies_per_request_are_exact_counts(tmp_path, monkeypatch):
         return result, {k: copies[k] - before[k] for k in copies}
 
     async def body():
-        server = SchedulerServer(state_dir=tmp_path)
-        await server.start(port=0)
-        client = AsyncServiceClient(server.host, server.port)
         persisted, free, forked = ({"snapshot": 1, "fork": 0}, {"snapshot": 0, "fork": 0},
                                    {"snapshot": 0, "fork": 1})
-        try:
+        async with service_server(state_dir=tmp_path) as (server, client):
             session, cost = await counted(client.create_session(**PARAMS))
             sid = session["session_id"]
             assert cost == persisted
@@ -273,17 +308,13 @@ def test_state_copies_per_request_are_exact_counts(tmp_path, monkeypatch):
             assert cost == persisted  # the export itself
             assert (await counted(client.restore(sid, blob)))[1] == persisted
             assert copies == {"snapshot": 6, "fork": 1}  # create, 3 mutations, export, restore
-        finally:
-            await client.close()
-            await server.stop()
 
     asyncio.run(body())
 
 
 def test_http_snapshot_restore_rewinds_session():
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             sid = (await client.create_session(**PARAMS))["session_id"]
             await client.submit(sid, _wave("snap", 10))
             await client.advance(sid, until=1800.0)
@@ -296,14 +327,12 @@ def test_http_snapshot_restore_rewinds_session():
             assert restored["now"] == now_at_snap
             await client.advance(sid)
             assert _metrics_fingerprint(await client.metrics(sid)) == reference
-        finally:
-            await client.close()
 
     async def self_advance_and_metrics(client, sid):
         await client.advance(sid)
         return await client.metrics(sid)
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
 
 
 def test_query_load_does_not_change_session_metrics():
@@ -311,46 +340,45 @@ def test_query_load_does_not_change_session_metrics():
     waves = [(900.0, _wave("load", 6)), (2700.0, _wave("load2", 6, start=900.0)), (None, [])]
     reference = _reference_metrics(waves)
 
-    async def body(server):
-        quiet = AsyncServiceClient(server.host, server.port)
-        noisy = AsyncServiceClient(server.host, server.port)
-        prober = AsyncServiceClient(server.host, server.port)
-        try:
-            quiet_id = (await quiet.create_session(**PARAMS))["session_id"]
-            noisy_id = (await noisy.create_session(**PARAMS))["session_id"]
+    async def body():
+        async with service_server() as (server, quiet):
+            noisy = AsyncServiceClient(server.host, server.port)
+            prober = AsyncServiceClient(server.host, server.port)
+            try:
+                quiet_id = (await quiet.create_session(**PARAMS))["session_id"]
+                noisy_id = (await noisy.create_session(**PARAMS))["session_id"]
 
-            async def drive(client, sid):
-                for advance_to, wave in waves:
-                    if wave:
-                        await client.submit(sid, wave)
-                    await client.advance(sid, until=advance_to)
-                await client.advance(sid)
-                return _metrics_fingerprint(await client.metrics(sid))
+                async def drive(client, sid):
+                    for advance_to, wave in waves:
+                        if wave:
+                            await client.submit(sid, wave)
+                        await client.advance(sid, until=advance_to)
+                    await client.advance(sid)
+                    return _metrics_fingerprint(await client.metrics(sid))
 
-            async def hammer(sid, stop):
-                queries = 0
-                while not stop.is_set():
-                    await prober.occupancy(sid)
-                    await prober.quota(sid)
-                    await prober.what_if(sid, _payload(f"probe-{queries}", 0.0), 2.0)
-                    queries += 1
-                return queries
+                async def hammer(sid, stop):
+                    queries = 0
+                    while not stop.is_set():
+                        await prober.occupancy(sid)
+                        await prober.quota(sid)
+                        await prober.what_if(sid, _payload(f"probe-{queries}", 0.0), 2.0)
+                        queries += 1
+                    return queries
 
-            stop = asyncio.Event()
-            hammer_task = asyncio.ensure_future(hammer(noisy_id, stop))
-            quiet_result, noisy_result = await asyncio.gather(
-                drive(quiet, quiet_id), drive(noisy, noisy_id)
-            )
-            stop.set()
-            queries = await hammer_task
-            assert queries > 0, "the query hammer never ran"
-            assert noisy_result == quiet_result == reference
-        finally:
-            await quiet.close()
-            await noisy.close()
-            await prober.close()
+                stop = asyncio.Event()
+                hammer_task = asyncio.ensure_future(hammer(noisy_id, stop))
+                quiet_result, noisy_result = await asyncio.gather(
+                    drive(quiet, quiet_id), drive(noisy, noisy_id)
+                )
+                stop.set()
+                queries = await hammer_task
+                assert queries > 0, "the query hammer never ran"
+                assert noisy_result == quiet_result == reference
+            finally:
+                await noisy.close()
+                await prober.close()
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
 
 
 def test_concurrent_clients_keep_sessions_isolated():
@@ -366,27 +394,28 @@ def test_concurrent_clients_keep_sessions_isolated():
 
     references = {kind: reference(kind) for kind in schedulers}
 
-    async def body(server):
-        async def worker(kind):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
-                sid = (await client.create_session(**{**PARAMS, "scheduler": kind}))[
-                    "session_id"
-                ]
-                # Interleave in small steps so the server genuinely
-                # multiplexes sessions rather than serialising whole runs.
-                await client.submit(sid, _wave(f"iso-{kind}", 8))
-                for stop in (600.0, 1200.0, 2400.0):
-                    await client.advance(sid, until=stop, max_events=32)
-                    await client.occupancy(sid)
-                await client.advance(sid)
-                return kind, _metrics_fingerprint(await client.metrics(sid))
-            finally:
-                await client.close()
+    async def body():
+        async with service_server() as (server, _):
+            async def worker(kind):
+                client = AsyncServiceClient(server.host, server.port)
+                try:
+                    sid = (await client.create_session(**{**PARAMS, "scheduler": kind}))[
+                        "session_id"
+                    ]
+                    # Interleave in small steps so the server genuinely
+                    # multiplexes sessions rather than serialising whole runs.
+                    await client.submit(sid, _wave(f"iso-{kind}", 8))
+                    for stop in (600.0, 1200.0, 2400.0):
+                        await client.advance(sid, until=stop, max_events=32)
+                        await client.occupancy(sid)
+                    await client.advance(sid)
+                    return kind, _metrics_fingerprint(await client.metrics(sid))
+                finally:
+                    await client.close()
 
-        return dict(await asyncio.gather(*(worker(k) for k in schedulers)))
+            return dict(await asyncio.gather(*(worker(k) for k in schedulers)))
 
-    results = asyncio.run(_with_server(body))
+    results = asyncio.run(body())
     for kind in schedulers:
         assert results[kind] == references[kind], f"session isolation broke for {kind}"
 
@@ -397,9 +426,8 @@ def test_concurrent_clients_keep_sessions_isolated():
 def test_metrics_endpoint_is_prometheus_parseable():
     from repro.obs import parse_prometheus_text
 
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             sid = (await client.create_session(**PARAMS))["session_id"]
             await client.submit(sid, _wave("prom", 6))
             await client.advance(sid, until=1800.0)
@@ -417,16 +445,13 @@ def test_metrics_endpoint_is_prometheus_parseable():
                 key.startswith("repro_sim_events_total") and f'session="{sid}"' in key
                 for key in samples
             )
-        finally:
-            await client.close()
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
 
 
 def test_stats_endpoint_returns_recorder_snapshot():
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             sid = (await client.create_session(**PARAMS))["session_id"]
             await client.submit(sid, _wave("stats", 4))
             await client.advance(sid, until=1800.0)
@@ -437,18 +462,15 @@ def test_stats_endpoint_returns_recorder_snapshot():
             assert recorder["counters"]["sim.passes"] > 0
             assert "session.now" in recorder["gauges"]
             json.dumps(stats)  # endpoint payloads must be JSON-clean
-        finally:
-            await client.close()
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
 
 
 def test_metrics_survive_restore_and_session_deletion():
     from repro.obs import parse_prometheus_text
 
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             sid = (await client.create_session(**PARAMS))["session_id"]
             await client.submit(sid, _wave("oblife", 4))
             await client.advance(sid, until=900.0)
@@ -463,28 +485,23 @@ def test_metrics_survive_restore_and_session_deletion():
             samples = parse_prometheus_text(page)
             assert not any(f'session="{sid}"' in key for key in samples)
             assert any(key.startswith("repro_http_requests_total") for key in samples)
-        finally:
-            await client.close()
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
 
 
 def test_structured_access_log_lines(caplog):
     import logging
 
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             sid = (await client.create_session(**PARAMS))["session_id"]
             await client.status(sid)
             with pytest.raises(ServiceError):
                 await client.status("no-such-session")
             return sid
-        finally:
-            await client.close()
 
     with caplog.at_level(logging.INFO, logger="repro.service"):
-        sid = asyncio.run(_with_server(body))
+        sid = asyncio.run(body())
     records = [
         parse_log_line(r.getMessage())
         for r in caplog.records

@@ -27,24 +27,13 @@ import json
 
 import pytest
 
-from repro.service import AsyncServiceClient, SchedulerServer, ServiceError
+from repro.service import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.session import SimulationSession
 from repro.service.store import STORE_VERSION, SessionStore
 from repro.service.snapshot import snapshot_to_text
+from tests.conftest import service_server, task_payload as _payload
 
 PARAMS = {"scheduler": "gfs", "num_nodes": 6, "duration_hours": 4.0, "seed": 11}
-
-
-def _payload(task_id: str, submit_time: float, *, hp: bool = False, gpus: float = 4.0) -> dict:
-    return {
-        "task_id": task_id,
-        "task_type": 1 if hp else 0,
-        "num_pods": 1,
-        "gpus_per_pod": gpus,
-        "duration": 1800.0,
-        "submit_time": submit_time,
-        "org": "org-a" if hp else "org-b",
-    }
 
 
 def _wave(prefix: str, count: int, start: float = 0.0) -> list:
@@ -144,15 +133,6 @@ class TestSessionStore:
 # ----------------------------------------------------------------------
 # Server end-to-end
 # ----------------------------------------------------------------------
-async def _with_server(body, **server_kwargs):
-    server = SchedulerServer(**server_kwargs)
-    await server.start(port=0)
-    try:
-        return await body(server)
-    finally:
-        await server.stop()
-
-
 class TestRestartRecovery:
     def test_recovered_session_continues_bit_identically(self, tmp_path):
         state = tmp_path / "state"
@@ -164,101 +144,80 @@ class TestRestartRecovery:
             reference_session.submit(wave)
             reference_session.advance(until=advance_to)
         reference_session.advance()
-        reference = _fingerprint(reference_session.metrics())
+        reference = _fingerprint(
+            {"metrics": reference_session.metrics(), "status": reference_session.status()}
+        )
 
-        async def first_life(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def first_life():
+            async with service_server(state_dir=state) as (server, client):
                 sid = (await client.create_session(**PARAMS))["session_id"]
                 advance_to, wave = waves[0]
                 await client.submit(sid, wave)
                 await client.advance(sid, until=advance_to)
                 return sid
-            finally:
-                await client.close()
 
-        async def second_life(server, sid):
-            ready = await AsyncServiceClient(server.host, server.port).readyz()
-            assert ready["recovered"] == 1
-            assert ready["quarantined"] == 0
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def second_life(sid):
+            async with service_server(state_dir=state) as (server, client):
+                ready = await client.readyz()
+                assert ready["recovered"] == 1
+                assert ready["quarantined"] == 0
                 listed = [s["session_id"] for s in await client.list_sessions()]
                 assert listed == [sid]
                 advance_to, wave = waves[1]
                 await client.submit(sid, wave)
                 await client.advance(sid, until=advance_to)
                 await client.advance(sid)
-                return _fingerprint(await client.metrics(sid))
-            finally:
-                await client.close()
+                status = {**await client.status(sid), "session_id": reference_session.session_id}
+                return _fingerprint({"metrics": await client.metrics(sid), "status": status})
 
-        sid = asyncio.run(_with_server(first_life, state_dir=state))
-        resumed = asyncio.run(
-            _with_server(lambda srv: second_life(srv, sid), state_dir=state)
-        )
+        sid = asyncio.run(first_life())
+        resumed = asyncio.run(second_life(sid))
         assert resumed == reference
 
     def test_recovery_never_reissues_session_ids(self, tmp_path):
         state = tmp_path / "state"
 
-        async def first_life(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def first_life():
+            async with service_server(state_dir=state) as (server, client):
                 return (await client.create_session(**PARAMS))["session_id"]
-            finally:
-                await client.close()
 
-        async def second_life(server, old_sid):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def second_life(old_sid):
+            async with service_server(state_dir=state) as (server, client):
                 new_sid = (await client.create_session(**PARAMS))["session_id"]
                 assert new_sid != old_sid
                 listed = {s["session_id"] for s in await client.list_sessions()}
                 assert listed == {old_sid, new_sid}
-            finally:
-                await client.close()
 
-        sid = asyncio.run(_with_server(first_life, state_dir=state))
-        asyncio.run(_with_server(lambda srv: second_life(srv, sid), state_dir=state))
+        sid = asyncio.run(first_life())
+        asyncio.run(second_life(sid))
 
     def test_delete_is_durable(self, tmp_path):
         state = tmp_path / "state"
 
-        async def first_life(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def first_life():
+            async with service_server(state_dir=state) as (server, client):
                 sid = (await client.create_session(**PARAMS))["session_id"]
                 await client.delete_session(sid)
-            finally:
-                await client.close()
 
-        async def second_life(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def second_life():
+            async with service_server(state_dir=state) as (server, client):
                 assert await client.list_sessions() == []
                 assert (await client.readyz())["recovered"] == 0
-            finally:
-                await client.close()
 
-        asyncio.run(_with_server(first_life, state_dir=state))
-        asyncio.run(_with_server(second_life, state_dir=state))
+        asyncio.run(first_life())
+        asyncio.run(second_life())
 
     def test_corrupt_file_quarantined_at_boot(self, tmp_path):
         state = tmp_path / "state"
 
-        async def first_life(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def first_life():
+            async with service_server(state_dir=state) as (server, client):
                 sid = (await client.create_session(**PARAMS))["session_id"]
                 await client.submit(sid, _wave("q", 3))
                 await client.advance(sid, until=600.0)
-            finally:
-                await client.close()
 
-        async def second_life(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def second_life():
+            async with service_server(state_dir=state) as (server, client):
                 ready = await client.readyz()
                 assert ready["recovered"] == 1
                 assert ready["quarantined"] == 1
@@ -266,14 +225,12 @@ class TestRestartRecovery:
                 # The surviving session still works.
                 [session] = await client.list_sessions()
                 await client.advance(session["session_id"], until=1200.0)
-            finally:
-                await client.close()
 
-        asyncio.run(_with_server(first_life, state_dir=state))
+        asyncio.run(first_life())
         # A torn write lands between the two lives (as a crash mid-save
         # would leave, were saves not atomic — or an operator's stray file).
         (state / "session-0042.json").write_text("{torn mid-write")
-        asyncio.run(_with_server(second_life, state_dir=state))
+        asyncio.run(second_life())
 
     def test_unrebuildable_session_quarantined_not_fatal(self, tmp_path):
         # A file that parses and passes its checksum but cannot rebuild a
@@ -282,37 +239,28 @@ class TestRestartRecovery:
         blob = SimulationSession(PARAMS).snapshot_bytes()
         SessionStore(state).save("session-0009", {"schedulr": "typo"}, blob)
 
-        async def body(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def body():
+            async with service_server(state_dir=state) as (server, client):
                 ready = await client.readyz()
                 assert ready["quarantined"] == 1
                 assert ready["recovered"] == 0
                 assert await client.list_sessions() == []
                 assert (state / "session-0009.json.quarantined").exists()
-            finally:
-                await client.close()
 
-        asyncio.run(_with_server(body, state_dir=state))
+        asyncio.run(body())
 
     def test_health_probes_report_durability(self, tmp_path):
-        async def durable(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def durable():
+            async with service_server(state_dir=tmp_path / "state") as (server, client):
                 assert (await client.healthz())["durable"] is True
                 assert (await client.readyz())["status"] == "ready"
-            finally:
-                await client.close()
 
-        async def ephemeral(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def ephemeral():
+            async with service_server() as (server, client):
                 assert (await client.healthz())["durable"] is False
-            finally:
-                await client.close()
 
-        asyncio.run(_with_server(durable, state_dir=tmp_path / "state"))
-        asyncio.run(_with_server(ephemeral))
+        asyncio.run(durable())
+        asyncio.run(ephemeral())
 
 
 # ----------------------------------------------------------------------
@@ -343,29 +291,27 @@ class _DropAfterDelivery(AsyncServiceClient):
 
 class TestIdempotentRetries:
     def test_retried_submit_does_not_double_submit(self, tmp_path):
-        async def body(server):
-            setup = AsyncServiceClient(server.host, server.port)
-            flaky = _DropAfterDelivery(server.host, server.port, drop_on="/submit")
-            try:
-                sid = (await setup.create_session(**PARAMS))["session_id"]
-                wave = _wave("retry", 5)
-                result = await flaky.submit(sid, wave)
-                # Two deliveries on the wire, one submission in the session.
-                assert flaky.deliveries == 2
-                assert result["accepted"] == [t["task_id"] for t in wave]
-                status = await setup.status(sid)
-                assert status["submitted_tasks"] == len(wave)
-            finally:
-                await setup.close()
-                await flaky.close()
+        async def body():
+            async with service_server(state_dir=tmp_path / "state") as (server, setup):
+                flaky = _DropAfterDelivery(server.host, server.port, drop_on="/submit")
+                try:
+                    sid = (await setup.create_session(**PARAMS))["session_id"]
+                    wave = _wave("retry", 5)
+                    result = await flaky.submit(sid, wave)
+                    # Two deliveries on the wire, one submission in the session.
+                    assert flaky.deliveries == 2
+                    assert result["accepted"] == [t["task_id"] for t in wave]
+                    status = await setup.status(sid)
+                    assert status["submitted_tasks"] == len(wave)
+                finally:
+                    await flaky.close()
 
-        asyncio.run(_with_server(body, state_dir=tmp_path / "state"))
+        asyncio.run(body())
 
     def test_duplicate_delivery_coalesces_on_server(self):
         # Same body, same key, delivered twice: one execution, one result.
-        async def body(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def body():
+            async with service_server() as (server, client):
                 sid = (await client.create_session(**PARAMS))["session_id"]
                 wave = _wave("dup", 4)
                 payload = json.dumps({"tasks": wave}).encode("utf-8")
@@ -376,17 +322,14 @@ class TestIdempotentRetries:
                 assert first == second
                 assert first[0] == 200
                 assert (await client.status(sid))["submitted_tasks"] == len(wave)
-            finally:
-                await client.close()
 
-        asyncio.run(_with_server(body))
+        asyncio.run(body())
 
     def test_fresh_key_is_a_new_request(self):
         # The same duplicate submission under a NEW key is genuinely
         # re-executed — and correctly rejected as already submitted.
-        async def body(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def body():
+            async with service_server() as (server, client):
                 sid = (await client.create_session(**PARAMS))["session_id"]
                 wave = _wave("fresh", 3)
                 await client.submit(sid, wave)
@@ -394,35 +337,49 @@ class TestIdempotentRetries:
                     await client.submit(sid, wave)
                 assert err.value.status == 400
                 assert "already submitted" in err.value.message
-            finally:
-                await client.close()
 
-        asyncio.run(_with_server(body))
+        asyncio.run(body())
 
     def test_unkeyed_post_is_never_retried(self):
-        async def body(server):
-            client = AsyncServiceClient(server.host, server.port)
-            attempts = {"count": 0}
-            original = client._send_once
+        async def body():
+            async with service_server() as (server, client):
+                attempts = {"count": 0}
+                original = client._send_once
 
-            async def always_fails(method, path, body, extra):
-                attempts["count"] += 1
-                raise ConnectionError("injected transport failure")
+                async def always_fails(method, path, body, extra):
+                    attempts["count"] += 1
+                    raise ConnectionError("injected transport failure")
 
-            client._send_once = always_fails
-            try:
-                with pytest.raises(ConnectionError):
-                    await client._request("POST", "/sessions", PARAMS)
-                assert attempts["count"] == 1  # no blind replay
-                attempts["count"] = 0
-                with pytest.raises(ConnectionError):
-                    await client._request("GET", "/healthz")
-                assert attempts["count"] == 1 + client.retries  # GET retries
-            finally:
-                client._send_once = original
-                await client.close()
+                client._send_once = always_fails
+                try:
+                    with pytest.raises(ConnectionError):
+                        await client._request("POST", "/sessions", PARAMS)
+                    assert attempts["count"] == 1  # no blind replay
+                    attempts["count"] = 0
+                    with pytest.raises(ConnectionError):
+                        await client._request("GET", "/healthz")
+                    assert attempts["count"] == 1 + client.retries  # GET retries
+                finally:
+                    client._send_once = original
 
-        asyncio.run(_with_server(body))
+        asyncio.run(body())
+
+    def test_unkeyed_post_is_never_retried_sync(self):
+        client = ServiceClient("127.0.0.1", 1)  # never connects: every send is injected
+        attempts = {"count": 0}
+
+        def always_fails(method, path, body, extra):
+            attempts["count"] += 1
+            raise ConnectionError("injected transport failure")
+
+        client._send_once = always_fails
+        with pytest.raises(ConnectionError):
+            client._request("POST", "/sessions", PARAMS)
+        assert attempts["count"] == 1  # no blind replay
+        attempts["count"] = 0
+        with pytest.raises(ConnectionError):
+            client._request("GET", "/healthz")
+        assert attempts["count"] == 1 + client.retries  # GET retries
 
 
 # ----------------------------------------------------------------------
@@ -430,9 +387,8 @@ class TestIdempotentRetries:
 # ----------------------------------------------------------------------
 class TestRequestDeadline:
     def test_slow_advance_times_out_but_completes_serverside(self):
-        async def body(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def body():
+            async with service_server(request_timeout_s=0.15) as (server, client):
                 sid = (await client.create_session(**PARAMS))["session_id"]
                 await client.submit(sid, _wave("slow", 1200))
                 with pytest.raises(ServiceError) as err:
@@ -455,19 +411,14 @@ class TestRequestDeadline:
                     await asyncio.sleep(0.05)
                 assert status is not None and status["done"]
                 assert status["submitted_tasks"] == 1200
-            finally:
-                await client.close()
 
-        asyncio.run(_with_server(body, request_timeout_s=0.15))
+        asyncio.run(body())
 
     def test_fast_requests_unaffected_by_deadline(self):
-        async def body(server):
-            client = AsyncServiceClient(server.host, server.port)
-            try:
+        async def body():
+            async with service_server(request_timeout_s=5.0) as (server, client):
                 assert (await client.healthz())["status"] == "ok"
                 sid = (await client.create_session(**PARAMS))["session_id"]
                 assert (await client.status(sid))["session_id"] == sid
-            finally:
-                await client.close()
 
-        asyncio.run(_with_server(body, request_timeout_s=5.0))
+        asyncio.run(body())

@@ -125,10 +125,8 @@ class TestQuotaComputation:
         assert sqa.admits(requested_gpus=20.0, spot_gpus_in_use=70.0)
         assert not sqa.admits(requested_gpus=40.0, spot_gpus_in_use=70.0)
 
-    def test_history_recorded(self):
+    def test_returned_quota_is_the_quota_in_force(self):
         sqa = self.make_sqa()
-        sqa.compute_quota(now=10.0, start_hour=336, idle_gpus=100.0, guaranteed_spot_gpus=0.0,
-                          eviction_rate=0.0, max_queue_time=0.0)
-        assert len(sqa.history) == 1
-        assert sqa.history[0].time == 10.0
-        assert sqa.history[0].quota == sqa.current_quota
+        quota = sqa.compute_quota(now=10.0, start_hour=336, idle_gpus=100.0,
+                                  guaranteed_spot_gpus=0.0, eviction_rate=0.0, max_queue_time=0.0)
+        assert quota == sqa.current_quota > 0.0

@@ -28,7 +28,7 @@ import pickle
 
 import pytest
 
-from repro.service import AsyncServiceClient, SchedulerServer, ServiceError
+from repro.service import ServiceError
 from repro.service.session import SessionError, SimulationSession
 from repro.service.stream import (
     HEARTBEAT_FRAME,
@@ -36,20 +36,9 @@ from repro.service.stream import (
     gap_frame,
     parse_sse_stream,
 )
+from tests.conftest import service_server, task_payload as _payload
 
 PARAMS = {"scheduler": "gfs", "num_nodes": 6, "duration_hours": 4.0, "seed": 11}
-
-
-def _payload(task_id: str, submit_time: float, *, hp: bool = False, gpus: float = 4.0) -> dict:
-    return {
-        "task_id": task_id,
-        "task_type": 1 if hp else 0,
-        "num_pods": 1,
-        "gpus_per_pod": gpus,
-        "duration": 1800.0,
-        "submit_time": submit_time,
-        "org": "org-a" if hp else "org-b",
-    }
 
 
 def _wave(prefix: str, count: int, start: float = 0.0) -> list:
@@ -271,15 +260,6 @@ def test_pass_record_limit_validation():
 # ----------------------------------------------------------------------
 # Server end-to-end (SSE over HTTP)
 # ----------------------------------------------------------------------
-async def _with_server(body):
-    server = SchedulerServer()
-    await server.start(port=0)
-    try:
-        return await body(server)
-    finally:
-        await server.stop()
-
-
 async def _read_until_seq(sub, seq: int, timeout: float = 10.0) -> list:
     events = []
     while sub.last_event_id is None or sub.last_event_id < seq:
@@ -290,9 +270,8 @@ async def _read_until_seq(sub, seq: int, timeout: float = 10.0) -> list:
 
 
 def test_http_stream_delivers_live_events():
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             sid = (await client.create_session(**PARAMS))["session_id"]
             sub = await client.open_stream(sid)
             await client.submit(sid, _wave("live", 8))
@@ -305,16 +284,13 @@ def test_http_stream_delivers_live_events():
             await sub.close()
             stream_stats = (await client.stats(sid))["stream"]
             assert stream_stats["total_subscribers"] >= 1
-        finally:
-            await client.close()
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
 
 
 def test_http_disconnect_and_resume_is_byte_lossless():
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             sid = (await client.create_session(**PARAMS))["session_id"]
             witness = await client.open_stream(sid)
             flaky = await client.open_stream(sid)
@@ -338,31 +314,25 @@ def test_http_disconnect_and_resume_is_byte_lossless():
             uninterrupted = _strip_heartbeats(bytes(witness.raw))
             assert rejoined == uninterrupted
             await witness.close()
-        finally:
-            await client.close()
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
 
 
 def test_http_stream_disabled_session_returns_409():
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             sid = (await client.create_session(**PARAMS, stream_backlog=0))["session_id"]
             with pytest.raises(ServiceError) as err:
                 await client.open_stream(sid)
             assert err.value.status == 409
             assert (await client.stats(sid))["stream"] is None
-        finally:
-            await client.close()
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
 
 
 def test_http_pass_record_limit_knob():
-    async def body(server):
-        client = AsyncServiceClient(server.host, server.port)
-        try:
+    async def body():
+        async with service_server() as (server, client):
             sid = (await client.create_session(**PARAMS, pass_record_limit=16))[
                 "session_id"
             ]
@@ -371,30 +341,29 @@ def test_http_pass_record_limit_knob():
             session = server._sessions[sid]
             assert len(session.recorder.pass_records) <= 16
             assert len(session.recorder.tick_samples) <= 16
-        finally:
-            await client.close()
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())
 
 
 def test_dashboard_serves_self_contained_html():
-    async def body(server):
-        reader, writer = await asyncio.open_connection(server.host, server.port)
-        writer.write(
-            b"GET /dashboard HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-        )
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        await writer.wait_closed()
-        head, _, body_bytes = raw.partition(b"\r\n\r\n")
-        assert b"200" in head.split(b"\r\n")[0]
-        assert b"text/html" in head
-        html = body_bytes.decode("utf-8")
-        assert "EventSource" in html  # live SSE wiring
-        assert "/sessions" in html
-        # self-contained: no external scripts/styles/fonts
-        assert "http://" not in html and "https://" not in html
-        assert "<script src" not in html and "link rel" not in html
+    async def body():
+        async with service_server() as (server, _):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(
+                b"GET /dashboard HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            head, _, body_bytes = raw.partition(b"\r\n\r\n")
+            assert b"200" in head.split(b"\r\n")[0]
+            assert b"text/html" in head
+            html = body_bytes.decode("utf-8")
+            assert "EventSource" in html  # live SSE wiring
+            assert "/sessions" in html
+            # self-contained: no external scripts/styles/fonts
+            assert "http://" not in html and "https://" not in html
+            assert "<script src" not in html and "link rel" not in html
 
-    asyncio.run(_with_server(body))
+    asyncio.run(body())

@@ -389,3 +389,24 @@ def test_validate_cli_accepts_good_and_rejects_bad(tmp_path, capsys):
     bad.write_text('{"seq":1,"ts":0,"run_id":"r","event":"job_done","job":"x"}\n')
     assert telemetry_main(["validate", str(bad)]) == 1
     assert telemetry_main(["nonsense"]) == 2
+
+
+def test_cli_sweep_writes_schema_valid_capture(tmp_path, capsys):
+    """``cli sweep --progress --telemetry PATH`` end to end: the capture
+    validates, is one run, and brackets the sweep's lifecycle."""
+    from repro.experiments.cli import main as cli_main
+    from repro.obs.telemetry import main as telemetry_main
+
+    capture = tmp_path / "sweep.jsonl"
+    assert cli_main([
+        "sweep", "--scenario", "default", "--schedulers", "GFS,YARN-CS",
+        "--nodes", "6", "--hours", "2", "--progress", "--telemetry", str(capture),
+    ]) == 0
+    assert telemetry_main(["validate", str(capture)]) == 0
+    records = [validate_telemetry_line(line) for line in capture.read_text().splitlines()]
+    events = [r["event"] for r in records]
+    assert events[0] == "sweep_start" and events[-1] == "sweep_end"
+    assert {"job_start", "job_done", "progress"} <= set(events)
+    assert {r["run_id"][:6] for r in records} == {"sweep-"}
+    assert len({r["run_id"] for r in records}) == 1
+    assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
