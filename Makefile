@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: test bench bench-scaling bench-record benchmark-smoke bench-service perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
+.PHONY: loc test bench bench-scaling bench-record benchmark-smoke bench-service perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
 
 # Knobs for `make profile` (self-profiler tier/scheduler).
 PROFILE_TIER      ?= full
@@ -18,6 +18,12 @@ SCALE    ?= small
 
 # Workdir for `make trace-smoke` (trace ingestion end-to-end check).
 TRACE_DIR ?= .trace-smoke
+
+## The three Python line counts the ROADMAP "HEAD baseline" line quotes.
+loc:
+	@for dir in src tests benchmarks; do \
+		printf '%-11s %s\n' $$dir/ "$$(find $$dir -name '*.py' | xargs wc -l | tail -1 | awk '{print $$1}')"; \
+	done
 
 ## Tier-1 verify: the full unit suite + every benchmark at reduced scale.
 verify:

@@ -1,28 +1,31 @@
 """Benchmark E-T5: regenerate Table 5 (scheduler comparison, three workloads)."""
 
-from repro.experiments import run_table5
+from dataclasses import replace
+
+from repro.experiments import PAPER_GRIDS, run_grid, spot_levels
 from repro.workloads import SpotWorkloadLevel
 
 
+def table5(level: SpotWorkloadLevel):
+    """Table 5 restricted to one spot workload level."""
+    return replace(PAPER_GRIDS["table5"], workloads=spot_levels([level]))
+
+
 def test_bench_table5_low_workload(run_once, bench_scale):
-    result = run_once(
-        run_table5, bench_scale, levels=[SpotWorkloadLevel.LOW]
-    )
+    result = run_once(run_grid, table5(SpotWorkloadLevel.LOW), bench_scale)
     print()
     print(result.report())
-    rows = result.per_workload["low"].rows()
+    rows = result.rows("low")
     assert set(rows) == {"YARN-CS", "Chronus", "Lyra", "FGD", "GFS"}
     # HP tasks are never evicted under any scheduler.
     assert all(r["hp_jct"] > 0 for r in rows.values())
 
 
 def test_bench_table5_medium_workload(run_once, bench_scale):
-    result = run_once(
-        run_table5, bench_scale, levels=[SpotWorkloadLevel.MEDIUM]
-    )
+    result = run_once(run_grid, table5(SpotWorkloadLevel.MEDIUM), bench_scale)
     print()
     print(result.report())
-    rows = result.per_workload["medium"].rows()
+    rows = result.rows("medium")
     # Headline qualitative claims of Table 5 at the medium workload:
     # GFS keeps HP queuing low and evicts less than the greedy preempting
     # baselines (YARN-CS, FGD).
@@ -32,10 +35,8 @@ def test_bench_table5_medium_workload(run_once, bench_scale):
 
 
 def test_bench_table5_high_workload(run_once, bench_scale):
-    result = run_once(
-        run_table5, bench_scale, levels=[SpotWorkloadLevel.HIGH]
-    )
+    result = run_once(run_grid, table5(SpotWorkloadLevel.HIGH), bench_scale)
     print()
     print(result.report())
-    rows = result.per_workload["high"].rows()
+    rows = result.rows("high")
     assert rows["GFS"]["spot_eviction"] <= 0.25

@@ -1,18 +1,14 @@
 """Benchmark E-T6: regenerate Table 6 (guarantee-hours sensitivity)."""
 
-from repro.experiments import run_table6
+from repro.experiments import run_grid, table6_grid
 
 
-def test_bench_table6_guarantee_hours(run_once, bench_scale, bench_spot_scale):
-    result = run_once(
-        run_table6,
-        bench_scale,
-        guarantee_hours=(1.0, 2.0, 4.0),
-        spot_scale=bench_spot_scale,
-    )
+def test_bench_table6_guarantee_hours(run_once, bench_scale):
+    grid = table6_grid(guarantee_hours=(1.0, 2.0, 4.0))
+    result = run_once(run_grid, grid, bench_scale)
     print()
     print(result.report())
-    rows = {h: r.as_row() for h, r in result.per_horizon.items()}
+    rows = {grid.row_label(spec): result.rows()[spec.display] for spec in grid.schedulers}
     assert set(rows) == {1.0, 2.0, 4.0}
     # Paper shape: HP metrics are essentially insensitive to H, and the spot
     # eviction rate stays low for every configuration.

@@ -36,17 +36,11 @@ def main(argv=None) -> int:
     print(result.report())
 
     print("\nPer-model improvements (simulated):")
-    for model, outcome in result.per_model.items():
-        eviction_drop = (
-            (outcome.eviction_before - outcome.eviction_after)
-            / outcome.eviction_before * 100.0
-            if outcome.eviction_before > 0
-            else 0.0
-        )
-        allocation_gain = (outcome.allocation_after - outcome.allocation_before) * 100.0
+    benefit = result.benefit
+    for model in benefit.eviction_before:
         print(
-            f"  {model.value:5s} eviction {eviction_drop:+.1f}% relative, "
-            f"allocation {allocation_gain:+.1f} points"
+            f"  {model.value:5s} eviction {benefit.eviction_reduction(model) * 100.0:+.1f}% relative, "
+            f"allocation {benefit.allocation_improvement(model):+.1f} points"
         )
 
     reference = paper_reference_benefit()
@@ -58,18 +52,13 @@ def main(argv=None) -> int:
     # Sanity checks for CI: all four fleet models simulated, rates in range,
     # and the paper-reference pricing strictly positive.
     failures = []
-    if len(result.per_model) != 4:
-        failures.append(f"expected 4 GPU models, got {len(result.per_model)}")
-    for model, outcome in result.per_model.items():
-        for label, rate in (
-            ("eviction_before", outcome.eviction_before),
-            ("eviction_after", outcome.eviction_after),
-            ("allocation_before", outcome.allocation_before),
-            ("allocation_after", outcome.allocation_after),
-        ):
+    if len(benefit.eviction_before) != 4 or len(result.grid.cells) != 8:
+        failures.append(f"expected 4 GPU models x before/after, got {sorted(result.grid.cells)}")
+    for label in ("eviction_before", "eviction_after", "allocation_before", "allocation_after"):
+        for model, rate in getattr(benefit, label).items():
             if not (math.isfinite(rate) and 0.0 <= rate <= 1.0):
                 failures.append(f"{model.value}.{label} out of range: {rate}")
-    if result.benefit is None or not math.isfinite(result.benefit.monthly_gain_usd):
+    if not math.isfinite(benefit.monthly_gain_usd):
         failures.append("missing/non-finite simulated benefit")
     if not reference.monthly_gain_usd > 0:
         failures.append(f"paper-reference benefit not positive: {reference.monthly_gain_usd}")

@@ -15,14 +15,14 @@ import argparse
 import math
 import sys
 
-from repro.analysis import format_scheduler_table, improvement_row
+from repro.analysis import improvement_row
 from repro.experiments import (
     ExperimentEngine,
-    ExperimentResult,
     ExperimentScale,
+    GridSpec,
     WorkloadSpec,
     comparison_specs,
-    sweep_jobs,
+    run_grid,
 )
 
 
@@ -49,19 +49,18 @@ def main(argv=None) -> int:
         f"cluster, {scale.duration_hours:.0f}h workload, spot x{args.spot_scale:g}, "
         f"{engine.workers} worker(s) ..."
     )
-    metrics = engine.run(sweep_jobs(scale, specs, [workload], prefix="example"))
-
-    rows = {}
-    for spec in specs:
-        cell = metrics.get(f"example/example/{spec.display}")
-        if cell is None:
-            continue  # reported by the missing-schedulers check below
-        rows[spec.display] = ExperimentResult(
-            scheduler=spec.display, workload="example", metrics=cell
-        ).as_row()
+    # A table is a declaration: specs x workloads x title (x column layout).
+    grid = GridSpec(
+        name="example",
+        title="Scheduler comparison (Table 5 style)",
+        schedulers=tuple(specs),
+        workloads=(workload,),
+    )
+    result = run_grid(grid, scale, engine)
+    rows = result.rows()  # a failed cell is absent: caught by the check below
 
     print()
-    print(format_scheduler_table(rows, title="Scheduler comparison (Table 5 style)"))
+    print(result.report())
 
     improvements = improvement_row(rows)
     if improvements:

@@ -26,10 +26,10 @@ from pathlib import Path
 from repro.analysis import format_scheduler_table
 from repro.experiments import (
     ExperimentEngine,
-    ExperimentResult,
     ExperimentScale,
     SchedulerSpec,
     WorkloadSpec,
+    metric_row,
     metrics_to_payload,
     sweep_jobs,
 )
@@ -118,14 +118,7 @@ def main(argv=None) -> int:
         )
         metrics = engine.run(jobs)
 
-        rows = {
-            spec.display: ExperimentResult(
-                scheduler=spec.display,
-                workload="replay",
-                metrics=metrics[f"trace/replay/{spec.display}"],
-            ).as_row()
-            for spec in specs
-        }
+        rows = {job.scheduler.display: metric_row(metrics[job.key]) for job in jobs}
         print()
         print(format_scheduler_table(rows, title="External-trace replay"))
 

@@ -10,18 +10,17 @@ from .observations import (
     compare_request_cdfs,
     demand_summary,
     empirical_cdf,
-    fleet_allocation_table,
     heatmap_statistics,
     hourly_eviction_series,
     organization_demand_figure,
     runtime_distribution,
 )
 from .reporting import (
-    SCHEDULER_TABLE_HEADERS,
+    SCHEDULER_COLUMNS,
+    SLO_COLUMNS,
     format_scheduler_table,
     format_table,
     improvement_row,
-    scheduler_metrics_rows,
 )
 
 __all__ = [
@@ -29,14 +28,14 @@ __all__ = [
     "EvictionSeries",
     "RequestCDFComparison",
     "RuntimeDistribution",
-    "SCHEDULER_TABLE_HEADERS",
+    "SCHEDULER_COLUMNS",
+    "SLO_COLUMNS",
     "allocation_heatmap",
     "cdf_at",
     "compare_request_cdfs",
     "demand_summary",
     "empirical_cdf",
     "estimate_deployment_benefit",
-    "fleet_allocation_table",
     "format_scheduler_table",
     "format_table",
     "heatmap_statistics",
@@ -44,5 +43,4 @@ __all__ = [
     "improvement_row",
     "organization_demand_figure",
     "runtime_distribution",
-    "scheduler_metrics_rows",
 ]

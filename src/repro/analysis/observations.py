@@ -1,8 +1,7 @@
 """Statistics behind the paper's observation figures (Section 2.2).
 
-These functions regenerate the data series shown in Figures 2-5 and 8 and
-the allocation statistics of Table 1, from synthetic traces and
-simulations, so that the shapes (full-card shift, heavy-tailed runtimes,
+These functions regenerate the data series shown in Figures 2-5 and 8
+from synthetic traces and simulations, so that the shapes (full-card shift, heavy-tailed runtimes,
 diurnal eviction peaks, inter-cluster heterogeneity) can be compared with
 the paper's.
 """
@@ -14,7 +13,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster import SimulationMetrics, Task, TaskType, percentile
+from ..cluster import Task, TaskType, percentile
 from ..workloads import OrganizationProfile, default_organizations, generate_org_demand_matrix
 
 
@@ -205,15 +204,4 @@ def heatmap_statistics(heatmaps: Mapping[str, np.ndarray], gpus_per_node: int = 
     return {
         cluster: float(np.mean(matrix) / gpus_per_node)
         for cluster, matrix in heatmaps.items()
-    }
-
-
-# ----------------------------------------------------------------------
-# Table 1: fleet allocation statistics
-# ----------------------------------------------------------------------
-def fleet_allocation_table(metrics_by_model: Mapping[str, SimulationMetrics]) -> Dict[str, float]:
-    """Mean allocation rate per GPU model from simulation metrics."""
-    return {
-        model: float(metrics.allocation_rate_mean)
-        for model, metrics in metrics_by_model.items()
     }

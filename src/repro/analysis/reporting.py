@@ -40,37 +40,31 @@ def format_table(
     return "\n".join(parts)
 
 
-def scheduler_metrics_rows(results: Mapping[str, Mapping[str, float]]) -> List[List[object]]:
-    """Rows of the Table-5 style scheduler comparison."""
-    rows: List[List[object]] = []
-    for scheduler, metrics in results.items():
-        rows.append(
-            [
-                scheduler,
-                metrics.get("hp_jct_p99", float("nan")),
-                metrics.get("hp_jct", float("nan")),
-                metrics.get("hp_jqt", float("nan")),
-                metrics.get("spot_jct", float("nan")),
-                metrics.get("spot_jqt", float("nan")),
-                metrics.get("spot_eviction", float("nan")) * 100.0,
-            ]
-        )
-    return rows
+#: ``(header, row key, display factor)`` of the HP/spot SLO columns every
+#: paper table prints; Table 5 style comparisons add the HP tail in front.
+SLO_COLUMNS = (
+    ("HP JCT(s)", "hp_jct", 1.0),
+    ("HP JQT(s)", "hp_jqt", 1.0),
+    ("Spot JCT(s)", "spot_jct", 1.0),
+    ("Spot JQT(s)", "spot_jqt", 1.0),
+    ("Spot e(%)", "spot_eviction", 100.0),
+)
+SCHEDULER_COLUMNS = (("HP JCT-p99(s)", "hp_jct_p99", 1.0),) + SLO_COLUMNS
 
 
-SCHEDULER_TABLE_HEADERS = [
-    "Scheduler",
-    "HP JCT-p99(s)",
-    "HP JCT(s)",
-    "HP JQT(s)",
-    "Spot JCT(s)",
-    "Spot JQT(s)",
-    "Spot e(%)",
-]
-
-
-def format_scheduler_table(results: Mapping[str, Mapping[str, float]], title: str) -> str:
-    return format_table(SCHEDULER_TABLE_HEADERS, scheduler_metrics_rows(results), title=title)
+def format_scheduler_table(
+    results: Mapping[object, Mapping[str, float]],
+    title: str,
+    columns=SCHEDULER_COLUMNS,
+    label_header: str = "Scheduler",
+) -> str:
+    """One row per entry of ``results`` — its label, then ``columns`` — in
+    the Table-5 style comparison layout (or any other)."""
+    rows = [
+        [label, *(metrics.get(key, float("nan")) * factor for _, key, factor in columns)]
+        for label, metrics in results.items()
+    ]
+    return format_table([label_header, *(header for header, _, _ in columns)], rows, title=title)
 
 
 def improvement_row(results: Mapping[str, Mapping[str, float]], ours: str = "GFS") -> Dict[str, float]:

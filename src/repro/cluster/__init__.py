@@ -40,7 +40,6 @@ from .task import (
     generate_checkpoints,
     make_task,
     reset_task_counter,
-    total_gpu_demand,
 )
 
 __all__ = [
@@ -84,5 +83,4 @@ __all__ = [
     "percentile",
     "reset_task_counter",
     "run_simulation",
-    "total_gpu_demand",
 ]

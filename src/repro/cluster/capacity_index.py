@@ -245,12 +245,6 @@ class CapacityIndex:
         """Total completely idle cards across nodes of ``model``."""
         return sum(ix.total_idle for ix in self._indexes_for(model))
 
-    def can_host_pod(self, model: Optional[GPUModel], gpus_per_pod: float) -> bool:
-        """Whether any node could host one pod right now (O(1) for whole pods)."""
-        if is_fractional_pod(gpus_per_pod):
-            return any(ix.frac for ix in self._indexes_for(model))
-        return self.max_idle_gpus(model) >= int(round(gpus_per_pod))
-
     # ------------------------------------------------------------------
     # Candidate enumeration (canonical construction order)
     # ------------------------------------------------------------------

@@ -397,10 +397,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Fleet membership (cluster dynamics: failures, drains, elasticity)
     # ------------------------------------------------------------------
-    def active_nodes(self) -> List[Node]:
-        """Nodes currently part of the schedulable fleet."""
-        return [n for n in self.nodes if n.available]
-
     def deactivate_node(self, node_id: str) -> Node:
         """Take a node offline: drop its capacity from every aggregate/index.
 

@@ -308,7 +308,15 @@ class ClusterSimulator:
         id (see :class:`~repro.cluster.events.Event`), so a submission
         timestamped equal to an already-heaped event is processed in
         exactly the order a batch replay of the merged trace would use.
+
+        A task that has already run is refused: ``Task`` objects carry
+        their run state, so a replay would corrupt both runs' metrics.
         """
+        if task.run_logs or task.state is not TaskState.PENDING:
+            raise SimulationError(
+                f"task {task.task_id!r} is not in its initial state (state={task.state.value}, "
+                f"{len(task.run_logs)} run log(s)); build a fresh trace for every run"
+            )
         self.all_tasks.append(task)
         self._epochs[task.task_id] = 0
         arrival_time = task.submit_time

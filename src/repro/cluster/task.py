@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .gpu import GPUModel
 
@@ -189,17 +189,9 @@ class Task:
     def is_running(self) -> bool:
         return self.state is TaskState.RUNNING
 
-    @property
-    def is_finished(self) -> bool:
-        return self.state is TaskState.COMPLETED
-
     # ------------------------------------------------------------------
     # Checkpoint accounting
     # ------------------------------------------------------------------
-    def last_checkpoint_progress(self) -> float:
-        """Progress (seconds of work) preserved by the last reached checkpoint."""
-        return self.completed_work
-
     def highest_checkpoint_before(self, progress: float) -> int:
         """Index of the highest checkpoint milestone <= ``progress`` (-1 if none)."""
         idx = -1
@@ -284,8 +276,3 @@ def reset_task_counter() -> None:
     """Reset the global task id counter (used by tests for determinism)."""
     global _task_counter
     _task_counter = itertools.count()
-
-
-def total_gpu_demand(tasks: Sequence[Task]) -> float:
-    """Sum of GPU requests over a collection of tasks."""
-    return sum(t.total_gpus for t in tasks)

@@ -58,9 +58,8 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from ..analysis.reporting import format_scheduler_table
 from ..dynamics import dynamics_names, get_dynamics
 from ..obs.logging import new_run_id
 from ..obs.telemetry import (
@@ -71,79 +70,43 @@ from ..obs.telemetry import (
     TTYProgressSink,
 )
 from ..workloads import get_scenario, iter_scenarios
-from .ablation import run_table10, run_table8, run_table9
 from .artifacts import ArtifactCache, export_grid_csv, export_grid_json
-from .comparison import ExperimentResult, run_table5
 from .config import ExperimentScale, scale_by_name
-from .deployment import paper_reference_benefit, run_deployment_experiment
 from ..runtime import JobGuard, SweepError
-from .engine import (
-    ExperimentEngine,
-    SchedulerSpec,
-    WorkloadSpec,
-    comparison_specs,
-    sweep_jobs,
-)
+from .engine import ExperimentEngine, SchedulerSpec, WorkloadSpec, comparison_specs
 from .forecasting import run_forecasting_experiment
 from .observations import run_observations
-from .sensitivity import run_table6
-
-#: Engine used by the grid-backed runners of the current ``main`` call.
-#: ``None`` means each runner builds its own serial engine.
-_ACTIVE_ENGINE: Optional[ExperimentEngine] = None
-
-
-def _engine() -> Optional[ExperimentEngine]:
-    return _ACTIVE_ENGINE
+from .tables import (
+    PAPER_GRIDS,
+    GridSpec,
+    paper_reference_benefit,
+    run_deployment_experiment,
+    run_grid,
+)
 
 
-def _run_table5(scale: ExperimentScale) -> str:
-    return run_table5(scale, engine=_engine()).report()
-
-
-def _run_table6(scale: ExperimentScale) -> str:
-    return run_table6(scale, engine=_engine()).report()
-
-
-def _run_table8(scale: ExperimentScale) -> str:
-    return run_table8(scale, engine=_engine()).report()
-
-
-def _run_table9(scale: ExperimentScale) -> str:
-    return run_table9(scale, engine=_engine()).report()
-
-
-def _run_table10(scale: ExperimentScale) -> str:
-    return run_table10(scale, engine=_engine()).report()
-
-
-def _run_fig10(scale: ExperimentScale) -> str:
-    return run_forecasting_experiment().report()
-
-
-def _run_fig9(scale: ExperimentScale) -> str:
-    report = run_deployment_experiment().report()
-    reference = paper_reference_benefit()
-    return report + (
+def _fig9(scale: ExperimentScale, engine: ExperimentEngine) -> str:
+    return run_deployment_experiment(engine=engine).report() + (
         f"\nPaper-reported operating points priced with the same model: "
-        f"${reference.monthly_gain_usd:,.0f}/month"
+        f"${paper_reference_benefit().monthly_gain_usd:,.0f}/month"
     )
 
 
-def _run_observations(scale: ExperimentScale) -> str:
-    return run_observations(scale).report()
+def _fig10(scale: ExperimentScale, engine: ExperimentEngine) -> str:
+    return run_forecasting_experiment().report()
 
 
-EXPERIMENTS: Dict[str, Callable[[ExperimentScale], str]] = {
-    "table5": _run_table5,
-    "table6": _run_table6,
-    "table8": _run_table8,
-    "table9": _run_table9,
-    "table10": _run_table10,
-    "fig10": _run_fig10,
-    "table7": _run_fig10,
-    "fig9": _run_fig9,
-    "observations": _run_observations,
+#: name -> ``(scale, engine) -> report``; the grid-shaped tables are the
+#: declarations of :data:`~.tables.PAPER_GRIDS` run through the engine
+EXPERIMENTS: Dict[str, Callable[[ExperimentScale, ExperimentEngine], str]] = {
+    **{
+        name: (lambda scale, engine, grid=grid: run_grid(grid, scale, engine).report())
+        for name, grid in PAPER_GRIDS.items()
+    },
+    "fig10": _fig10,
+    "table7": _fig10,
+    "fig9": _fig9,
+    "observations": lambda scale, engine: run_observations(scale).report(),
 }
 
 
@@ -175,46 +138,26 @@ def _run_scenario_sweep(scale: ExperimentScale, args, engine: ExperimentEngine) 
         specs = [s for s in specs if s.display.lower() in wanted or s.kind in wanted]
         if not specs:
             raise SystemExit(f"no scheduler matches --schedulers {args.schedulers!r}")
-    workloads = [
-        WorkloadSpec(
-            scenario=scenario.name,
-            spot_scale=args.spot_scale,
-            seed_offset=seed_offset,
-            label=scenario.name,
-            dynamics=args.dynamics or "",
-        )
-        for seed_offset in range(args.seeds)
-    ]
-    metrics = engine.run(sweep_jobs(scale, specs, workloads, prefix="sweep"))
-
-    sections = [f"Scenario: {scenario.name} — {scenario.summary}"]
+    grid = GridSpec(
+        name="sweep",
+        title=f"Sweep ({scenario.name}, spot x{args.spot_scale:g}"
+        + (", seed offset {seed_offset})" if args.seeds > 1 else ")"),
+        schedulers=tuple(specs),
+        workloads=tuple(
+            WorkloadSpec(
+                scenario=scenario.name,
+                spot_scale=args.spot_scale,
+                seed_offset=seed_offset,
+                label=scenario.name,
+                dynamics=args.dynamics or "",
+            )
+            for seed_offset in range(args.seeds)
+        ),
+    )
+    header = f"Scenario: {scenario.name} — {scenario.summary}"
     if dynamics is not None:
-        sections[0] += f"\nDynamics: {dynamics.name} (see docs/reliability.md)"
-    for workload in workloads:
-        rows = {}
-        failed = []
-        for spec in specs:
-            suffix = f"+s{workload.seed_offset}" if workload.seed_offset else ""
-            key = f"sweep/{workload.display}{suffix}/{spec.display}"
-            if key not in metrics:
-                # Cell exhausted its retry budget (--tolerate-failures);
-                # report it instead of crashing the table.
-                failure = engine.failures.get(key)
-                failed.append(f"  FAILED {key}: " + (failure.summary() if failure else "no result"))
-                continue
-            rows[spec.display] = ExperimentResult(
-                scheduler=spec.display,
-                workload=workload.display,
-                metrics=metrics[key],
-            ).as_row()
-        title = f"Sweep ({scenario.name}, spot x{args.spot_scale:g}"
-        if args.seeds > 1:
-            title += f", seed offset {workload.seed_offset}"
-        section = format_scheduler_table(rows, title=title + ")") if rows else title + ")"
-        if failed:
-            section += "\n" + "\n".join(failed)
-        sections.append(section)
-    return "\n\n".join(sections)
+        header += f"\nDynamics: {dynamics.name} (see docs/reliability.md)"
+    return header + "\n\n" + run_grid(grid, scale, engine).report()
 
 
 def _export_artifacts(out_dir: Path, reports: Dict[str, str], engine: ExperimentEngine) -> None:
@@ -269,11 +212,6 @@ def main(argv: List[str] | None = None) -> int:
         "--cache-dir",
         default=None,
         help="directory of the on-disk result cache (enables incremental re-runs)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result cache even if --cache-dir is set",
     )
     parser.add_argument(
         "--out", default=None, help="export reports plus a JSON/CSV grid to this directory"
@@ -385,9 +323,7 @@ def main(argv: List[str] | None = None) -> int:
             duration_hours=args.hours if args.hours is not None else scale.duration_hours,
         )
 
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        cache = ArtifactCache(args.cache_dir)
+    cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     guard = JobGuard(
         timeout_s=args.job_timeout,
         retries=max(0, args.retries),
@@ -425,8 +361,6 @@ def main(argv: List[str] | None = None) -> int:
     else:
         names = args.experiments
 
-    global _ACTIVE_ENGINE
-    _ACTIVE_ENGINE = engine
     reports: Dict[str, str] = {}
     interrupted = False
     sweep_failures = []
@@ -439,7 +373,7 @@ def main(argv: List[str] | None = None) -> int:
             elif name == "sweep":
                 report = _run_scenario_sweep(scale, args, engine)
             else:
-                report = EXPERIMENTS[name](scale)
+                report = EXPERIMENTS[name](scale, engine)
             reports[name.replace("/", "_")] = report
             print(report)
             print(f"[{name} finished in {time.perf_counter() - start:.1f}s]\n")
@@ -454,7 +388,6 @@ def main(argv: List[str] | None = None) -> int:
         # before this was raised; report and exit non-zero.
         sweep_failures = err.failures
     finally:
-        _ACTIVE_ENGINE = None
         if telemetry is not None:
             telemetry.close()
         if metrics_server is not None:

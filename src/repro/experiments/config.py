@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..cluster import Cluster, GPUModel, SimulatorConfig
-from ..workloads import Trace, WorkloadConfig, SyntheticTraceGenerator
+from ..cluster import GPUModel
 
 
 @dataclass
@@ -31,23 +30,6 @@ class ExperimentScale:
     @property
     def total_gpus(self) -> float:
         return float(self.num_nodes * self.gpus_per_node)
-
-    def build_cluster(self) -> Cluster:
-        return Cluster.homogeneous(self.num_nodes, self.gpus_per_node, self.gpu_model)
-
-    def build_trace(self, spot_scale: float = 1.0, seed_offset: int = 0) -> Trace:
-        config = WorkloadConfig(
-            cluster_gpus=self.total_gpus,
-            duration_hours=self.duration_hours,
-            spot_scale=spot_scale,
-            seed=self.seed + seed_offset,
-            gpu_model=self.gpu_model,
-            **self.workload_overrides,
-        )
-        return SyntheticTraceGenerator(config).generate()
-
-    def simulator_config(self) -> SimulatorConfig:
-        return SimulatorConfig()
 
 
 #: Fast preset used by the test-suite and benchmark defaults.

@@ -33,15 +33,14 @@ Typical use::
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..cluster import SimulationMetrics, reset_task_counter, run_simulation
-from ..core import GFSConfig, GFSScheduler, make_ablation
-from ..dynamics import DynamicsSpec, get_dynamics
+from ..cluster import ClusterSimulator, SimulationMetrics, SimulatorConfig, reset_task_counter
+from ..core import GFSConfig
+from ..dynamics import DynamicsSpec, FaultInjector, get_dynamics
 from ..obs import Recorder
 from ..obs.logging import get_logger
 from ..obs.telemetry import NULL_TELEMETRY
@@ -55,14 +54,8 @@ from ..runtime import (
     SweepError,
     SweepJournal,
 )
-from ..schedulers import (
-    ChronusScheduler,
-    FGDScheduler,
-    LyraScheduler,
-    PTSScheduler,
-    YarnCSScheduler,
-)
-from ..workloads import Scenario, get_scenario
+from ..schedulers.registry import create_scheduler, display_name
+from ..workloads import Scenario, Trace, get_scenario
 from .artifacts import (
     ArtifactCache,
     content_key,
@@ -88,32 +81,15 @@ def as_pairs(overrides: Optional[Mapping[str, object]]) -> OverridePairs:
 # ----------------------------------------------------------------------
 # Declarative job specs (must stay picklable: no lambdas, no closures)
 # ----------------------------------------------------------------------
-_BASELINE_CLASSES = {
-    "yarn-cs": YarnCSScheduler,
-    "chronus": ChronusScheduler,
-    "lyra": LyraScheduler,
-    "fgd": FGDScheduler,
-    "pts": PTSScheduler,
-}
-
-_DISPLAY_NAMES = {
-    "yarn-cs": "YARN-CS",
-    "chronus": "Chronus",
-    "lyra": "Lyra",
-    "fgd": "FGD",
-    "pts": "PTS",
-    "gfs": "GFS",
-}
-
-
 @dataclass(frozen=True)
 class SchedulerSpec:
     """Which scheduler to build inside the worker.
 
-    ``kind`` is a baseline name (``yarn-cs``/``chronus``/``lyra``/``fgd``),
-    ``gfs``, or a GFS ablation variant (``gfs-e``/``gfs-d``/``gfs-s``/
-    ``gfs-p``/``gfs-sp``).  ``gfs_config`` holds :class:`GFSConfig` keyword
-    overrides as sorted pairs (e.g. ``(("guarantee_hours", 4.0),)``).
+    ``kind`` is any name in :mod:`repro.schedulers.registry` — a baseline
+    (``yarn-cs``/``chronus``/``lyra``/``fgd``), ``pts``, ``gfs`` or a GFS
+    ablation variant (``gfs-e``/``gfs-d``/``gfs-s``/``gfs-p``/``gfs-sp``).
+    ``gfs_config`` holds :class:`GFSConfig` keyword overrides as sorted
+    pairs (e.g. ``(("guarantee_hours", 4.0),)``).
     """
 
     kind: str
@@ -122,10 +98,7 @@ class SchedulerSpec:
 
     @property
     def display(self) -> str:
-        if self.label:
-            return self.label
-        key = self.kind.lower()
-        return _DISPLAY_NAMES.get(key, key.upper())
+        return self.label or display_name(self.kind)
 
 
 @dataclass(frozen=True)
@@ -152,11 +125,20 @@ class WorkloadSpec:
     def display(self) -> str:
         return self.label or self.scenario
 
+    @property
+    def cell(self) -> str:
+        """Grid label of this workload: ``display`` plus the seed-offset
+        suffix that keeps seed replicates of one workload apart."""
+        return f"{self.display}+s{self.seed_offset}" if self.seed_offset else self.display
+
 
 @dataclass(frozen=True)
 class SimulationJob:
     """One cell of the experiment grid: scale x scheduler x workload.
 
+    This is *the* description of a run — :func:`build_simulation` turns
+    one into a live simulator for the engine, service sessions, ``cli
+    trace-viz``/``profile`` and the observation runners alike.
     ``scenario`` is the resolved :class:`Scenario` object; leave it
     ``None`` and the engine fills it in from the registry before
     dispatch, so custom scenarios registered in the parent process reach
@@ -174,6 +156,11 @@ class SimulationJob:
             self.workload.scenario
         )
 
+    @property
+    def seed(self) -> int:
+        """The one seed of this cell: trace generator and fault schedule."""
+        return self.scale.seed + self.workload.seed_offset
+
     def resolved_dynamics(self) -> Optional[DynamicsSpec]:
         """The dynamics spec this cell runs under (workload overrides scenario)."""
         if self.workload.dynamics:
@@ -190,25 +177,23 @@ class SimulationJob:
             "workload": self.workload.display,
             "scheduler": self.scheduler.display,
             "spot_scale": self.workload.spot_scale,
-            "seed": self.scale.seed + self.workload.seed_offset,
+            "seed": self.seed,
             "dynamics": dynamics.name if dynamics is not None else "",
         }
 
 
-def build_scheduler(spec: SchedulerSpec, trace) -> object:
-    """Materialise a scheduler from its spec (runs inside the worker)."""
-    kind = spec.kind.lower()
-    if kind in _BASELINE_CLASSES:
-        return _BASELINE_CLASSES[kind]()
-    config = GFSConfig(**dict(spec.gfs_config)) if spec.gfs_config else None
-    if kind == "gfs":
-        return GFSScheduler(config or GFSConfig(), org_history=trace.org_history)
-    if kind.startswith("gfs-"):
-        return make_ablation(kind, config=config, org_history=trace.org_history)
-    raise KeyError(
-        f"unknown scheduler kind {spec.kind!r}; expected one of "
-        f"{sorted(_BASELINE_CLASSES) + ['gfs', 'gfs-<variant>']}"
-    )
+def build_scheduler(spec: SchedulerSpec, trace: Trace) -> object:
+    """Materialise a scheduler from its spec through the scheduler registry.
+
+    The GFS family additionally receives the trace's per-organization
+    demand history and the spec's :class:`GFSConfig` overrides.
+    """
+    kwargs: Dict[str, object] = {}
+    if spec.kind.lower().startswith("gfs"):
+        kwargs["org_history"] = trace.org_history
+        if spec.gfs_config:
+            kwargs["config"] = GFSConfig(**dict(spec.gfs_config))
+    return create_scheduler(spec.kind, **kwargs)
 
 
 def cache_payload(job: SimulationJob) -> Dict[str, object]:
@@ -225,8 +210,7 @@ def cache_payload(job: SimulationJob) -> Dict[str, object]:
     """
     scale = job.scale
     scenario = job.resolved_scenario()
-    seed = scale.seed + job.workload.seed_offset
-    descriptor = scenario.cache_descriptor(seed)
+    descriptor = scenario.cache_descriptor(job.seed)
     dynamics = job.resolved_dynamics()
     return {
         "scale": {
@@ -251,15 +235,20 @@ def cache_payload(job: SimulationJob) -> Dict[str, object]:
     }
 
 
-def execute_job(job: SimulationJob, recorder: Optional[Recorder] = None) -> SimulationMetrics:
-    """Run one grid cell; top-level so it pickles into worker processes.
+def build_simulation(
+    job: SimulationJob,
+    config: Optional[SimulatorConfig] = None,
+    recorder: Optional[Recorder] = None,
+) -> Tuple[ClusterSimulator, Trace]:
+    """The one path from a run description to a live simulator.
 
-    Deterministic given the job spec alone: the trace RNG is seeded from
-    the spec and the global task-id counter is reset, so a cell computes
-    the same metrics whether it runs serially, in a pool, or from cache.
-    An optional ``recorder`` attaches observability instrumentation; the
-    metrics are bit-identical either way (the obs parity suite guards
-    this), so profiled and unprofiled cells share one cache entry.
+    The scenario's cluster and trace, the scheduler from the registry
+    and the resolved dynamics (a workload preset overrides the
+    scenario's own) bound to the job seed.  Nothing is submitted: batch
+    callers ``submit_all(trace.sorted_tasks())`` and ``run()``, the
+    service keeps the simulator live.  Deterministic given the job alone
+    (seeded trace RNG, task-id counter reset), with or without a
+    ``recorder`` (the obs parity suite guards this).
     """
     reset_task_counter()
     scale = job.scale
@@ -268,22 +257,33 @@ def execute_job(job: SimulationJob, recorder: Optional[Recorder] = None) -> Simu
         cluster_gpus=scale.total_gpus,
         duration_hours=scale.duration_hours,
         spot_scale=job.workload.spot_scale,
-        seed=scale.seed + job.workload.seed_offset,
+        seed=job.seed,
         gpu_model=scale.gpu_model,
         extra_overrides=dict(job.workload.overrides),
         base_overrides=scale.workload_overrides,
     )
     cluster = scenario.build_cluster(scale.num_nodes, scale.gpus_per_node, scale.gpu_model)
-    scheduler = build_scheduler(job.scheduler, trace)
-    return run_simulation(
+    dynamics = job.resolved_dynamics()
+    simulator = ClusterSimulator(
         cluster,
-        scheduler,
-        trace.sorted_tasks(),
-        scale.simulator_config(),
-        dynamics=job.resolved_dynamics(),
-        dynamics_seed=scale.seed + job.workload.seed_offset,
+        build_scheduler(job.scheduler, trace),
+        config,
+        dynamics=FaultInjector(dynamics, seed=job.seed) if dynamics is not None else None,
         recorder=recorder,
     )
+    return simulator, trace
+
+
+def execute_job(job: SimulationJob, recorder: Optional[Recorder] = None) -> SimulationMetrics:
+    """Run one grid cell; top-level so it pickles into worker processes.
+
+    A cell computes the same metrics whether it runs serially, in a pool,
+    or from cache (see :func:`build_simulation`); profiled and unprofiled
+    cells share one cache entry.
+    """
+    simulator, trace = build_simulation(job, recorder=recorder)
+    simulator.submit_all(trace.sorted_tasks())
+    return simulator.run()
 
 
 def job_profile_summary(recorder: Recorder, wall_s: float) -> Dict[str, object]:
@@ -318,16 +318,6 @@ def job_profile_summary(recorder: Recorder, wall_s: float) -> Dict[str, object]:
     }
 
 
-def execute_job_profiled(job: SimulationJob) -> Tuple[SimulationMetrics, Dict[str, object]]:
-    """``execute_job`` with a recorder attached; returns ``(metrics, obs_* row)``."""
-    import time as _time
-
-    recorder = Recorder()
-    start = _time.perf_counter()
-    metrics = execute_job(job, recorder=recorder)
-    return metrics, job_profile_summary(recorder, _time.perf_counter() - start)
-
-
 def run_cell(job: SimulationJob, attempt: int = 1) -> SimulationMetrics:
     """Executor-protocol adapter for :func:`execute_job`.
 
@@ -342,12 +332,11 @@ def run_cell(job: SimulationJob, attempt: int = 1) -> SimulationMetrics:
 def run_cell_profiled(
     job: SimulationJob, attempt: int = 1
 ) -> Tuple[SimulationMetrics, Dict[str, object]]:
-    """Executor-protocol adapter for :func:`execute_job_profiled`."""
-    return execute_job_profiled(job)
-
-
-def _job_key(job: SimulationJob) -> str:
-    return job.key
+    """:func:`run_cell` with a recorder attached; returns ``(metrics, obs_* row)``."""
+    recorder = Recorder()
+    start = time.perf_counter()
+    metrics = execute_job(job, recorder=recorder)
+    return metrics, job_profile_summary(recorder, time.perf_counter() - start)
 
 
 # ----------------------------------------------------------------------
@@ -367,11 +356,6 @@ class EngineStats:
     @property
     def total(self) -> int:
         return self.executed + self.cache_hits + self.journal_hits
-
-
-def default_worker_count() -> int:
-    """Worker default: every core, capped so laptops stay responsive."""
-    return min(8, os.cpu_count() or 1)
 
 
 class ExperimentEngine:
@@ -412,7 +396,6 @@ class ExperimentEngine:
         self,
         workers: int = 1,
         cache: Optional[ArtifactCache] = None,
-        use_cache: bool = True,
         profile: bool = False,
         guard: Optional[JobGuard] = None,
         journal: Union[SweepJournal, str, Path, None] = None,
@@ -422,7 +405,6 @@ class ExperimentEngine:
     ):
         self.workers = max(1, int(workers))
         self.cache = cache
-        self.use_cache = use_cache and cache is not None
         self.profile = profile
         self.guard = guard or JobGuard()
         self.journal = (
@@ -482,7 +464,7 @@ class ExperimentEngine:
         if self.journal is not None:
             replayed = self.journal.replay().completed
 
-        want_keys = self.use_cache or self.journal is not None
+        want_keys = self.cache is not None or self.journal is not None
         results: Dict[str, SimulationMetrics] = {}
         pending: List[Tuple[SimulationJob, Optional[str]]] = []
         run_cache_hits = run_journal_hits = 0
@@ -494,7 +476,7 @@ class ExperimentEngine:
                 run_journal_hits += 1
                 self.telemetry.emit("journal_hit", job=job.key)
                 continue
-            if self.use_cache:
+            if self.cache is not None:
                 cached = self.cache.load(cache_key)
                 if cached is not None:
                     results[job.key] = cached
@@ -547,7 +529,6 @@ class ExperimentEngine:
                 worker,
                 workers=eff_workers,
                 guard=self.guard,
-                key_of=_job_key,
                 telemetry=self.telemetry,
             )
             try:
@@ -632,7 +613,7 @@ class ExperimentEngine:
                 self.journal.record_done(
                     job.key, cache_key, metrics_to_payload(metrics)
                 )
-            if self.use_cache and cache_key is not None:
+            if self.cache is not None:
                 self.cache.store(cache_key, metrics, payload=cache_payload(job))
         state = self._tele_progress
         state["done"] += 1
@@ -710,12 +691,13 @@ def sweep_jobs(
     prefix: str = "sweep",
 ) -> List[SimulationJob]:
     """The full cross product of schedulers and workloads as a job list."""
-    jobs: List[SimulationJob] = []
-    for workload in workload_specs:
-        for spec in scheduler_specs:
-            suffix = f"+s{workload.seed_offset}" if workload.seed_offset else ""
-            key = f"{prefix}/{workload.display}{suffix}/{spec.display}"
-            jobs.append(
-                SimulationJob(key=key, scale=scale, scheduler=spec, workload=workload)
-            )
-    return jobs
+    return [
+        SimulationJob(
+            key=f"{prefix}/{workload.cell}/{spec.display}",
+            scale=scale,
+            scheduler=spec,
+            workload=workload,
+        )
+        for workload in workload_specs
+        for spec in scheduler_specs
+    ]

@@ -114,11 +114,3 @@ def run_forecasting_experiment(
         mu, sigma = model.predict(test)
         result.evaluations[name] = evaluate_forecast(y_true, mu, sigma, model.training_time)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_forecasting_experiment().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

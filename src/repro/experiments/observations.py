@@ -7,7 +7,7 @@ traces and a static-quota first-fit simulation of the production cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,16 +24,14 @@ from ..analysis.observations import (
     runtime_distribution,
 )
 from ..analysis.reporting import format_table
-from ..cluster import Cluster, run_simulation
-from ..schedulers import YarnCSScheduler
+from ..cluster import SimulationMetrics, Task
 from ..workloads import (
     PRODUCTION_FLEET,
-    WorkloadConfig,
-    SyntheticTraceGenerator,
     generate_legacy_2020_requests,
     generate_modern_2024_requests,
 )
 from .config import ExperimentScale, MEDIUM_SCALE
+from .engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
 
 
 @dataclass
@@ -100,13 +98,29 @@ def run_request_cdf_observation(samples: int = 5000, seed: int = 0) -> RequestCD
     )
 
 
+def _legacy_run(
+    scale: ExperimentScale, spot_scale: float, seed_offset: int = 0
+) -> Tuple[SimulationMetrics, List[Task]]:
+    """One run under the pre-GFS policy (static-quota first-fit, YARN-CS).
+
+    Built with :func:`build_simulation` rather than ``engine.run``: the
+    observations read the per-task run logs *after* the run, which an
+    engine cell (metrics only, possibly from cache) does not keep.
+    """
+    job = SimulationJob(
+        key="observation",
+        scale=scale,
+        scheduler=SchedulerSpec(kind="yarn-cs"),
+        workload=WorkloadSpec(spot_scale=spot_scale, seed_offset=seed_offset),
+    )
+    simulator, trace = build_simulation(job)
+    simulator.submit_all(trace.sorted_tasks())
+    return simulator.run(), trace.tasks
+
+
 def run_runtime_observation(scale: Optional[ExperimentScale] = None) -> RuntimeDistribution:
     """Figure 3: running and queuing times under the legacy first-fit policy."""
-    scale = scale or MEDIUM_SCALE
-    trace = scale.build_trace(spot_scale=2.0)
-    cluster = scale.build_cluster()
-    run_simulation(cluster, YarnCSScheduler(), trace.sorted_tasks(), scale.simulator_config())
-    return runtime_distribution(trace.tasks)
+    return runtime_distribution(_legacy_run(scale or MEDIUM_SCALE, spot_scale=2.0)[1])
 
 
 def run_eviction_observation(
@@ -120,10 +134,8 @@ def run_eviction_observation(
     scale = scale or MEDIUM_SCALE
     series: Dict[int, EvictionSeries] = {}
     for week in range(1, weeks + 1):
-        trace = scale.build_trace(spot_scale=spot_scale, seed_offset=week * 101)
-        cluster = scale.build_cluster()
-        run_simulation(cluster, YarnCSScheduler(), trace.sorted_tasks(), scale.simulator_config())
-        series[week] = hourly_eviction_series(trace.tasks, int(scale.duration_hours) + 24)
+        _, tasks = _legacy_run(scale, spot_scale, seed_offset=week * 101)
+        series[week] = hourly_eviction_series(tasks, int(scale.duration_hours) + 24)
     return series
 
 
@@ -147,21 +159,19 @@ def run_fleet_observation(
     """Table 1: allocation rate per GPU model under the pre-GFS policy."""
     rates: Dict[str, float] = {}
     for entry in PRODUCTION_FLEET:
-        nodes = max(2, int(round(entry.node_count * fleet_scale)))
-        cluster_gpus = nodes * entry.gpus_per_node
-        config = WorkloadConfig(
-            cluster_gpus=float(cluster_gpus),
+        scale = ExperimentScale(
+            name=f"fleet-{entry.model.value}",
+            num_nodes=max(2, int(round(entry.node_count * fleet_scale))),
+            gpus_per_node=entry.gpus_per_node,
             duration_hours=duration_hours,
-            spot_scale=1.0,
             seed=seed,
             gpu_model=entry.model,
-            hp_target_utilization=entry.allocation_rate * 0.85,
-            max_gpus_per_pod=float(entry.gpus_per_node),
+            workload_overrides={
+                "hp_target_utilization": entry.allocation_rate * 0.85,
+                "max_gpus_per_pod": float(entry.gpus_per_node),
+            },
         )
-        trace = SyntheticTraceGenerator(config).generate()
-        cluster = Cluster.homogeneous(nodes, entry.gpus_per_node, entry.model)
-        metrics = run_simulation(cluster, YarnCSScheduler(), trace.sorted_tasks())
-        rates[entry.model.value] = metrics.allocation_rate_mean
+        rates[entry.model.value] = _legacy_run(scale, spot_scale=1.0)[0].allocation_rate_mean
     return rates
 
 
@@ -177,11 +187,3 @@ def run_observations(scale: Optional[ExperimentScale] = None, quick: bool = True
     if not quick:
         results.fleet_rates = run_fleet_observation()
     return results
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_observations().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -92,10 +92,10 @@ def _profile_main(argv: List[str]) -> int:
 
 
 def _trace_viz_main(argv: List[str]) -> int:
-    from ..cluster import ClusterSimulator, reset_task_counter
-    from ..dynamics import FaultInjector, dynamics_names, get_dynamics
-    from ..schedulers import create_scheduler
-    from ..workloads import get_scenario
+    # Imported here: the engine imports repro.obs for its recorder.
+    from ..dynamics import dynamics_names
+    from ..experiments.config import ExperimentScale
+    from ..experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
 
     parser = argparse.ArgumentParser(
         prog="cli trace-viz",
@@ -120,24 +120,20 @@ def _trace_viz_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    scenario = get_scenario(args.scenario)
-    reset_task_counter()
-    cluster = scenario.build_cluster(args.nodes)
-    trace = scenario.build_trace(
-        cluster_gpus=cluster.total_gpus(),
-        duration_hours=args.hours,
-        spot_scale=args.spot_scale,
-        seed=args.seed,
+    job = SimulationJob(
+        key="trace-viz",
+        scale=ExperimentScale(
+            name="trace-viz", num_nodes=args.nodes, duration_hours=args.hours, seed=args.seed
+        ),
+        scheduler=SchedulerSpec(kind=args.scheduler),
+        workload=WorkloadSpec(
+            scenario=args.scenario, spot_scale=args.spot_scale, dynamics=args.dynamics or ""
+        ),
     )
-    kwargs = {}
-    if args.scheduler.lower().startswith("gfs"):
-        kwargs["org_history"] = trace.org_history
-    scheduler = create_scheduler(args.scheduler, **kwargs)
-    spec = get_dynamics(args.dynamics) if args.dynamics else scenario.dynamics
-    dynamics = FaultInjector(spec, seed=args.seed) if spec is not None else None
-
+    scenario = job.resolved_scenario()
+    spec = job.resolved_dynamics()
     recorder = Recorder()
-    sim = ClusterSimulator(cluster, scheduler, dynamics=dynamics, recorder=recorder)
+    sim, trace = build_simulation(job, recorder=recorder)
     sim.submit_all(trace.sorted_tasks())
     metrics = sim.run()
 

@@ -163,34 +163,25 @@ def phase_breakdown(recorder: Recorder, wall_time_s: float) -> List[PhaseCost]:
     return phases
 
 
-def _build_run(tier_cfg: Dict[str, float], scheduler_kind: str):
-    """Cluster, scheduler and task list for one profile tier."""
-    from ..cluster import Cluster, reset_task_counter
-    from ..cluster.gpu import GPUModel
-    from ..schedulers import create_scheduler
-    from ..workloads import generate_trace
-
-    reset_task_counter()
-    cluster = Cluster.homogeneous(int(tier_cfg["num_nodes"]), 8, GPUModel.A100)
-    trace = generate_trace(
-        cluster_gpus=cluster.total_gpus(),
-        duration_hours=tier_cfg["duration_hours"],
-        spot_scale=tier_cfg["spot_scale"],
-        seed=int(tier_cfg["seed"]),
-    )
-    kwargs = {}
-    if scheduler_kind.lower().startswith("gfs"):
-        kwargs["org_history"] = trace.org_history
-    scheduler = create_scheduler(scheduler_kind, **kwargs)
-    return cluster, scheduler, trace.sorted_tasks()
-
-
 def _timed_run(tier_cfg: Dict[str, float], scheduler_kind: str, recorder) -> Tuple[object, float, int, object]:
     """One full simulation; returns (metrics, wall s, task count, sim)."""
-    from ..cluster import ClusterSimulator
+    # Imported here: the engine imports repro.obs for its recorder.
+    from ..experiments.config import ExperimentScale
+    from ..experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
 
-    cluster, scheduler, tasks = _build_run(tier_cfg, scheduler_kind)
-    sim = ClusterSimulator(cluster, scheduler, recorder=recorder)
+    job = SimulationJob(
+        key="profile",
+        scale=ExperimentScale(
+            name="profile",
+            num_nodes=int(tier_cfg["num_nodes"]),
+            duration_hours=tier_cfg["duration_hours"],
+            seed=int(tier_cfg["seed"]),
+        ),
+        scheduler=SchedulerSpec(kind=scheduler_kind),
+        workload=WorkloadSpec(spot_scale=tier_cfg["spot_scale"]),
+    )
+    sim, trace = build_simulation(job, recorder=recorder)
+    tasks = trace.sorted_tasks()
     start = time.perf_counter()
     sim.submit_all(tasks)
     metrics = sim.run()
@@ -230,24 +221,13 @@ def run_profile(
         phases=phase_breakdown(rec, elapsed),
     )
     if check_overhead:
+        from ..experiments.artifacts import content_key, metrics_to_payload
+
         base_metrics, base_elapsed, _, _ = _timed_run(cfg, scheduler, None)
         report.baseline_wall_time_s = base_elapsed
-        report.metrics_identical = metrics == base_metrics or _metrics_equal(metrics, base_metrics)
-    return report, rec, sim
-
-
-def _metrics_equal(a, b) -> bool:
-    """NaN-aware structural equality of two SimulationMetrics."""
-    import dataclasses
-    import math
-
-    if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
-        return type(a) is type(b) and all(
-            _metrics_equal(getattr(a, f.name), getattr(b, f.name))
-            for f in dataclasses.fields(a)
+        # Compared through the cache's canonical serialisation: full
+        # fidelity and NaN-stable, where dataclass ``==`` is neither.
+        report.metrics_identical = content_key(metrics_to_payload(metrics)) == content_key(
+            metrics_to_payload(base_metrics)
         )
-    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
-        return True
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_metrics_equal(x, y) for x, y in zip(a, b))
-    return a == b
+    return report, rec, sim

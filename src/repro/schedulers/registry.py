@@ -27,6 +27,15 @@ def available_schedulers() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def display_name(name: str) -> str:
+    """The report name of a scheduler without building it: the class's
+    ``name``, or the upper-cased kind for the ablation factories (which is
+    what ``make_ablation`` names its instances)."""
+    _ensure_gfs_registered()
+    key = name.lower()
+    return getattr(_REGISTRY.get(key), "name", key.upper())
+
+
 def create_scheduler(name: str, **kwargs) -> Scheduler:
     """Instantiate a scheduler by its registered (case-insensitive) name.
 

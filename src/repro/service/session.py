@@ -19,13 +19,12 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..cluster.cluster import Cluster
 from ..cluster.events import DYNAMICS_EVENT_KINDS, DynamicsAction, EventKind
 from ..cluster.gpu import GPUModel
 from ..cluster.simulator import ClusterSimulator, SimulatorConfig
 from ..cluster.task import Task, TaskType
-from ..dynamics import FaultInjector, get_dynamics
-from ..experiments.engine import SchedulerSpec, build_scheduler
+from ..experiments.config import ExperimentScale
+from ..experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
 from ..obs import Recorder, render_recorder
 from ..workloads.scenarios import get_scenario
 from .stream import SessionStream
@@ -135,10 +134,14 @@ _KIND_NAMES = {kind.name: kind for kind in DYNAMICS_EVENT_KINDS}
 class SimulationSession:
     """One live, incrementally-stepped simulation behind the service.
 
-    Construction mirrors one cell of the experiment grid — a scenario, a
-    scheduler from the registry, a cluster size — but instead of running
-    to completion the simulator sits live, accepting streamed
-    submissions, dynamics injections and bounded :meth:`advance` calls.
+    Construction *is* one cell of the experiment grid — the create
+    parameters become a :class:`~repro.experiments.engine.SimulationJob`
+    and :func:`~repro.experiments.engine.build_simulation` builds it, so
+    a session runs under exactly the scenario, scheduler and dynamics
+    (the ``dynamics`` preset, else the scenario's own) the engine would —
+    but instead of running to completion the simulator sits live,
+    accepting streamed submissions, dynamics injections and bounded
+    :meth:`advance` calls.
     ``preload=True`` additionally submits the scenario's synthetic trace
     up front (useful for what-if experiments against a realistic
     background load); the scenario's trace is generated either way so
@@ -157,13 +160,24 @@ class SimulationSession:
         self.session_id = session_id or f"session-{next(_session_counter):04d}"
         self.params = merged
         try:
-            scenario = get_scenario(str(merged["scenario"]))
-            gpu_model = GPUModel(str(merged["gpu_model"]))
-            seed = int(merged["seed"])
-            num_nodes = int(merged["num_nodes"])
-            gpus_per_node = int(merged["gpus_per_node"])
-            duration_hours = float(merged["duration_hours"])
-            spot_scale = float(merged["spot_scale"])
+            job = SimulationJob(
+                key=self.session_id,
+                scale=ExperimentScale(
+                    name="session",
+                    num_nodes=int(merged["num_nodes"]),
+                    gpus_per_node=int(merged["gpus_per_node"]),
+                    duration_hours=float(merged["duration_hours"]),
+                    seed=int(merged["seed"]),
+                    gpu_model=GPUModel(str(merged["gpu_model"])),
+                ),
+                scheduler=SchedulerSpec(kind=str(merged["scheduler"])),
+                workload=WorkloadSpec(
+                    scenario=str(merged["scenario"]),
+                    spot_scale=float(merged["spot_scale"]),
+                    dynamics=str(merged["dynamics"] or ""),
+                ),
+                scenario=get_scenario(str(merged["scenario"])),
+            )
             record_limit = merged["pass_record_limit"]
             record_limit = None if record_limit in (None, 0) else int(record_limit)
             if record_limit is not None and record_limit < 1:
@@ -174,18 +188,6 @@ class SimulationSession:
         except (KeyError, ValueError) as exc:
             raise SessionError(f"invalid session parameters: {exc}") from exc
 
-        cluster: Cluster = scenario.build_cluster(num_nodes, gpus_per_node, gpu_model)
-        trace = scenario.build_trace(
-            cluster_gpus=cluster.total_gpus(),
-            duration_hours=duration_hours,
-            spot_scale=spot_scale,
-            seed=seed,
-            gpu_model=gpu_model,
-        )
-        scheduler = build_scheduler(SchedulerSpec(kind=str(merged["scheduler"])), trace)
-        dynamics = None
-        if merged["dynamics"]:
-            dynamics = FaultInjector(get_dynamics(str(merged["dynamics"])), seed=seed)
         max_time = merged["max_time"]
         config = SimulatorConfig(
             tick_interval=float(merged["tick_interval"]),
@@ -201,9 +203,7 @@ class SimulationSession:
         if stream_backlog > 0:
             self.stream = SessionStream(self.session_id, backlog=stream_backlog)
             self.recorder.sim_listener = self.stream
-        self.sim = ClusterSimulator(
-            cluster, scheduler, config, dynamics=dynamics, recorder=self.recorder
-        )
+        self.sim, trace = build_simulation(job, config, recorder=self.recorder)
         if merged["preload"]:
             self.sim.submit_all(trace.sorted_tasks())
 

@@ -1,5 +1,7 @@
 """Tests for the experiments CLI and miscellaneous package plumbing."""
 
+import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,40 @@ class TestPackage:
         package = Path(repro.__file__).parent
         assert [str(p.relative_to(package)) for p in package.rglob("*smoke*.py")] == []
 
+    def test_one_construction_path(self):
+        # A run is a SimulationJob and experiments.engine.build_simulation is
+        # the one place that turns it into a simulator: nothing else under
+        # src/ wires ClusterSimulator(...) / run_simulation(...) by hand
+        # (docstring examples are not calls), and the second scheduler name
+        # table and the CLI's engine global stay gone.
+        def calls(node, scope="<module>"):
+            """(innermost enclosing function, callee name) of every call."""
+            for child in ast.iter_child_nodes(node):
+                is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                if isinstance(child, ast.Call):
+                    yield scope, getattr(child.func, "id", getattr(child.func, "attr", None))
+                yield from calls(child, child.name if is_def else scope)
+
+        package = Path(repro.__file__).parent
+        builders = set()
+        for path in package.rglob("*.py"):
+            module = str(path.relative_to(package))
+            if module == "cluster/simulator.py":
+                continue
+            source = path.read_text()
+            for banned in ("_BASELINE_CLASSES", "_DISPLAY_NAMES", "_ACTIVE_ENGINE"):
+                assert banned not in source, f"{banned} is back in {module}"
+            builders |= {
+                (module, scope)
+                for scope, callee in calls(ast.parse(source))
+                if callee in ("ClusterSimulator", "run_simulation")
+            }
+        assert builders <= {
+            ("experiments/engine.py", "build_simulation"),
+            ("experiments/engine.py", "execute_job"),
+        }, builders
+        assert ("experiments/engine.py", "build_simulation") in builders
+
 
 class TestCLI:
     def test_experiment_registry_covers_all_artifacts(self):
@@ -45,7 +81,7 @@ class TestCLI:
     def test_cli_runs_small_ablation(self, capsys, monkeypatch):
         # Patch the table-9 runner to a fast stub so the CLI path is exercised
         # without a full simulation.
-        monkeypatch.setitem(cli.EXPERIMENTS, "table9", lambda scale: "stub-report")
+        monkeypatch.setitem(cli.EXPERIMENTS, "table9", lambda scale, engine: "stub-report")
         assert cli.main(["table9", "--scale", "small"]) == 0
         out = capsys.readouterr().out
         assert "table9" in out and "stub-report" in out
@@ -53,7 +89,7 @@ class TestCLI:
     def test_scale_argument_parsed(self, monkeypatch, capsys):
         captured = {}
 
-        def fake(scale: ExperimentScale) -> str:
+        def fake(scale: ExperimentScale, engine) -> str:
             captured["scale"] = scale.name
             return "ok"
 
@@ -64,7 +100,7 @@ class TestCLI:
     def test_nodes_hours_override_scale(self, monkeypatch, capsys):
         captured = {}
 
-        def fake(scale: ExperimentScale) -> str:
+        def fake(scale: ExperimentScale, engine) -> str:
             captured["nodes"] = scale.num_nodes
             captured["hours"] = scale.duration_hours
             return "ok"
@@ -93,6 +129,19 @@ class TestCLI:
         assert (tmp_path / "artifacts" / "grid.json").exists()
         assert (tmp_path / "artifacts" / "grid.csv").exists()
         assert (tmp_path / "artifacts" / "sweep.txt").exists()
+
+    def test_trace_viz_output_is_pinned(self, capsys, tmp_path):
+        # SHA-256 of the file the pre-builder trace-viz (PR 20's HEAD) wrote
+        # for these arguments: the construction path moved, the bytes did not.
+        out = tmp_path / "trace.json"
+        assert cli.main([
+            "trace-viz", "--scenario", "node_churn", "--nodes", "12", "--hours", "6",
+            "--seed", "3", "--trace-out", str(out),
+        ]) == 0
+        assert "scenario=node_churn" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ee240870b5fb125e5328ebabd080221161ae7fcf8ac9ad7759c3fef8ec111cac"
+        )
 
     def test_sweep_unknown_scheduler_filter_rejected(self):
         with pytest.raises(SystemExit):

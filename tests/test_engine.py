@@ -63,7 +63,7 @@ class TestSpecs:
             scheduler=SchedulerSpec(kind="nope"),
             workload=WorkloadSpec(),
         )
-        with pytest.raises(KeyError, match="unknown scheduler kind"):
+        with pytest.raises(KeyError, match="unknown scheduler 'nope'"):
             execute_job(job)
 
     def test_duplicate_keys_rejected(self):
@@ -125,13 +125,16 @@ class TestEngineCacheIntegration:
         assert engine.stats.executed == 1
         assert engine.stats.cache_hits == 0
 
-    def test_use_cache_false_bypasses(self, tmp_path):
+    def test_engine_without_cache_bypasses(self, tmp_path):
+        # cache=None is the one way to bypass (the use_cache flag and
+        # cli --no-cache said the same thing twice and are gone).
         cache = ArtifactCache(tmp_path / "cache")
         jobs = tiny_grid()[:1]
         ExperimentEngine(cache=cache).run(jobs)
-        engine = ExperimentEngine(cache=cache, use_cache=False)
+        engine = ExperimentEngine(cache=None)
         engine.run(jobs)
         assert engine.stats.executed == 1
+        assert engine.stats.cache_hits == 0
 
     def test_identical_cells_share_cache_across_prefixes(self, tmp_path):
         # The same semantic cell appears in several tables (e.g. GFS on the

@@ -145,6 +145,33 @@ def test_preloaded_session_carries_scenario_trace():
     assert session.status()["submitted_tasks"] > 0
 
 
+def test_chaos_scenario_session_runs_under_the_scenarios_dynamics():
+    # Regression: a session on a chaos scenario with dynamics="" used to
+    # run with *no* dynamics while cli sweep / trace-viz / the engine
+    # attached the scenario's churn.  Sessions are engine cells now.
+    from repro.experiments import (
+        ExperimentScale, SchedulerSpec, SimulationJob, WorkloadSpec, execute_job,
+    )
+
+    params = {"scheduler": "yarn-cs", "scenario": "node_churn", "num_nodes": 12,
+              "duration_hours": 12.0, "spot_scale": 2.0, "seed": 3, "preload": True}
+    session = SimulationSession(params)
+    assert session.params["dynamics"] == ""
+    session.advance()
+    counts = session.sim.dynamics_counts
+    assert counts.node_failures > 0 and counts.node_repairs > 0
+    job = SimulationJob(
+        key="equivalent",
+        scale=ExperimentScale(name="s", num_nodes=12, duration_hours=12.0, seed=3),
+        scheduler=SchedulerSpec(kind="yarn-cs"),
+        workload=WorkloadSpec(scenario="node_churn", spot_scale=2.0),
+    )
+    assert session.metrics() == execute_job(job).as_dict()
+    # An explicit preset still overrides the scenario's own.
+    storm = SimulationSession({**params, "dynamics": "spot_reclaim_storm"})
+    assert storm.sim.dynamics.spec.name == "spot_reclaim_storm"
+
+
 # ----------------------------------------------------------------------
 # Server end-to-end
 # ----------------------------------------------------------------------

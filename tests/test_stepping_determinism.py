@@ -25,12 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import assert_metrics_identical, build_task
-from repro.cluster import GPUModel, reset_task_counter
+from repro.cluster import reset_task_counter
 from repro.cluster.simulator import ClusterSimulator, SimulationError, SimulatorConfig
 from repro.cluster.task import TaskType
-from repro.dynamics import FaultInjector
-from repro.experiments.engine import SchedulerSpec, build_scheduler
-from repro.workloads import get_scenario
+from repro.experiments import ExperimentScale
+from repro.experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -58,26 +57,20 @@ def build_sim(
 ) -> ClusterSimulator:
     """One streaming-capable simulator, deterministic in its arguments.
 
-    Mirrors ``experiments.engine.execute_job`` (task-counter reset, the
-    scenario's own dynamics seeded from ``SEED``) so batch and stepped
+    Built by ``experiments.engine.build_simulation`` — the same path
+    ``execute_job`` and service sessions take (task-counter reset, the
+    scenario's own dynamics seeded from ``SEED``) — so batch and stepped
     runs built by successive calls are comparisons of identical inputs.
     """
-    reset_task_counter()
-    scenario = get_scenario(scenario_name)
-    cluster = scenario.build_cluster(num_nodes, 8, GPUModel.A100)
-    trace = scenario.build_trace(
-        cluster_gpus=cluster.total_gpus(),
-        duration_hours=duration_hours,
-        spot_scale=SPOT_SCALE,
-        seed=SEED,
+    job = SimulationJob(
+        key="stepping",
+        scale=ExperimentScale(
+            name="stepping", num_nodes=num_nodes, duration_hours=duration_hours, seed=SEED
+        ),
+        scheduler=SchedulerSpec(kind=scheduler_kind),
+        workload=WorkloadSpec(scenario=scenario_name, spot_scale=SPOT_SCALE),
     )
-    scheduler = build_scheduler(SchedulerSpec(kind=scheduler_kind), trace)
-    dynamics = (
-        FaultInjector(scenario.dynamics, seed=SEED) if scenario.dynamics is not None else None
-    )
-    sim = ClusterSimulator(
-        cluster, scheduler, SimulatorConfig(max_time=max_time), dynamics=dynamics
-    )
+    sim, trace = build_simulation(job, SimulatorConfig(max_time=max_time))
     if submit:
         sim.submit_all(trace.sorted_tasks())
     return sim

@@ -58,7 +58,7 @@ def _capture_run(engine_kwargs=None, jobs=None):
     buf = io.StringIO()
     bus = TelemetryBus(run_id="t-run", sinks=[JsonlSink(buf)])
     engine = ExperimentEngine(
-        workers=1, cache=None, use_cache=False, telemetry=bus, **(engine_kwargs or {})
+        workers=1, telemetry=bus, **(engine_kwargs or {})
     )
     jobs = _grid() if jobs is None else jobs
     error = None
