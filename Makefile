@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: loc test bench bench-scaling bench-record benchmark-smoke bench-service perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
+.PHONY: loc test bench bench-scaling bench-record benchmark-smoke bench-service perf-pairs perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
 
 # Knobs for `make profile` (self-profiler tier/scheduler).
 PROFILE_TIER      ?= full
@@ -75,6 +75,16 @@ benchmark-smoke:
 			| grep '"correct": true' | grep -q '"failed": 0' \
 			|| { echo "benchmark-smoke: $$w failed"; exit 1; }; \
 	done
+
+## Seed-paired runs of the repo's benchmark in a checkout of the parent
+## commit and in this tree, alternating order, ten seeds per workload
+## (~40 min): digests must match, and per end-to-end metric the medians,
+## quartiles, wins and the driver's two rules are printed.
+##   git clone . /tmp/parent && git -C /tmp/parent checkout <parent>
+##   make perf-pairs PARENT=/tmp/parent [PAIRS_ARGS="--workloads gfs_replay --seeds 1 2 3"]
+perf-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<checkout of the parent commit>"; exit 2; }
+	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) $(PAIRS_ARGS)
 
 ## The service workload of the repo's benchmark at full size with the
 ## per-layer trace (~30 s): where a client iteration goes — fork,
@@ -152,10 +162,10 @@ serve-smoke:
 ## Lint: ruff when available, otherwise a byte-compile syntax sweep.
 lint:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
-		$(PYTHON) -m ruff check src tests benchmarks examples; \
+		$(PYTHON) -m ruff check src tests benchmarks examples tools; \
 	else \
 		echo "ruff not installed; falling back to compileall"; \
-		$(PYTHON) -m compileall -q src tests benchmarks examples; \
+		$(PYTHON) -m compileall -q src tests benchmarks examples tools; \
 	fi
 
 all: lint test bench

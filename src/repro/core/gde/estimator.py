@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, Mapping, Optional, Tuple
+import operator
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +34,11 @@ class GPUDemandEstimator:
     def __init__(self, forecaster: Optional[OnlineForecaster] = None):
         self.forecaster = forecaster or SeasonalQuantileForecaster()
         self._fitted = False
+        #: ``peak_demand`` answers by ``(start_hour, horizon, p)``, kept while
+        #: the forecaster is as ``_peaks_basis`` and ``_peaks_series`` saw it
+        self._peaks: Dict[Tuple[int, int, float], Dict[str, float]] = {}
+        self._peaks_basis: Optional[tuple] = None
+        self._peaks_series: List[List[float]] = []
 
     # ------------------------------------------------------------------
     # History management
@@ -68,12 +74,30 @@ class GPUDemandEstimator:
         return mu + z * np.maximum(sigma, 0.0)
 
     def peak_demand(self, start_hour: int, horizon: int, p: float) -> Dict[str, float]:
-        """Per-organization peak of the upper-bound sequence over the horizon."""
-        z = normal_quantile(p)
-        return {
-            org: float(np.max(self._upper_bound(org, start_hour, horizon, z)))
-            for org in self.organizations()
-        }
+        """Per-organization peak of the upper-bound sequence over the horizon.
+
+        Quota updates ask every few minutes and demand is observed once an
+        hour, so an answer is kept until it can have changed: a ``fit`` or
+        ``observe`` on the forecaster since, or an organization's history
+        list replaced, shortened or extended from outside (the edits the
+        seasonal forecaster's kept statistics detect; overwriting elements
+        in place behind ``observe``'s back is not detected).  The check
+        holds the lists themselves, so a snapshot or a ``fork()`` of the
+        simulator inherits the answers.  The caller owns the returned dict.
+        """
+        forecaster = self.forecaster
+        series = list(forecaster.history.values())
+        basis = (forecaster, forecaster.version, list(forecaster.history), list(map(len, series)))
+        if basis != self._peaks_basis or not all(map(operator.is_, series, self._peaks_series)):
+            self._peaks, self._peaks_basis, self._peaks_series = {}, basis, series
+        peaks = self._peaks.get((start_hour, horizon, p))
+        if peaks is None:
+            z = normal_quantile(p)
+            peaks = self._peaks[start_hour, horizon, p] = {
+                org: float(np.max(self._upper_bound(org, start_hour, horizon, z)))
+                for org in self.organizations()
+            }
+        return dict(peaks)
 
     def aggregate_peak_demand(self, start_hour: int, horizon: int, p: float) -> float:
         """Spatial aggregation: sum of per-organization peak demands."""

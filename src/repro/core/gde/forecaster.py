@@ -29,15 +29,22 @@ class OnlineForecaster(ABC):
 
     def __init__(self) -> None:
         self.history: Dict[str, List[float]] = {}
+        #: number of ``fit``/``observe`` calls so far; a forecast can only
+        #: change when this moves or ``history`` is edited from outside
+        self.version = 0
 
     # ------------------------------------------------------------------
     def fit(self, history: Mapping[str, np.ndarray]) -> "OnlineForecaster":
+        self.version += 1
         self.history = {org: list(map(float, series)) for org, series in history.items()}
         self._refit()
         return self
 
     def observe(self, org: str, hour_index: int, value: float) -> None:
         """Record the observed demand of ``org`` at ``hour_index``."""
+        if hour_index < 0:
+            raise ValueError(f"hour_index must be non-negative, got {hour_index}")
+        self.version += 1
         series = self.history.setdefault(org, [])
         if hour_index < len(series):
             series[hour_index] = float(value)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.gde import (
     GPUDemandEstimator,
+    OrgLinearConfig,
     OrgLinearOnlineForecaster,
     PreviousWeekPeakForecaster,
     SeasonalQuantileForecaster,
@@ -67,6 +68,22 @@ class TestSeasonalQuantileForecaster:
         forecaster = SeasonalQuantileForecaster().fit({"o": np.array([1.0, 2.0, 3.0])})
         forecaster.observe("o", 1, 7.0)
         assert forecaster.history["o"][1] == 7.0
+
+    @pytest.mark.parametrize(
+        "forecaster_class",
+        [SeasonalQuantileForecaster, PreviousWeekPeakForecaster, OrgLinearOnlineForecaster],
+    )
+    def test_observe_rejects_a_negative_hour(self, forecaster_class):
+        """``series[-1] = v`` would overwrite the newest hour and, on the
+        seasonal forecaster, mark slot ``-1 % period`` stale instead of the
+        slot written."""
+        forecaster = forecaster_class().fit({"o": np.arange(10.0)})
+        before = forecaster.predict("o", 10, 3)
+        with pytest.raises(ValueError, match="hour_index"):
+            forecaster.observe("o", -1, 99.0)
+        assert forecaster.history["o"] == list(np.arange(10.0))
+        for got, want in zip(forecaster.predict("o", 10, 3), before):
+            assert np.array_equal(got, want)
 
 
 class FrozenSeasonalReference:
@@ -196,6 +213,38 @@ class TestSlotStatisticsMatchFrozenReference:
         check()
         assert forecaster.history == reference.history
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_full_build_matches_the_per_slot_loop(self, data):
+        """All of ``(means, stds)`` after a full build, not only the slots a
+        forecast reads, are the floats of the frozen loop of
+        ``series[slot::period].mean()`` / ``.std()`` calls -- over the
+        lengths where numpy regroups its additions (eight samples per slot
+        and up), ragged tails and constant series.  A one-reduction form of
+        the build (docs/performance.md, stage 5) has to pass this as it is."""
+        period = data.draw(st.sampled_from([1, 2, 3, 7, 24, 168]), label="period")
+        # in periods: under one (slots past the end), one to two (single-sample
+        # slots), and up to 13 -- or 300 samples per slot where that is cheap
+        most = 13 * period if period > 7 else 300 * period
+        length = data.draw(
+            st.one_of(st.integers(1, 2 * period), st.integers(1, most)), label="length"
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["uniform", "constant", "few values", "wide"]), label="kind")
+        series = {
+            "uniform": lambda: rng.uniform(0.0, 1000.0, length),
+            "constant": lambda: np.full(length, rng.uniform(0.0, 1000.0)),
+            "few values": lambda: rng.choice([0.0, 0.1, 8.0, 1e6 / 3.0], size=length),
+            "wide": lambda: rng.uniform(0.0, 1.0, length) * 10.0 ** rng.integers(-8, 9, length),
+        }[kind]()
+        forecaster = SeasonalQuantileForecaster(period=period).fit({"o": series})
+        reference = FrozenSeasonalReference(period=period)
+        reference.fit({"o": series})
+        means, stds = forecaster._slot_stats("o", forecaster.history["o"])
+        ref_means, ref_stds = reference._slot_stats("o")
+        assert np.array_equal(means, ref_means)
+        assert np.array_equal(stds, ref_stds)
+
     def test_hourly_observations_over_weekly_period(self, seasonal_history):
         """The simulator's pattern: fit, then per hour one observe and 12 queries."""
         rng = np.random.default_rng(7)
@@ -249,8 +298,6 @@ class TestOrgLinearOnlineForecaster:
         assert mu.shape == (4,)
 
     def test_predicts_with_enough_history(self, seasonal_history):
-        from repro.core.gde import OrgLinearConfig
-
         forecaster = OrgLinearOnlineForecaster(config=OrgLinearConfig(epochs=5)).fit(seasonal_history)
         mu, sigma = forecaster.predict("org-A", 2 * 168, 6)
         assert mu.shape == (6,)
@@ -278,3 +325,171 @@ class TestGPUDemandEstimator:
         estimator = GPUDemandEstimator().fit(seasonal_history)
         estimator.observe("org-A", 400, 123.0)
         assert estimator.forecaster.history["org-A"][400] == 123.0
+
+
+def frozen_peak_demand(estimator, start_hour, horizon, p):
+    """``GPUDemandEstimator.peak_demand`` as it was before answers were kept."""
+    z = normal_quantile(p)
+    peaks = {}
+    for org in estimator.organizations():
+        mu, sigma = estimator.forecaster.predict(org, start_hour, horizon)
+        peaks[org] = float(np.max(mu + z * np.maximum(sigma, 0.0)))
+    return peaks
+
+
+FORECASTERS = {
+    "seasonal": lambda: SeasonalQuantileForecaster(period=24),
+    "prev-week-peak": lambda: PreviousWeekPeakForecaster(week_hours=24),
+    "orglinear": lambda: OrgLinearOnlineForecaster(
+        config=OrgLinearConfig(input_length=12, horizon=4, decomposition_kernel=5, epochs=1)
+    ),
+}
+
+
+class TestKeptPeakDemandMatchesFrozenRecomputation:
+    """Kept ``peak_demand`` answers are the floats a recomputation gives,
+    through every way the forecaster's history can change."""
+
+    ORGS = ("org-A", "org-B", "org-C")
+    #: few distinct queries, so that most of them repeat an earlier one
+    START_HOURS, HORIZONS, RATES = (0, 30, 31), (1, 4), (0.9, 0.99)
+    OPS = (
+        "peak", "peak", "peak", "aggregate", "upper bound", "mutate answer",
+        "append", "gap", "overwrite", "fit",
+        "replace dict", "replace list", "shorten", "extend", "new org", "rename org",
+    )
+
+    def _draw_history(self, data):
+        orgs = data.draw(st.lists(st.sampled_from(self.ORGS), unique=True), label="fit orgs")
+        history = {}
+        for org in orgs:
+            length = data.draw(st.integers(0, 60), label=f"len {org}")
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=f"seed {org}"))
+            history[org] = rng.uniform(0.0, 1000.0, size=length)
+        return history
+
+    @pytest.mark.parametrize("kind", sorted(FORECASTERS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_interleavings(self, kind, data):
+        estimator = GPUDemandEstimator(FORECASTERS[kind]()).fit(self._draw_history(data))
+        forecaster = estimator.forecaster
+        value = st.floats(0.0, 1000.0, allow_nan=False)
+
+        def query():
+            return (
+                data.draw(st.sampled_from(self.START_HOURS), label="start hour"),
+                data.draw(st.sampled_from(self.HORIZONS), label="horizon"),
+                data.draw(st.sampled_from(self.RATES), label="p"),
+            )
+
+        def check(args):
+            assert estimator.peak_demand(*args) == frozen_peak_demand(estimator, *args)
+
+        asked = query()
+        check(asked)
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            op = data.draw(st.sampled_from(self.OPS), label="op")
+            org = data.draw(st.sampled_from(self.ORGS), label="org")
+            series = forecaster.history.get(org, [])
+            if op == "peak":
+                asked = query()
+            elif op == "aggregate":
+                args = query()
+                want = float(sum(frozen_peak_demand(estimator, *args).values()))
+                assert estimator.aggregate_peak_demand(*args) == want
+            elif op == "upper bound":
+                start_hour, horizon, p = query()
+                mu, sigma = forecaster.predict(org, start_hour, horizon)
+                want = mu + normal_quantile(p) * np.maximum(sigma, 0.0)
+                assert np.array_equal(estimator.upper_bound(org, start_hour, horizon, p), want)
+            elif op == "mutate answer":
+                args = query()
+                answer = estimator.peak_demand(*args)
+                answer["ghost"] = -1.0
+                for name in list(answer):
+                    answer[name] = -1.0
+                check(args)
+            elif op == "fit":
+                estimator.fit(self._draw_history(data))
+            elif op == "append":
+                estimator.observe(org, len(series), data.draw(value, label="value"))
+            elif op == "gap":
+                hour = len(series) + data.draw(st.integers(1, 5), label="gap")
+                estimator.observe(org, hour, data.draw(value, label="value"))
+            elif op == "overwrite":
+                hour = data.draw(st.integers(0, max(len(series) - 1, 0)), label="old hour")
+                estimator.observe(org, hour, data.draw(value, label="value"))
+            # Edits from outside, behind fit() and observe()'s back.
+            elif op == "replace dict":
+                forecaster.history = {o: [v * 1.5 for v in s] for o, s in forecaster.history.items()}
+            elif op == "replace list" and org in forecaster.history:
+                forecaster.history[org] = [v + 1.0 for v in series]
+            elif op == "shorten" and series:
+                del series[data.draw(st.integers(0, len(series) - 1), label="cut") :]
+            elif op == "extend" and org in forecaster.history:
+                series.extend(data.draw(st.lists(value, min_size=1, max_size=3), label="extra"))
+            elif op == "new org":
+                forecaster.history.setdefault("org-D", [5.0, 7.0])
+            elif op == "rename org" and org in forecaster.history:
+                forecaster.history = {o + "'" * (o == org): s for o, s in forecaster.history.items()}
+            # The query asked before the step is asked again after it.
+            check(asked)
+
+    def test_outside_edits_of_the_history(self, seasonal_history):
+        """The edits of ``test_history_replaced_from_outside``, each between
+        two identical queries: the second answer is never the kept one."""
+        estimator = GPUDemandEstimator().fit(seasonal_history)
+        forecaster = estimator.forecaster
+        args = (336, 6, 0.9)
+        seen = [estimator.peak_demand(*args)]
+
+        def changed():
+            seen.append(estimator.peak_demand(*args))
+            assert seen[-1] == frozen_peak_demand(estimator, *args)
+            assert seen[-1] != seen[-2]
+
+        forecaster.history = {org: list(np.asarray(s)[::-1] * 1.5) for org, s in seasonal_history.items()}
+        changed()
+        forecaster.history["org-A"] = forecaster.history["org-A"][:100]
+        changed()
+        forecaster.history["org-B"].extend([7.0, 9.0])
+        changed()
+        del forecaster.history["org-B"][-50:]
+        changed()
+        estimator.observe("org-A", 3, 4321.0)  # same lengths, same lists
+        changed()
+        forecaster.history = {org.lower(): s for org, s in forecaster.history.items()}
+        changed()
+        estimator.forecaster = PreviousWeekPeakForecaster()
+        estimator.forecaster.history = forecaster.history  # the very same lists
+        estimator.forecaster.version = forecaster.version
+        changed()
+
+    def test_repeated_query_does_not_forecast_again(self, seasonal_history, monkeypatch):
+        estimator = GPUDemandEstimator().fit(seasonal_history)
+        calls = []
+        predict = estimator.forecaster.predict
+        monkeypatch.setattr(
+            estimator.forecaster, "predict", lambda *args: calls.append(args) or predict(*args)
+        )
+        first = estimator.peak_demand(336, 1, 0.9)
+        assert len(calls) == 2
+        assert estimator.peak_demand(336, 1, 0.9) == first and len(calls) == 2
+        assert estimator.peak_demand(336, 1, 0.9) is not first
+        estimator.peak_demand(337, 1, 0.9)
+        estimator.peak_demand(336, 1, 0.9)
+        assert len(calls) == 4  # another hour is another answer; both are kept
+        estimator.observe("org-A", 336, 10.0)
+        estimator.peak_demand(336, 1, 0.9)
+        assert len(calls) == 6
+
+    def test_unfitted_estimator_still_raises(self):
+        estimator = GPUDemandEstimator()
+        estimator.observe("o", 0, 1.0)
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                estimator.peak_demand(0, 1, 0.9)
+        assert estimator.fit({"o": np.ones(3)}).peak_demand(0, 1, 0.9) == frozen_peak_demand(
+            estimator, 0, 1, 0.9
+        )

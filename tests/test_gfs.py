@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import Cluster, GPUModel, SimulatorConfig, TaskType, run_simulation
 from repro.core import ABLATION_OVERRIDES, GFSConfig, GFSScheduler, make_ablation
 from repro.cluster.task import reset_task_counter
-from repro.core.gde import PreviousWeekPeakForecaster, SeasonalQuantileForecaster
+from repro.core.gde import OrgLinear, PreviousWeekPeakForecaster, SeasonalQuantileForecaster
 from repro.workloads import generate_trace
 from tests.conftest import build_task
 
@@ -155,6 +155,69 @@ class TestQuotaFilteredQueue:
         unfiltered, unfiltered_offers = run(OffersEveryTask)
         assert filtered == unfiltered
         assert filtered_offers < unfiltered_offers
+
+
+class TestForecastsFollowObservations:
+    """Count gate: ``peak_demand`` is asked at every quota update, the
+    forecaster only when an observation can have changed the answer."""
+
+    def _replay(self, config, nodes, hours, forget_answers=False):
+        calls = {"quota updates": 0, "peak_demand": 0, "predict": 0, "observe": 0}
+
+        class Counting(GFSScheduler):
+            def _update_quota(self, *args, **kwargs):
+                calls["quota updates"] += 1
+                if forget_answers:
+                    self.gde._peaks_basis = None
+                super()._update_quota(*args, **kwargs)
+
+        def counted(obj, name, key):
+            inner = getattr(obj, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return inner(*args, **kwargs)
+
+            setattr(obj, name, wrapper)
+
+        reset_task_counter()
+        trace = generate_trace(cluster_gpus=nodes * 8.0, duration_hours=hours, spot_scale=3.0, seed=5)
+        scheduler = Counting(config, org_history=trace.org_history)
+        counted(scheduler.gde, "peak_demand", "peak_demand")
+        counted(scheduler.gde, "observe", "observe")
+        counted(scheduler.gde.forecaster, "predict", "predict")
+        cluster = Cluster.homogeneous(nodes, 8, GPUModel.A100)
+        metrics = run_simulation(cluster, scheduler, trace.sorted_tasks())
+        orgs = len(trace.org_history)
+        assert scheduler.gde.organizations() == list(trace.org_history)
+        assert calls["observe"] % orgs == 0
+        return metrics, calls, orgs, calls["observe"] // orgs
+
+    @pytest.mark.parametrize(
+        "forecaster, nodes, hours", [("seasonal", 16, 8.0), ("prev-week-peak", 16, 8.0), ("orglinear", 4, 3.0)]
+    )
+    def test_one_forecast_per_observed_hour(self, forecaster, nodes, hours, monkeypatch):
+        model_calls = []
+        model_predict = OrgLinear.predict
+        monkeypatch.setattr(
+            OrgLinear, "predict", lambda self, ds: model_calls.append(1) or model_predict(self, ds)
+        )
+        config = GFSConfig(forecaster=forecaster)
+        metrics, calls, orgs, observed_hours = self._replay(config, nodes, hours)
+        assert observed_hours >= hours
+        # Twelve quota updates in every observed hour but the last, which is cut short.
+        assert calls["peak_demand"] == calls["quota updates"] >= 12 * (observed_hours - 1)
+        # One forecast at start, before anything is observed, then one per hour;
+        # the OrgLinear model runs once per forecast and for no other forecaster.
+        assert calls["predict"] == orgs * (observed_hours + 1)
+        assert len(model_calls) == (calls["predict"] if forecaster == "orglinear" else 0)
+
+        every_tick, tick_calls, _, _ = self._replay(config, nodes, hours, forget_answers=True)
+        assert tick_calls["predict"] == orgs * tick_calls["quota updates"]
+        assert {k: v for k, v in tick_calls.items() if k != "predict"} == {
+            k: v for k, v in calls.items() if k != "predict"
+        }
+        assert metrics == every_tick
 
 
 class TestEndToEnd:

@@ -312,6 +312,10 @@ def _mid_hour_with_unforecast_observations(sim: ClusterSimulator) -> ClusterSimu
     """Stop mid-hour (slot statistics warm from the quota ticks so far) and
     leave observations that no forecast has consumed yet."""
     sim.advance(until=2.5 * 3600.0)
+    return _with_unforecast_observations(sim)
+
+
+def _with_unforecast_observations(sim: ClusterSimulator) -> ClusterSimulator:
     gde = sim.scheduler.gde
     first, second = sorted(gde.organizations())[:2]
     size = len(gde.forecaster.history[first])
@@ -355,6 +359,52 @@ def test_gfs_forecaster_statistics_survive_snapshot_and_fork():
         assert_metrics_identical(copy.finalize(), expected, f"{label} continuation")
     live.advance()
     assert_metrics_identical(live.finalize(), expected, "live after snapshot and fork")
+
+
+def test_gfs_kept_peak_demand_survives_snapshot_and_fork(monkeypatch):
+    """The GDE's kept ``peak_demand`` answer is ordinary simulator state
+    too: a fork or restored snapshot taken mid-hour forecasts nothing until
+    its next observation, an observation invalidates the answer in every
+    copy alike, and all of them continue as the uninterrupted run does."""
+    forecasts = []
+    predict = SeasonalQuantileForecaster.predict
+    monkeypatch.setattr(
+        SeasonalQuantileForecaster,
+        "predict",
+        lambda self, *args: forecasts.append(self) or predict(self, *args),
+    )
+
+    def forecasts_while_advancing(sim, until):
+        forecaster, updates = sim.scheduler.gde.forecaster, sim.scheduler._last_quota_update
+        before = sum(f is forecaster for f in forecasts)
+        sim.advance(until=until)
+        assert sim.scheduler._last_quota_update > updates, "no quota update in the interval"
+        return sum(f is forecaster for f in forecasts) - before
+
+    mid_hour, later_that_hour, next_hour = 2.5 * 3600.0, 2.75 * 3600.0, 3.25 * 3600.0
+    uninterrupted = build_sim("gfs")
+    uninterrupted.advance(until=later_that_hour)
+    _with_unforecast_observations(uninterrupted).advance()
+    expected = uninterrupted.finalize()
+
+    live = build_sim("gfs")
+    live.advance(until=mid_hour)
+    orgs = len(live.scheduler.gde.organizations())
+    sims = {"live": live, "fork": live.fork(), "restored": ClusterSimulator.restore(live.snapshot())}
+    for label, sim in sims.items():
+        gde = sim.scheduler.gde
+        # The validity check holds the copy's own lists, not the live ones.
+        assert gde._peaks and gde._peaks_basis[0] is gde.forecaster, label
+        assert all(a is b for a, b in zip(gde._peaks_series, gde.forecaster.history.values())), label
+        assert forecasts_while_advancing(sim, later_that_hour) == 0, label
+        # Same hour and same lists; the overwrite leaves even the lengths alone.
+        _with_unforecast_observations(sim)
+    for label, sim in sims.items():
+        assert forecasts_while_advancing(sim, later_that_hour + 600.0) == orgs, label
+        assert forecasts_while_advancing(sim, later_that_hour + 900.0) == 0, label
+        assert forecasts_while_advancing(sim, next_hour) == orgs, label
+        sim.advance()
+        assert_metrics_identical(sim.finalize(), expected, f"{label} continuation")
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,16 @@ class TestInventoryEstimation:
         estimate = inventory.estimate(336, 1.0, 0.9)
         assert set(estimate.per_org_peak) == {"org-A", "org-B"}
 
+    def test_per_org_breakdown_belongs_to_the_estimate(self):
+        """The GDE keeps its answer between quota updates; an estimate must not share it."""
+        inventory = GPUInventoryEstimator(make_estimator(), capacity=512.0)
+        estimate = inventory.estimate(336, 1.0, 0.9)
+        kept = dict(estimate.per_org_peak)
+        estimate.per_org_peak.clear()
+        again = inventory.estimate(336, 1.0, 0.9)
+        assert again.per_org_peak == kept
+        assert again.aggregated_peak_demand == estimate.aggregated_peak_demand
+
 
 class TestEtaFeedback:
     def make_sqa(self, **config_kwargs):

@@ -1,0 +1,153 @@
+"""Seed-paired runs of the repo's benchmark in a parent checkout and this one.
+
+    python3 tools/perf_pairs.py --parent /path/to/parent-checkout
+    python3 tools/perf_pairs.py --parent . --smoke --seeds 11        # A/A, CI
+
+For every workload ``BENCHMARK.json`` declares and every seed, runs
+``benchmarks/perf/run.py --workload W --seed S --trace 0`` once in each
+tree — the parent first on even pairs, this tree first on odd ones —
+and requires of every run ``correct: true``, ``failed: 0`` and, of every
+pair, the same ``digest`` lines (a speed-only change moves none).  Then,
+per end-to-end metric, prints the two medians with quartiles, the pairs
+this tree won, the ratio of the medians, and the benchmark driver's two
+rules: a gain is a win in at least nine tenths of the pairs with the
+medians further apart than the parent's quartiles are; nothing is worse
+when this tree's median is within the metric's ``bound`` of the parent's
+and its quartile spread within ``bound`` x the parent's median.  Below
+ten pairs the numbers are printed and neither rule is applied: one pair
+of this box's runs differs by more than most bounds.
+
+Each tree runs its own ``benchmarks/perf`` (a change may not edit it, so
+they are the same program); the workloads, metrics and bounds are read
+from this tree's ``BENCHMARK.json``.  Nothing is written.  Exit status 0
+unless a run failed, a pair's digests differ or something is worse.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+RUNNER = Path("benchmarks") / "perf" / "run.py"
+DEFAULT_SEEDS = tuple(range(11, 21))
+#: pairs the driver runs, and below which no rule is applied; share of
+#: them a claimed gain must win
+MIN_PAIRS, MIN_WIN_SHARE = 10, 0.9
+
+
+def run_once(tree: Path, workload: str, seed: int, smoke: bool) -> Tuple[Dict[str, object], List[str]]:
+    """One benchmark run in ``tree``: its verdict object and its digest lines."""
+    command = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    if smoke:
+        command.append("--smoke")
+    proc = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    return json.loads(lines[-1]), [line for line in lines if line.startswith("digest ")]
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def compare(metric: Dict[str, object], parent: Sequence[float], change: Sequence[float]) -> Dict[str, object]:
+    """The driver's two rules for one metric of one workload over the pairs."""
+    higher_is_better = metric["better"] == "higher"
+    bound = float(metric["bound"])
+    p_q1, p_median, p_q3 = quartiles(parent)
+    c_q1, c_median, c_q3 = quartiles(change)
+    better_by = (c_median - p_median) if higher_is_better else (p_median - c_median)
+    spread, limit = c_q3 - c_q1, bound * p_median
+    wins = sum((c > p) if higher_is_better else (c < p) for p, c in zip(parent, change))
+    resolved = len(parent) >= MIN_PAIRS
+    beyond_parent_iqr = better_by > p_q3 - p_q1
+    gain = resolved and wins >= MIN_WIN_SHARE * len(parent) and beyond_parent_iqr
+    problems = []
+    if resolved and -better_by > limit:
+        problems.append(f"median worse by {-better_by / p_median:.1%}, bound {bound:.0%}")
+    if resolved and spread > limit:
+        problems.append(f"quartile spread {spread:.4g} over {bound:.0%} of the parent's median ({limit:.4g})")
+    return {
+        "parent": (p_q1, p_median, p_q3),
+        "change": (c_q1, c_median, c_q3),
+        "wins": wins,
+        "pairs": len(parent),
+        "ratio": c_median / p_median,
+        "spread": spread,
+        "spread_limit": limit,
+        "resolved": resolved,
+        "beyond_parent_iqr": beyond_parent_iqr,
+        "gain": gain,
+        "problems": problems,
+    }
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
+    parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
+    parser.add_argument("--smoke", action="store_true", help="tiny sizes: checks the tool, measures nothing")
+    args = parser.parse_args(argv)
+
+    catalog = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    declared = [w["name"] for w in catalog["workloads"]]
+    workloads = args.workloads or declared
+    if set(workloads) - set(declared):
+        parser.error(f"unknown workloads {sorted(set(workloads) - set(declared))}; expected {declared}")
+    trees = {"parent": args.parent.resolve(), "change": REPO_ROOT}
+    if not (trees["parent"] / RUNNER).is_file():
+        parser.error(f"{trees['parent']} has no {RUNNER}")
+
+    failures: List[str] = []
+    gains: List[str] = []
+    for workload in workloads:
+        values: Dict[str, Dict[str, List[float]]] = {side: {} for side in trees}
+        for index, seed in enumerate(args.seeds):
+            digests = {}
+            for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
+                verdict, digests[side] = run_once(trees[side], workload, seed, args.smoke)
+                if not verdict["correct"] or verdict["failed"]:
+                    failures.append(f"{workload} seed {seed} {side}: {verdict['failed']} failed operations")
+                for name, entry in verdict["metrics"].items():
+                    values[side].setdefault(name, []).append(float(entry["value"]))
+            if digests["parent"] != digests["change"] or not digests["parent"]:
+                failures.append(f"{workload} seed {seed}: digests differ {digests}")
+            print(f"pair {workload} seed {seed}: " + "  ".join(
+                f"{name} {values['parent'][name][-1]:.4g} -> {values['change'][name][-1]:.4g}"
+                for name in values["parent"]
+            ), flush=True)
+        for metric in catalog["end_to_end"]:
+            name = metric["name"]
+            row = compare(metric, values["parent"][name], values["change"][name])
+            (p_q1, p_median, p_q3), (c_q1, c_median, c_q3) = row["parent"], row["change"]
+            print(
+                f"{workload:<18} {name:<16} parent {p_median:.4f} [{p_q1:.4f}, {p_q3:.4f}]"
+                f" | change {c_median:.4f} [{c_q1:.4f}, {c_q3:.4f}]"
+                f" | wins {row['wins']}/{row['pairs']} | ratio {row['ratio']:.3f}"
+                f" | gap > parent IQR: {'yes' if row['beyond_parent_iqr'] else 'no'}"
+                f" | change IQR {row['spread']:.4g} <= {row['spread_limit']:.4g}:"
+                f" {'yes' if row['spread'] <= row['spread_limit'] else 'NO'}"
+                + ("" if row["resolved"] else f" | unresolved below {MIN_PAIRS} pairs")
+            )
+            if row["gain"]:
+                gains.append(f"{workload}/{name} x{row['ratio']:.3f} ({row['wins']}/{row['pairs']})")
+            failures.extend(f"{workload}/{name}: {problem}" for problem in row["problems"])
+
+    for failure in failures:
+        print("PROBLEM " + failure)
+    print("verdict: " + ("gain on " + ", ".join(gains) if gains else "no gain") + ", "
+          + (f"{len(failures)} problems" if failures else "nothing worse"))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
