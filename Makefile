@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: loc test bench bench-scaling bench-record benchmark-smoke bench-service perf-pairs perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
+.PHONY: loc durations baseline-diff test bench bench-scaling bench-record benchmark-smoke bench-service perf-pairs perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
 
 # Knobs for `make profile` (self-profiler tier/scheduler).
 PROFILE_TIER      ?= full
@@ -28,6 +28,11 @@ loc:
 ## Tier-1 verify: the full unit suite + every benchmark at reduced scale.
 verify:
 	$(PYTHON) -m pytest -x -q
+
+## Tier-1 with its fifteen slowest tests listed (the suite's budget is
+## 120 s on the reference box; this is where to look when it is spent).
+durations:
+	$(PYTHON) -m pytest -q --durations=15
 
 ## Unit/integration tests only (fast).
 test:
@@ -85,6 +90,13 @@ benchmark-smoke:
 perf-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<checkout of the parent commit>"; exit 2; }
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) $(PAIRS_ARGS)
+
+## YARN-CS / FGD / Lyra on 45 eviction-heavy cells (3 families x 5
+## scenarios x 3 seeds, ~45 s) in a checkout of the parent commit and in
+## this tree: every cell's metrics must have the same content key.
+baseline-diff:
+	@test -n "$(PARENT)" || { echo "usage: make baseline-diff PARENT=<checkout of the parent commit>"; exit 2; }
+	$(PYTHON) tools/baseline_differential.py --parent $(PARENT)
 
 ## The service workload of the repo's benchmark at full size with the
 ## per-layer trace (~30 s): where a client iteration goes — fork,

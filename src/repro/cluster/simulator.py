@@ -208,7 +208,6 @@ class ClusterSimulator:
         self._capacity_accrued_until: Optional[float] = None
         self.allocation_samples: List[float] = []
         self.allocation_sample_times: List[float] = []
-        self._finished_count = 0
         #: lazily flipped by :meth:`start`; guards one-time run setup
         self._started = False
         #: a ``max_time`` cap was reached; the run is over for good
@@ -569,7 +568,6 @@ class ClusterSimulator:
         self.cluster.remove_task(task)
         if task.is_spot:
             self.cluster.record_spot_outcome(evicted=False)
-        self._finished_count += 1
         if hasattr(self.scheduler, "on_task_finish"):
             self.scheduler.on_task_finish(task, self.cluster, self.now)
         self._schedule_pending(trigger="finish")

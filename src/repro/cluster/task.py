@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .gpu import GPUModel
 
@@ -232,6 +232,45 @@ class Task:
     def jqt(self) -> float:
         """Cumulative job queuing time across all pending segments."""
         return self.total_queue_time
+
+    # ------------------------------------------------------------------
+    # Record codec (rows of a saved trace, service submit payloads)
+    # ------------------------------------------------------------------
+    def to_record(self) -> Dict[str, object]:
+        """The ten submission fields as plain JSON values."""
+        return {
+            "task_id": self.task_id,
+            "task_type": int(self.task_type),
+            "num_pods": self.num_pods,
+            "gpus_per_pod": self.gpus_per_pod,
+            "duration": self.duration,
+            "submit_time": self.submit_time,
+            "org": self.org,
+            "gpu_model": self.gpu_model.value if self.gpu_model else None,
+            "gang": self.gang,
+            "checkpoint_interval": self.checkpoint_interval,
+        }
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, object]) -> "Task":
+        """Inverse of :meth:`to_record`.
+
+        Only ``task_id``, ``num_pods``, ``gpus_per_pod`` and ``duration``
+        are required (``KeyError`` otherwise); a value of the wrong type or
+        range raises ``TypeError`` / ``ValueError``.
+        """
+        return cls(
+            task_id=str(record["task_id"]),
+            task_type=TaskType(int(record.get("task_type", int(TaskType.SPOT)))),
+            num_pods=int(record["num_pods"]),
+            gpus_per_pod=float(record["gpus_per_pod"]),
+            duration=float(record["duration"]),
+            submit_time=float(record.get("submit_time", 0.0)),
+            org=str(record.get("org", "default")),
+            gpu_model=GPUModel(record["gpu_model"]) if record.get("gpu_model") else None,
+            gang=bool(record.get("gang", False)),
+            checkpoint_interval=float(record.get("checkpoint_interval", 1800.0)),
+        )
 
     def describe(self) -> str:
         """One-line human-readable description, useful in logs and examples."""

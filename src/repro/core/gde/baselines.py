@@ -309,18 +309,8 @@ class _AttentionLiteBase:
         self.training_time = 0.0
         self._weights: Optional[np.ndarray] = None
         self._residual_std = 1.0
-        self._proj: Dict[str, np.ndarray] = {}
 
     # -- encoding ------------------------------------------------------
-    def _init_projections(self, length: int) -> None:
-        rng = np.random.default_rng(self.config.seed + 7)
-        d = self.config.model_dim
-        self._proj = {
-            "value": rng.normal(0, 1.0 / np.sqrt(length), size=(length, d)),
-            "query": rng.normal(0, 1.0 / np.sqrt(length), size=(length, d)),
-            "key": rng.normal(0, 1.0 / np.sqrt(length), size=(length, d)),
-        }
-
     def _encode(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -328,7 +318,6 @@ class _AttentionLiteBase:
     def fit(self, dataset: WindowDataset):
         start = time.perf_counter()
         X, Y, _ = _normalised_arrays(dataset)
-        self._init_projections(X.shape[1])
         features = self._encode(X)
         self._weights = _ridge_fit(features, Y, self.config.ridge_l2)
         residual = _ridge_predict(features, self._weights) - Y

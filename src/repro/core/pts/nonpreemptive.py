@@ -7,45 +7,34 @@ breaker), then ranked by the lexicographic score tuple
 cannot be placed the whole task fails (gang semantics) and no state is
 mutated — the simulator only materialises returned decisions.
 
-With a :class:`~repro.schedulers.placement.PlacementContext` the candidate
-set comes from the cluster's capacity index (only nodes that can host at
-least one pod right now) instead of a scan over every model-compatible
-node; a node that cannot host a pod at pass time can never become feasible
-during the task's own greedy loop, so the restriction is exact.
+The candidate set comes from the cluster's capacity index through the
+:class:`~repro.schedulers.placement.PlacementContext` (only nodes that can
+host at least one pod right now) instead of a scan over every
+model-compatible node; a node that cannot host a pod at pass time can never
+become feasible during the task's own greedy loop, so the restriction is
+exact.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from ...cluster import Node, PodPlacement, Task
+from ...cluster import PodPlacement, Task
 from ...cluster.gpu import EPSILON, is_fractional_pod
-from ...schedulers.placement import NodeView, PlacementContext
+from ...schedulers.placement import PlacementContext
 from .scoring import ScoringConfig, eviction_penalty, eviction_terms
 
 
 def non_preemptive_placement(
     task: Task,
-    nodes: Optional[Sequence[Node]],
+    ctx: PlacementContext,
     now: float,
     config: ScoringConfig,
     use_colocation: bool = True,
     use_eviction_awareness: bool = True,
-    ctx: Optional[PlacementContext] = None,
 ) -> Optional[List[PodPlacement]]:
-    """Algorithm 1: place every pod of ``task`` without preempting anyone.
-
-    Pass either ``nodes`` (index-free scan, used by direct callers and
-    tests) or ``ctx`` (capacity-indexed candidates and shared views).
-    """
-    if ctx is not None:
-        views = [ctx.base_view(n) for n in ctx.view_fit_candidates(task)]
-    else:
-        views = [
-            NodeView.from_node(n)
-            for n in nodes or ()
-            if task.gpu_model is None or n.gpu_model is task.gpu_model
-        ]
+    """Algorithm 1: place every pod of ``task`` without preempting anyone."""
+    views = [ctx.base_view(n) for n in ctx.view_fit_candidates(task)]
 
     # A whole-GPU pod consumes (and Score 1 ranks) idle cards, a fractional
     # pod free capacity: either way one number per node, and the views are

@@ -12,11 +12,12 @@ where ``G``/``F`` are the historical numbers of successful/evicted spot
 runs, ``|T_k|`` the number of tasks preempted on the node, and waste is the
 un-checkpointed GPU-time lost by each victim (Eq. 17).
 
-With a :class:`~repro.schedulers.placement.PlacementContext` the candidate
-set is the union of currently feasible nodes and nodes holding spot
-capacity — any other node can never receive a pod, with or without
-preemption — enumerated in canonical cluster order so victim choices (and
-the GFS-p random draw sequence) match the pre-refactor full scan exactly.
+The candidate set comes from the
+:class:`~repro.schedulers.placement.PlacementContext`: the union of
+currently feasible nodes and nodes holding spot capacity — any other node
+can never receive a pod, with or without preemption — enumerated in
+canonical cluster order so victim choices (and the GFS-p random draw
+sequence) match the pre-refactor full scan exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from ...schedulers.placement import (
     PlacementContext,
     freed_by_preempting,
     spot_tasks_on_node,
+    virtually_preempt_task,
     writable_view,
 )
 
@@ -109,33 +111,26 @@ def preemption_cost(
 
 def preemptive_placement(
     task: Task,
-    nodes: Optional[Sequence[Node]],
+    ctx: PlacementContext,
     cluster: Cluster,
     now: float,
     beta: float,
     total_gpu_seconds: float,
     random_selection: bool = False,
     rng: Optional[random.Random] = None,
-    ctx: Optional[PlacementContext] = None,
 ) -> Optional[Tuple[List[PodPlacement], List[str]]]:
     """Algorithm 2: place every pod of an HP task, evicting cheap spot tasks.
 
     Returns ``(placements, victim task ids)`` or ``None`` when even full
     preemption cannot satisfy the task.  With ``random_selection`` the
     cost model is ignored and victims/nodes are picked at random (the
-    GFS-p ablation).  Pass either ``nodes`` (index-free scan) or ``ctx``
-    (capacity-indexed candidates and shared views).
+    GFS-p ablation).  Candidates and the shared views they are read from
+    come from ``ctx``.
     """
     if not task.is_hp:
         raise ValueError("preemptive scheduling is reserved for HP tasks")
-    if ctx is not None:
-        candidates = ctx.preemption_candidates(task)
-        views = {n.node_id: ctx.base_view(n) for n in candidates}
-    else:
-        candidates = [
-            n for n in (nodes or ()) if task.gpu_model is None or n.gpu_model is task.gpu_model
-        ]
-        views = {n.node_id: NodeView.from_node(n) for n in candidates}
+    candidates = ctx.preemption_candidates(task)
+    views = {n.node_id: ctx.base_view(n) for n in candidates}
     if not candidates:
         return None
     rng = rng or random.Random(0)
@@ -166,13 +161,7 @@ def preemptive_placement(
             chosen = min(plans.values(), key=lambda p: (p.cost, p.node.node_id))
         written = {chosen.node.node_id}
         for victim in chosen.victims:
-            # The victim may span several nodes; free it everywhere so later
-            # pods see the reclaimed capacity.
-            for pod in victim.placements:
-                victim_view = views.get(pod.node_id)
-                if victim_view is not None and victim.task_id not in victim_view.preempted:
-                    writable_view(views, owned, pod.node_id).virtually_preempt(victim)
-                    written.add(pod.node_id)
+            written |= virtually_preempt_task(views, owned, victim)
             victim_ids.add(victim.task_id)
             all_victims.append(victim)
         writable_view(views, owned, chosen.node.node_id).assign_pod(task.gpus_per_pod)

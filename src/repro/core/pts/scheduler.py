@@ -62,12 +62,11 @@ class PreemptiveTaskScheduler:
             if not ctx.infeasible(task, "pts-np"):
                 placements = non_preemptive_placement(
                     task,
-                    None,
+                    ctx,
                     now,
                     cfg.scoring,
                     use_colocation=cfg.use_colocation,
                     use_eviction_awareness=cfg.use_eviction_awareness,
-                    ctx=ctx,
                 )
                 if placements is None:
                     ctx.note_failure(task, "pts-np")
@@ -83,14 +82,13 @@ class PreemptiveTaskScheduler:
             return None
         result = preemptive_placement(
             task,
-            None,
+            ctx,
             cluster,
             now,
             beta=cfg.beta,
             total_gpu_seconds=total_gpu_seconds,
             random_selection=cfg.random_preemption,
             rng=self._rng,
-            ctx=ctx,
         )
         if result is None:
             if memo:

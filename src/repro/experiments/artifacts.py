@@ -36,7 +36,7 @@ import json
 import logging
 import time
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..cluster import ReliabilityMetrics, SimulationMetrics, TaskClassMetrics
 from ..runtime import atomic_write_text
@@ -196,29 +196,6 @@ class ArtifactCache:
 # ----------------------------------------------------------------------
 # Grid artifact export
 # ----------------------------------------------------------------------
-#: Flat metric columns exported per grid cell.
-EXPORT_COLUMNS: Tuple[str, ...] = (
-    "hp_count",
-    "hp_jct_mean",
-    "hp_jct_p99",
-    "hp_jqt_mean",
-    "spot_count",
-    "spot_jct_mean",
-    "spot_jqt_mean",
-    "spot_eviction_rate",
-    "allocation_rate_mean",
-    "makespan",
-    "unfinished_tasks",
-    "tasks_killed",
-    "hp_tasks_killed",
-    "restarts_per_task",
-    "lost_gpu_hours",
-    "goodput_gpu_hours",
-    "paid_gpu_hours",
-    "goodput_fraction",
-)
-
-
 def flatten_metrics(metrics: SimulationMetrics) -> Dict[str, float]:
     """One flat row of headline metrics for CSV/JSON export."""
     rel = metrics.reliability

@@ -262,8 +262,8 @@ def main(argv: List[str] | None = None) -> int:
         "--resume",
         default=None,
         metavar="PATH",
-        help="resume from an existing sweep journal (alias for --journal; "
-        "completed cells replay bit-identically, the rest run)",
+        help="resume from an existing sweep journal (like --journal, but "
+        "PATH must exist; completed cells replay bit-identically, the rest run)",
     )
     parser.add_argument(
         "--job-timeout",
@@ -311,6 +311,9 @@ def main(argv: List[str] | None = None) -> int:
         "on 127.0.0.1:PORT while the run lasts (0 picks a free port)",
     )
     args = parser.parse_args(argv)
+    if args.resume and not Path(args.resume).exists():
+        # A typo must not silently start an empty journal and redo the grid.
+        parser.error(f"--resume {args.resume}: no such journal (use --journal to start one)")
 
     scale = scale_by_name(args.scale)
     if args.nodes is not None or args.hours is not None:

@@ -247,10 +247,10 @@ class Recorder:
     >>> with rec.span("my.phase"):
     ...     do_work()
 
-    ``pass_record_limit`` / ``tick_sample_limit`` bound the sim channel
-    for long-running service sessions: once a limit is hit, the
-    *oldest* records are dropped (deterministically), while counters
-    and histograms keep aggregating forever.
+    ``pass_record_limit`` bounds both sim-channel rings (pass records
+    and tick samples) for long-running service sessions: once a ring is
+    full, its *oldest* entries are dropped (deterministically), while
+    counters and histograms keep aggregating forever.
 
     ``sim_listener`` is an optional observer of the sim channel: when
     set, its ``on_pass(record)`` / ``on_tick(sample)`` methods are
@@ -262,11 +262,7 @@ class Recorder:
 
     enabled = True
 
-    def __init__(
-        self,
-        pass_record_limit: Optional[int] = None,
-        tick_sample_limit: Optional[int] = None,
-    ):
+    def __init__(self, pass_record_limit: Optional[int] = None):
         #: (name, label pairs) -> running total
         self.counters: Dict[Tuple[str, LabelPairs], float] = {}
         #: (name, label pairs) -> last value
@@ -278,10 +274,8 @@ class Recorder:
         #: sim channel: deterministic per-tick gauge samples
         self.tick_samples: List[TickSample] = []
         self.pass_record_limit = pass_record_limit
-        self.tick_sample_limit = tick_sample_limit
-        #: pass records dropped to honour ``pass_record_limit``
+        #: pass records / tick samples dropped to honour ``pass_record_limit``
         self.dropped_pass_records = 0
-        #: tick samples dropped to honour ``tick_sample_limit``
         self.dropped_tick_samples = 0
         #: optional sim-channel observer (``on_pass`` / ``on_tick``)
         self.sim_listener: Optional[object] = None
@@ -314,16 +308,18 @@ class Recorder:
         self.count("sim.events", 1.0, {"kind": kind_name})
         self.observe(f"sim.dispatch_s.{kind_name}", seconds)
 
+    def _trim(self, ring: List) -> int:
+        """Drop a sim-channel ring's oldest entries beyond the limit; how many went."""
+        overflow = 0 if self.pass_record_limit is None else len(ring) - self.pass_record_limit
+        if overflow <= 0:
+            return 0
+        del ring[:overflow]
+        return overflow
+
     def record_pass(self, record: PassRecord, wall_seconds: float) -> None:
         """One scheduling pass: sim-time record + wall-clock histogram."""
         self.pass_records.append(record)
-        if (
-            self.pass_record_limit is not None
-            and len(self.pass_records) > self.pass_record_limit
-        ):
-            overflow = len(self.pass_records) - self.pass_record_limit
-            del self.pass_records[:overflow]
-            self.dropped_pass_records += overflow
+        self.dropped_pass_records += self._trim(self.pass_records)
         self.count("sim.passes")
         self.count("sim.pass.examined", record.examined)
         self.count("sim.pass.scheduled", record.scheduled)
@@ -337,13 +333,7 @@ class Recorder:
     def sample_tick(self, sample: TickSample) -> None:
         """Gauges sampled at a quota tick (plus the sim-channel record)."""
         self.tick_samples.append(sample)
-        if (
-            self.tick_sample_limit is not None
-            and len(self.tick_samples) > self.tick_sample_limit
-        ):
-            overflow = len(self.tick_samples) - self.tick_sample_limit
-            del self.tick_samples[:overflow]
-            self.dropped_tick_samples += overflow
+        self.dropped_tick_samples += self._trim(self.tick_samples)
         self.gauge("sim.pending_depth", sample.pending_depth)
         self.gauge("sim.running_tasks", sample.running_tasks)
         self.gauge("sim.allocation_rate", sample.allocation_rate)

@@ -4,15 +4,7 @@ from .base import Scheduler
 from .chronus import ChronusScheduler
 from .fgd import FGDScheduler, fgd_score, fragmentation_after
 from .lyra import LyraScheduler
-from .placement import (
-    NodeView,
-    PlacementContext,
-    build_views,
-    filter_nodes,
-    find_placement,
-    gpus_held_on_node,
-    spot_tasks_on_node,
-)
+from .placement import NodeView, PlacementContext, gpus_held_on_node, spot_tasks_on_node
 from .pts_only import PTSScheduler
 from .registry import available_schedulers, create_scheduler, register
 from .yarn_cs import YarnCSScheduler, best_fit_score
@@ -28,11 +20,8 @@ __all__ = [
     "YarnCSScheduler",
     "available_schedulers",
     "best_fit_score",
-    "build_views",
     "create_scheduler",
     "fgd_score",
-    "filter_nodes",
-    "find_placement",
     "fragmentation_after",
     "gpus_held_on_node",
     "register",

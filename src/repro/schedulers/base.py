@@ -25,8 +25,8 @@ class Scheduler(ABC):
     Example
     -------
     >>> class FirstFit(Scheduler):
-    ...     def try_schedule(self, task, cluster, now):
-    ...         placements = find_placement(task, cluster.nodes)
+    ...     def try_schedule(self, task, cluster, now, ctx=None):
+    ...         placements = (ctx or PlacementContext(cluster)).find_placement(task)
     ...         return SchedulingDecision(placements=placements) if placements else None
     """
 

@@ -11,18 +11,12 @@ shows the highest eviction rates in the comparison.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..cluster import Cluster, Node, SchedulingDecision, Task
 from ..cluster.gpu import is_fractional_pod
 from .base import Scheduler
-from .placement import (
-    NodeView,
-    PlacementContext,
-    find_placement,
-    spot_tasks_on_node,
-    virtually_preempt_task,
-)
+from .placement import NodeView, PlacementContext
 
 
 def fragmentation_after(view: NodeView, gpus_per_pod: float) -> float:
@@ -82,19 +76,8 @@ class FGDScheduler(Scheduler):
         placements = ctx.find_placement(task, score=fgd_score, pool="fgd-np")
         if placements is not None:
             return SchedulingDecision(placements=placements)
-        if task.is_hp:
-            return self._preempt_for_fragmentation(task, cluster, now, ctx)
-        return None
-
-    # ------------------------------------------------------------------
-    def _preempt_for_fragmentation(
-        self, task: Task, cluster: Cluster, now: float, ctx: PlacementContext
-    ) -> Optional[SchedulingDecision]:
-        """Preempt spot tasks node-by-node, ranked by post-preemption tightness."""
-        if ctx.infeasible(task, "fgd-preempt", track_spot=True):
+        if not task.is_hp:
             return None
-        candidates = ctx.preemption_candidates(task)
-        views = ctx.clone_views(candidates)
 
         def node_rank(node: Node) -> float:
             # Prefer nodes whose spot capacity plus idle capacity most tightly
@@ -103,23 +86,10 @@ class FGDScheduler(Scheduler):
             overshoot = reclaimable - task.gpus_per_pod
             return overshoot if overshoot >= 0 else float("inf")
 
-        victims: List[str] = []
-        for node in sorted(ctx.spot_nodes(task), key=node_rank):
-            for spot in spot_tasks_on_node(node, cluster):
-                if spot.task_id in victims:
-                    continue
-                virtually_preempt_task(views, spot)
-                victims.append(spot.task_id)
-                placements = find_placement(task, candidates, score=fgd_score, views=views)
-                if placements is not None:
-                    used_nodes = {p.node_id for p in placements}
-                    needed = []
-                    for vid in victims:
-                        victim = cluster.running_tasks[vid]
-                        if any(p.node_id in used_nodes for p in victim.placements):
-                            needed.append(vid)
-                    return SchedulingDecision(
-                        placements=placements, preempted_task_ids=needed or victims
-                    )
-        ctx.note_failure(task, "fgd-preempt", track_spot=True)
-        return None
+        # Preempt spot tasks node by node, ranked by post-preemption tightness.
+        found = ctx.evict_until_fit(
+            task, cluster, fgd_score, pool="fgd-preempt", node_order=node_rank
+        )
+        if found is None:
+            return None
+        return SchedulingDecision(placements=found[0], preempted_task_ids=found[1])

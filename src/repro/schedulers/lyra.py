@@ -19,13 +19,7 @@ from typing import Optional
 
 from ..cluster import Cluster, Node, SchedulingDecision, Task
 from .base import Scheduler
-from .placement import (
-    NodeView,
-    PlacementContext,
-    find_placement,
-    spot_tasks_on_node,
-    virtually_preempt_task,
-)
+from .placement import NodeView, PlacementContext, spot_tasks_on_node
 from .yarn_cs import best_fit_score
 
 
@@ -93,30 +87,16 @@ class LyraScheduler(Scheduler):
             return SchedulingDecision(placements=placements)
 
         # Reclaim loaned nodes: order candidate nodes by how few spot tasks
-        # would be displaced, then virtually reclaim until the task fits.
-        if ctx.infeasible(task, "lyra-reclaim", track_spot=True):
-            return None
-        candidates = ctx.preemption_candidates(task)
-        views = ctx.clone_views(candidates)
-        victims = []
-        reclaim_order = sorted(
-            ctx.spot_nodes(task),
-            key=lambda n: (len(spot_tasks_on_node(n, cluster)), -n.spot_gpus),
+        # would be displaced, then virtually reclaim whole nodes until the
+        # task fits.
+        found = ctx.evict_until_fit(
+            task,
+            cluster,
+            _hp_affinity_score,
+            pool="lyra-reclaim",
+            node_order=lambda n: (len(spot_tasks_on_node(n, cluster)), -n.spot_gpus),
+            probe_per_victim=False,
         )
-        for node in reclaim_order:
-            for spot in spot_tasks_on_node(node, cluster):
-                if spot.task_id in victims:
-                    continue
-                virtually_preempt_task(views, spot)
-                victims.append(spot.task_id)
-            placements = find_placement(task, candidates, score=_hp_affinity_score, views=views)
-            if placements is not None:
-                used_nodes = {p.node_id for p in placements}
-                needed = []
-                for vid in victims:
-                    victim = cluster.running_tasks[vid]
-                    if any(p.node_id in used_nodes for p in victim.placements):
-                        needed.append(vid)
-                return SchedulingDecision(placements=placements, preempted_task_ids=needed or victims)
-        ctx.note_failure(task, "lyra-reclaim", track_spot=True)
-        return None
+        if found is None:
+            return None
+        return SchedulingDecision(placements=found[0], preempted_task_ids=found[1])

@@ -32,15 +32,16 @@ model-compatible node, linearly rescan them all — with three mechanisms:
   capacity grew — new victims can make a previously impossible
   preemption plan viable).  The memo is cleared at every pass start.
 
-The free functions (:func:`find_placement`, :func:`filter_nodes`, …) keep
-their pre-refactor signatures and behaviour for direct callers and tests;
-schedulers route through the context.
+Every placement search goes through the context: the greedy fill behind
+:meth:`PlacementContext.find_placement`, and the one eviction sweep
+(:meth:`PlacementContext.evict_until_fit`) that YARN-CS, FGD and Lyra
+parameterise with a node order, a victim order and a probe cadence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cluster import Cluster, Node, PodPlacement, Task, TaskType
 from ..cluster.gpu import EPSILON, is_fractional_pod
@@ -60,11 +61,8 @@ class NodeView:
     node: Node
     idle_gpus: int = 0
     free_capacity: float = 0.0
-    #: GPUs freed by virtually preempting spot tasks on this node
-    reclaimed_gpus: float = 0.0
     #: ids of spot tasks virtually preempted on this node
     preempted: Set[str] = field(default_factory=set)
-    assigned_pods: int = 0
 
     @classmethod
     def from_node(cls, node: Node) -> "NodeView":
@@ -85,7 +83,6 @@ class NodeView:
             whole = int(round(gpus_per_pod))
             self.idle_gpus -= whole
             self.free_capacity -= whole
-        self.assigned_pods += 1
 
     def clone(self) -> "NodeView":
         """An independent copy used for trial placements."""
@@ -93,9 +90,7 @@ class NodeView:
             node=self.node,
             idle_gpus=self.idle_gpus,
             free_capacity=self.free_capacity,
-            reclaimed_gpus=self.reclaimed_gpus,
             preempted=set(self.preempted),
-            assigned_pods=self.assigned_pods,
         )
 
     def virtually_preempt(self, task: Task) -> None:
@@ -103,7 +98,6 @@ class NodeView:
         whole, gpus_here = freed_by_preempting(task, self.node)
         self.idle_gpus += whole
         self.free_capacity += gpus_here
-        self.reclaimed_gpus += gpus_here
         self.preempted.add(task.task_id)
 
 
@@ -126,26 +120,8 @@ def writable_view(views: Dict[str, NodeView], owned: Set[str], node_id: str) -> 
     return view
 
 
-def build_views(nodes: Iterable[Node]) -> List[NodeView]:
-    return [NodeView.from_node(n) for n in nodes]
-
-
-def filter_nodes(task: Task, nodes: Iterable[Node]) -> List[Node]:
-    """Online nodes compatible with the task's GPU-model requirement.
-
-    Offline nodes (failed/drained/reclaimed by cluster dynamics) are never
-    placement candidates; the capacity index excludes them on the indexed
-    path, and this filter does the same for direct linear searches.
-    """
-    return [
-        n
-        for n in nodes
-        if n.available and (task.gpu_model is None or n.gpu_model is task.gpu_model)
-    ]
-
-
 # ----------------------------------------------------------------------
-# Greedy core shared by the free function and the context
+# Greedy core shared by the context's search and its eviction sweep
 # ----------------------------------------------------------------------
 def _cheap_infeasibility(task: Task, view_map: Dict[str, NodeView]) -> bool:
     """O(candidates) necessary-condition gates run before the greedy loop.
@@ -197,47 +173,6 @@ def _greedy_fill(
     return placements
 
 
-def find_placement(
-    task: Task,
-    nodes: Sequence[Node],
-    score: Optional[NodeScore] = None,
-    views: Optional[Dict[str, NodeView]] = None,
-) -> Optional[List[PodPlacement]]:
-    """Greedy pod-by-pod placement of ``task`` onto ``nodes``.
-
-    Pods are placed one at a time onto the feasible node with the highest
-    score (ties broken by node id for determinism).  All pods must be
-    placed, otherwise ``None`` is returned (gang semantics).
-
-    This is the index-free entry point: it linearly filters ``nodes``.
-    Schedulers running inside a simulation use
-    :meth:`PlacementContext.find_placement`, which enumerates candidates
-    through the cluster's capacity index instead.
-    """
-    candidates = filter_nodes(task, nodes)
-    if not candidates:
-        return None
-    if views is None:
-        view_map: Dict[str, NodeView] = {
-            n.node_id: NodeView.from_node(n)
-            for n in candidates
-            if n.can_fit_pod(task.gpus_per_pod)
-        }
-    else:
-        # The caller's views are only read: the greedy fill copies what it
-        # assigns to.  Only nodes that could host a pod are worth a look.
-        view_map = {
-            n.node_id: views[n.node_id]
-            for n in candidates
-            if n.node_id in views and views[n.node_id].can_fit_pod(task.gpus_per_pod)
-        }
-    if not view_map:
-        return None
-    if _cheap_infeasibility(task, view_map):
-        return None
-    return _greedy_fill(task, view_map, score)
-
-
 # ----------------------------------------------------------------------
 # Per-pass placement context
 # ----------------------------------------------------------------------
@@ -247,7 +182,8 @@ class PlacementContext:
     Owned by the simulator (one instance per simulation, reset with
     :meth:`begin_pass` at every pass) and passed to ``try_schedule``.
     Schedulers call :meth:`find_placement` for index-accelerated greedy
-    searches, the candidate helpers for custom searches, and the
+    searches, :meth:`evict_until_fit` when an HP task has to displace spot
+    tasks, the candidate helpers for custom searches, and the
     :meth:`infeasible` / :meth:`note_failure` pair to memoise failed
     shapes.  A context built ad hoc over a cluster (``ctx`` defaulted to
     ``None`` in ``try_schedule``) behaves identically, just without
@@ -295,10 +231,6 @@ class PlacementContext:
             self._views[node_id] = view
             self._view_mut[node_id] = stamp
         return view
-
-    def clone_views(self, nodes: Iterable[Node]) -> Dict[str, NodeView]:
-        """Task-local clones of the base views, for sweeps that write to most."""
-        return {n.node_id: self.base_view(n).clone() for n in nodes}
 
     # ------------------------------------------------------------------
     # Candidate enumeration (canonical order, index-backed)
@@ -364,12 +296,16 @@ class PlacementContext:
         candidates: Optional[Sequence[Node]] = None,
         memo: bool = True,
     ) -> Optional[List[PodPlacement]]:
-        """Indexed equivalent of :func:`find_placement` over the whole cluster.
+        """Greedy pod-by-pod placement over the indexed fit candidates.
 
-        ``candidates`` restricts the search to a subset of the indexed fit
-        set (e.g. Lyra's loaned nodes); distinct call sites of one
-        scheduler must use distinct ``pool`` tags so the failed-shape memo
-        never conflates searches with different node pools or scores.
+        Pods are placed one at a time onto the feasible node with the
+        highest ``score`` (best fit when ``None``; ties broken by node id
+        for determinism).  All pods must be placed, otherwise ``None`` is
+        returned (gang semantics).  ``candidates`` restricts the search to
+        a subset of the indexed fit set (e.g. Lyra's loaned nodes);
+        distinct call sites of one scheduler must use distinct ``pool``
+        tags so the failed-shape memo never conflates searches with
+        different node pools or scores.
         """
         if memo and self.infeasible(task, pool):
             return None
@@ -389,17 +325,83 @@ class PlacementContext:
             self.note_failure(task, pool)
         return placements
 
+    # ------------------------------------------------------------------
+    # The eviction sweep (YARN-CS, FGD, Lyra)
+    # ------------------------------------------------------------------
+    def evict_until_fit(
+        self,
+        task: Task,
+        cluster: Cluster,
+        score: Optional[NodeScore],
+        pool: str,
+        node_order: Callable[[Node], object],
+        victim_order: Optional[Callable[[Task], object]] = None,
+        probe_per_victim: bool = True,
+    ) -> Optional[Tuple[List[PodPlacement], List[str]]]:
+        """Virtually evict spot tasks, node by node, until ``task`` fits.
 
-def virtually_preempt_task(views: Dict[str, NodeView], task: Task) -> None:
-    """Virtually evict ``task`` from every node it occupies (whole-task semantics)."""
-    seen_nodes = set()
+        Spot nodes are visited in ``sorted(key=node_order)``, the spot
+        tasks on each in residency order or ``sorted(key=victim_order)``;
+        after every victim (or every node, with ``probe_per_victim`` off)
+        the greedy fill is tried over the views that now fit a pod.
+        Returns ``(placements, victim ids)`` — only the victims holding a
+        pod on a node the task uses, all of them if none does — or ``None``
+        after noting the failed shape under ``pool``.  Only nodes that fit
+        now or hold reclaimable spot capacity can ever receive a pod, so
+        restricting the views to them is exact.
+        """
+        if self.infeasible(task, pool, track_spot=True):
+            return None
+        views = {n.node_id: self.base_view(n) for n in self.preemption_candidates(task)}
+        owned: Set[str] = set()
+        victims: Dict[str, Task] = {}
+
+        def probe() -> Optional[Tuple[List[PodPlacement], List[str]]]:
+            fitting = {
+                node_id: v for node_id, v in views.items() if v.can_fit_pod(task.gpus_per_pod)
+            }
+            if not fitting or _cheap_infeasibility(task, fitting):
+                return None
+            placements = _greedy_fill(task, fitting, score)
+            if placements is None:
+                return None
+            used = {p.node_id for p in placements}
+            needed = [
+                vid for vid, v in victims.items() if any(p.node_id in used for p in v.placements)
+            ]
+            return placements, needed or list(victims)
+
+        for node in sorted(self.spot_nodes(task), key=node_order):
+            residents = spot_tasks_on_node(node, cluster)
+            if victim_order is not None:
+                residents.sort(key=victim_order)
+            for victim in residents:
+                if victim.task_id in victims:
+                    continue
+                victims[victim.task_id] = victim
+                virtually_preempt_task(views, owned, victim)
+                if probe_per_victim and (found := probe()) is not None:
+                    return found
+            if not probe_per_victim and (found := probe()) is not None:
+                return found
+        self.note_failure(task, pool, track_spot=True)
+        return None
+
+
+def virtually_preempt_task(views: Dict[str, NodeView], owned: Set[str], task: Task) -> Set[str]:
+    """Free ``task`` on every node in ``views`` it occupies (copy on first write).
+
+    Whole-task semantics: a victim spanning several nodes is gone from all
+    of them, so later pods see the reclaimed capacity.  Returns the ids of
+    the nodes written to.
+    """
+    written: Set[str] = set()
     for pod in task.placements:
-        if pod.node_id in seen_nodes:
-            continue
-        seen_nodes.add(pod.node_id)
         view = views.get(pod.node_id)
         if view is not None and task.task_id not in view.preempted:
-            view.virtually_preempt(task)
+            writable_view(views, owned, pod.node_id).virtually_preempt(task)
+            written.add(pod.node_id)
+    return written
 
 
 def spot_tasks_on_node(node: Node, cluster) -> List[Task]:

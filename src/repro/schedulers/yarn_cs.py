@@ -8,18 +8,11 @@ predictive spot quota (spot tasks are admitted whenever idle GPUs exist).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..cluster import Cluster, Node, SchedulingDecision, Task
 from .base import Scheduler
-from .placement import (
-    NodeView,
-    PlacementContext,
-    find_placement,
-    gpus_held_on_node,
-    spot_tasks_on_node,
-    virtually_preempt_task,
-)
+from .placement import NodeView, PlacementContext
 
 
 def best_fit_score(node: Node, view: NodeView, task: Task) -> float:
@@ -60,46 +53,18 @@ class YarnCSScheduler(Scheduler):
         placements = ctx.find_placement(task, score=best_fit_score, pool="yarn-np")
         if placements is not None:
             return SchedulingDecision(placements=placements)
-        if task.is_hp:
-            return self._preemptive_schedule(task, cluster, now, ctx)
-        return None
-
-    # ------------------------------------------------------------------
-    def _preemptive_schedule(
-        self, task: Task, cluster: Cluster, now: float, ctx: PlacementContext
-    ) -> Optional[SchedulingDecision]:
-        """Naive preemption: evict the most recently started spot tasks first."""
-        if ctx.infeasible(task, "yarn-preempt", track_spot=True):
+        if not task.is_hp:
             return None
-        # Only nodes that fit now or hold reclaimable spot capacity can ever
-        # receive a pod; restricting the search set this way is exact.
-        candidates = ctx.preemption_candidates(task)
-        views = ctx.clone_views(candidates)
-        victims: List[str] = []
-        # Preempt node by node (densest spot usage first) until the task fits.
-        spot_nodes = sorted(ctx.spot_nodes(task), key=lambda n: -n.spot_gpus)
-        for node in spot_nodes:
-            spot_candidates = sorted(
-                spot_tasks_on_node(node, cluster),
-                key=lambda t: -(t.run_logs[-1].start if t.run_logs else 0.0),
-            )
-            for victim in spot_candidates:
-                if victim.task_id in victims:
-                    continue
-                virtually_preempt_task(views, victim)
-                victims.append(victim.task_id)
-                placements = find_placement(task, candidates, score=best_fit_score, views=views)
-                if placements is not None:
-                    # Only evict victims whose node actually hosts the task.
-                    used_nodes = {p.node_id for p in placements}
-                    needed = [
-                        vid
-                        for vid in victims
-                        if any(
-                            gpus_held_on_node(cluster.running_tasks[vid], cluster.node(nid)) > 0
-                            for nid in used_nodes
-                        )
-                    ]
-                    return SchedulingDecision(placements=placements, preempted_task_ids=needed or victims)
-        ctx.note_failure(task, "yarn-preempt", track_spot=True)
-        return None
+        # Naive preemption: densest spot usage first, and on each node the
+        # most recently started spot tasks first, until the task fits.
+        found = ctx.evict_until_fit(
+            task,
+            cluster,
+            best_fit_score,
+            pool="yarn-preempt",
+            node_order=lambda n: -n.spot_gpus,
+            victim_order=lambda t: -(t.run_logs[-1].start if t.run_logs else 0.0),
+        )
+        if found is None:
+            return None
+        return SchedulingDecision(placements=found[0], preempted_task_ids=found[1])

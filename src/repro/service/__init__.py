@@ -33,7 +33,7 @@ deadlines, and clients retry safely through ``Idempotency-Key`` headers
 from .client import AsyncServiceClient, ServiceClient, ServiceError
 from .dashboard import DASHBOARD_HTML
 from .server import SchedulerServer
-from .session import SimulationSession, task_from_payload, task_to_payload
+from .session import SimulationSession, task_from_payload
 from .snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -60,5 +60,4 @@ __all__ = [
     "encode_snapshot",
     "parse_sse_stream",
     "task_from_payload",
-    "task_to_payload",
 ]

@@ -3,7 +3,7 @@
 A :class:`SimulationSession` owns one incrementally-stepped
 :class:`~repro.cluster.simulator.ClusterSimulator` plus the JSON codecs
 the HTTP layer needs: task payloads in the exact field vocabulary of
-``Trace.to_records`` (so a trace file row pastes straight into a submit
+``Task.to_record`` (so a trace file row pastes straight into a submit
 request), dynamics injections, live occupancy/quota views and what-if
 placement advice computed on a :meth:`~ClusterSimulator.fork` so the
 live state is never perturbed.
@@ -17,7 +17,7 @@ drive sessions directly, with no event loop in sight.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..cluster.events import DYNAMICS_EVENT_KINDS, DynamicsAction, EventKind
 from ..cluster.gpu import GPUModel
@@ -66,15 +66,14 @@ class SessionError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Task payload codec (the Trace.to_records vocabulary)
+# Task payloads (the ``Task.to_record`` vocabulary, checked at the door)
 # ----------------------------------------------------------------------
 def task_from_payload(payload: Mapping[str, object]) -> Task:
-    """Build a :class:`Task` from a JSON payload.
+    """Build a :class:`Task` from a JSON payload arriving over HTTP.
 
-    Field names and types match ``Trace.to_records`` exactly, so rows
-    from a saved trace file are valid submit payloads as-is.  Only
-    ``task_id``, ``num_pods``, ``gpus_per_pod`` and ``duration`` are
-    required; everything else takes the trace-format defaults.
+    The codec is :meth:`Task.from_record`, so rows from a saved trace
+    file are valid submit payloads as-is; what is added here is the
+    required-field check and :class:`SessionError` for every bad input.
     """
     if not isinstance(payload, Mapping):
         raise SessionError(f"task payload must be an object, got {type(payload).__name__}")
@@ -82,36 +81,9 @@ def task_from_payload(payload: Mapping[str, object]) -> Task:
     if missing:
         raise SessionError(f"task payload missing required fields: {', '.join(missing)}")
     try:
-        return Task(
-            task_id=str(payload["task_id"]),
-            task_type=TaskType(int(payload.get("task_type", int(TaskType.SPOT)))),
-            num_pods=int(payload["num_pods"]),
-            gpus_per_pod=float(payload["gpus_per_pod"]),
-            duration=float(payload["duration"]),
-            submit_time=float(payload.get("submit_time", 0.0)),
-            org=str(payload.get("org", "default")),
-            gpu_model=GPUModel(payload["gpu_model"]) if payload.get("gpu_model") else None,
-            gang=bool(payload.get("gang", False)),
-            checkpoint_interval=float(payload.get("checkpoint_interval", 1800.0)),
-        )
+        return Task.from_record(payload)
     except (TypeError, ValueError) as exc:
         raise SessionError(f"invalid task payload: {exc}") from exc
-
-
-def task_to_payload(task: Task) -> Dict[str, object]:
-    """Serialise a task back to the ``Trace.to_records`` vocabulary."""
-    return {
-        "task_id": task.task_id,
-        "task_type": int(task.task_type),
-        "num_pods": task.num_pods,
-        "gpus_per_pod": task.gpus_per_pod,
-        "duration": task.duration,
-        "submit_time": task.submit_time,
-        "org": task.org,
-        "gpu_model": task.gpu_model.value if task.gpu_model else None,
-        "gang": task.gang,
-        "checkpoint_interval": task.checkpoint_interval,
-    }
 
 
 def _action_from_payload(payload: Mapping[str, object]) -> DynamicsAction:
@@ -193,9 +165,7 @@ class SimulationSession:
             tick_interval=float(merged["tick_interval"]),
             max_time=float(max_time) if max_time is not None else None,
         )
-        self.recorder = Recorder(
-            pass_record_limit=record_limit, tick_sample_limit=record_limit
-        )
+        self.recorder = Recorder(pass_record_limit=record_limit)
         #: live SSE event channel (``None`` when ``stream_backlog=0``);
         #: taps the recorder's deterministic sim channel, so attaching it
         #: cannot perturb the run (zero-observer-effect, tests/test_stream.py)

@@ -4,23 +4,24 @@ A trace is the list of task submissions a simulation replays, together
 with the per-organization demand history the GDE needs for training.  It
 can be round-tripped through plain JSON — or gzip-compressed JSON when
 the path ends in ``.gz`` — so generated and ingested traces can be saved
-next to experiment results.  Writes are atomic (write-to-temp + rename),
+next to experiment results.  Writes are atomic (:mod:`repro.runtime.atomic`),
 so an interrupted save never corrupts an existing trace file.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cluster import GPUModel, Task, TaskType
+from ..cluster import Task
+from ..runtime import atomic_write_bytes
 
 
 def fluid_org_usage(
@@ -185,40 +186,12 @@ class Trace:
         return {
             "metadata": self.metadata,
             "org_history": {k: list(map(float, v)) for k, v in self.org_history.items()},
-            "tasks": [
-                {
-                    "task_id": t.task_id,
-                    "task_type": int(t.task_type),
-                    "num_pods": t.num_pods,
-                    "gpus_per_pod": t.gpus_per_pod,
-                    "duration": t.duration,
-                    "submit_time": t.submit_time,
-                    "org": t.org,
-                    "gpu_model": t.gpu_model.value if t.gpu_model else None,
-                    "gang": t.gang,
-                    "checkpoint_interval": t.checkpoint_interval,
-                }
-                for t in self.tasks
-            ],
+            "tasks": [t.to_record() for t in self.tasks],
         }
 
     @classmethod
     def from_records(cls, records: Dict[str, object]) -> "Trace":
-        tasks = [
-            Task(
-                task_id=r["task_id"],
-                task_type=TaskType(r["task_type"]),
-                num_pods=r["num_pods"],
-                gpus_per_pod=r["gpus_per_pod"],
-                duration=r["duration"],
-                submit_time=r["submit_time"],
-                org=r.get("org", "default"),
-                gpu_model=GPUModel(r["gpu_model"]) if r.get("gpu_model") else None,
-                gang=r.get("gang", False),
-                checkpoint_interval=r.get("checkpoint_interval", 1800.0),
-            )
-            for r in records.get("tasks", [])
-        ]
+        tasks = [Task.from_record(r) for r in records.get("tasks", [])]
         org_history = {
             k: np.asarray(v, dtype=float) for k, v in records.get("org_history", {}).items()
         }
@@ -232,28 +205,22 @@ class Trace:
         """Write the trace as JSON (gzip-compressed when ``path`` ends in
         ``.gz``), atomically.
 
-        The payload goes to a temp file in the same directory first and
-        is renamed into place, so a crash or interrupt mid-write leaves
-        any previous version of the file intact instead of a truncated
-        JSON document.
+        The payload is rendered in memory and handed to
+        :func:`~repro.runtime.atomic_write_bytes` (unique temp file, fsync,
+        rename), so a crash or interrupt mid-write leaves any previous
+        version of the file intact, and concurrent saves of one path
+        cannot share a temp file.
         """
         path = Path(path)
-        payload = json.dumps(self.to_records())
-        tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
-        try:
-            if self._is_gzip_path(path):
-                # Fixed mtime and no embedded filename keep byte-identical
-                # traces byte-identical on disk (content-keyed caching).
-                with tmp.open("wb") as handle:
-                    with gzip.GzipFile(
-                        filename="", fileobj=handle, mode="wb", mtime=0
-                    ) as zipped:
-                        zipped.write(payload.encode("utf-8"))
-            else:
-                tmp.write_text(payload)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        data = json.dumps(self.to_records()).encode("utf-8")
+        if self._is_gzip_path(path):
+            # Fixed mtime and no embedded filename keep byte-identical
+            # traces byte-identical on disk (content-keyed caching).
+            buffer = io.BytesIO()
+            with gzip.GzipFile(filename="", fileobj=buffer, mode="wb", mtime=0) as zipped:
+                zipped.write(data)
+            data = buffer.getvalue()
+        atomic_write_bytes(path, data)
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":

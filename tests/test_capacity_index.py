@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster, GPUModel, PodPlacement, TaskType
 from repro.cluster.gpu import EPSILON
-from repro.schedulers.placement import NodeView, PlacementContext, find_placement
+from repro.schedulers.placement import NodeView, PlacementContext
 from tests.conftest import build_task
+from tests.test_placement import frozen_find_placement
 
 
 @pytest.fixture
@@ -70,7 +71,6 @@ class TestFractionalWholeSharing:
         assert cluster.capacity_index.max_idle_gpus(GPUModel.A100) == 0
         assert cluster.capacity_index.total_idle_gpus(GPUModel.A100) == 0
         task = build_task(TaskType.HP, num_pods=2, gpus_per_pod=1.0)
-        assert find_placement(task, cluster.nodes) is None
         assert PlacementContext(cluster).find_placement(task) is None
 
     def test_gang_gated_on_idle_aggregate_not_free_sum(self, cluster):
@@ -79,10 +79,9 @@ class TestFractionalWholeSharing:
         for node in cluster.nodes:
             node.allocate_pod(build_task(TaskType.HP, gpus_per_pod=6.0))
         task = build_task(TaskType.HP, num_pods=4, gpus_per_pod=2.0)
-        placed = find_placement(task, cluster.nodes)
+        placed = PlacementContext(cluster).find_placement(task)
         assert placed is not None  # 2-GPU pods still fit, one per node
         big = build_task(TaskType.HP, num_pods=4, gpus_per_pod=4.0)
-        assert find_placement(big, cluster.nodes) is None
         assert PlacementContext(cluster).find_placement(big) is None
 
 
@@ -104,7 +103,10 @@ class TestVirtualPreemptEpsilonBoundary:
         view, before_idle = self._preempt(cluster, held)
         assert view.idle_gpus == before_idle
         assert view.free_capacity == pytest.approx(8.0 + held)
-        assert view.reclaimed_gpus == pytest.approx(held)
+        # What the eviction returns is the delta against the untouched node.
+        untouched = NodeView.from_node(view.node)
+        assert view.free_capacity - untouched.free_capacity == pytest.approx(held)
+        assert view.idle_gpus - untouched.idle_gpus == 0
 
     def test_at_whole_boundary_frees_an_idle_card(self, cluster):
         held = 1.0 - EPSILON / 2  # >= 1.0 - EPSILON: rounds to one card
@@ -251,7 +253,7 @@ class TestPlacementContext:
         ctx = PlacementContext(cluster)
         for num_pods, size in ((1, 8.0), (2, 2.0), (1, 0.5), (3, 8.0), (2, 0.25), (5, 8.0)):
             task = build_task(TaskType.HP, num_pods=num_pods, gpus_per_pod=size)
-            assert ctx.find_placement(task, memo=False) == find_placement(task, cluster.nodes)
+            assert ctx.find_placement(task, memo=False) == frozen_find_placement(task, cluster.nodes)
 
     def test_search_does_not_mutate_base_views(self, cluster):
         ctx = PlacementContext(cluster)

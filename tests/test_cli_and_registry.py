@@ -68,6 +68,43 @@ class TestPackage:
         }, builders
         assert ("experiments/engine.py", "build_simulation") in builders
 
+    def test_one_placement_search(self):
+        # Every placement search goes through PlacementContext: no
+        # index-free module-level twin, no clone-everything helper, and the
+        # one loop over a node's spot tasks per search family (the eviction
+        # sweep in placement.py, PTS's per-node plan) — YARN-CS, FGD and
+        # Lyra pass keys to the sweep instead of iterating victims.
+        package = Path(repro.__file__).parent
+        placement = ast.parse((package / "schedulers" / "placement.py").read_text())
+        module_level = {n.name for n in placement.body if isinstance(n, ast.FunctionDef)}
+        assert not module_level & {"find_placement", "filter_nodes", "build_views"}
+        context = next(
+            n for n in placement.body if isinstance(n, ast.ClassDef) and n.name == "PlacementContext"
+        )
+        methods = {n.name for n in context.body if isinstance(n, ast.FunctionDef)}
+        assert {"find_placement", "evict_until_fit"} <= methods and "clone_views" not in methods
+
+        def names(node):
+            return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+        iterating = set()
+        for path in package.rglob("*.py"):
+            source = path.read_text()
+            assert "clone_views" not in source and "views=views" not in source, path
+            tree = ast.parse(source)
+            loops = [n.iter for n in ast.walk(tree) if isinstance(n, (ast.For, ast.comprehension))]
+            # ``for t in spot_tasks_on_node(..)`` or over a name bound to it.
+            bound = {
+                t.id
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Assign) and "spot_tasks_on_node" in names(n.value)
+                for t in n.targets
+                if isinstance(t, ast.Name)
+            }
+            if any(names(it) & ({"spot_tasks_on_node"} | bound) for it in loops):
+                iterating.add(str(path.relative_to(package)))
+        assert iterating == {"schedulers/placement.py", "core/pts/preemptive.py"}, iterating
+
 
 class TestCLI:
     def test_experiment_registry_covers_all_artifacts(self):
@@ -147,6 +184,23 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli.main(["sweep", "--nodes", "8", "--hours", "6",
                       "--schedulers", "NotAScheduler"])
+
+    def test_sweep_resume_needs_an_existing_journal(self, capsys, tmp_path):
+        # A typo after --resume must not start an empty journal and redo the
+        # grid; --journal is the flag that creates one.
+        sweep = ["sweep", "--scenario", "burst", "--nodes", "8", "--hours", "6",
+                 "--schedulers", "YARN-CS"]
+        missing = tmp_path / "typo.journal"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(sweep + ["--resume", str(missing)])
+        assert exit_info.value.code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+        journal = tmp_path / "sweep.journal"
+        assert cli.main(sweep + ["--journal", str(journal)]) == 0
+        assert "1 simulated" in capsys.readouterr().out
+        assert cli.main(sweep + ["--resume", str(journal)]) == 0
+        assert "0 simulated" in capsys.readouterr().out
 
     def test_cli_cache_dir_makes_second_run_incremental(self, capsys, tmp_path):
         argv = ["table9", "--nodes", "8", "--hours", "6",

@@ -34,7 +34,7 @@ from repro.dynamics import (
     get_dynamics,
 )
 from repro.schedulers.base import Scheduler
-from repro.schedulers.placement import find_placement
+from repro.schedulers.placement import PlacementContext
 from tests.conftest import build_task
 
 
@@ -42,7 +42,7 @@ class FirstFitScheduler(Scheduler):
     name = "first-fit"
 
     def try_schedule(self, task, cluster, now, ctx=None):
-        placements = find_placement(task, cluster.nodes)
+        placements = (ctx or PlacementContext(cluster)).find_placement(task)
         if placements is None:
             return None
         return SchedulingDecision(placements=placements)

@@ -109,6 +109,15 @@ def test_pass_record_limit_drops_oldest_deterministically():
     assert rec.dropped_pass_records == 2
     # Aggregates keep counting past the window.
     assert rec.counter_value("sim.passes") == 5.0
+    # The one limit bounds the other sim-channel ring too.
+    for i in range(4):
+        rec.sample_tick(TickSample(float(i), i, 0, 0.0))
+    assert [s.sim_time for s in rec.tick_samples] == [1.0, 2.0, 3.0]
+    assert rec.dropped_tick_samples == 1
+    unbounded = Recorder()
+    for i in range(4):
+        unbounded.sample_tick(TickSample(float(i), i, 0, 0.0))
+    assert len(unbounded.tick_samples) == 4 and unbounded.dropped_tick_samples == 0
 
 
 def test_recorder_snapshot_is_json_shaped():

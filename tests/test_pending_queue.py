@@ -24,7 +24,7 @@ from repro.cluster import (
     run_simulation,
 )
 from repro.schedulers.base import Scheduler
-from repro.schedulers.placement import find_placement
+from repro.schedulers.placement import PlacementContext
 from tests.conftest import build_task
 
 
@@ -32,7 +32,7 @@ class FirstFitScheduler(Scheduler):
     name = "first-fit"
 
     def try_schedule(self, task, cluster, now):
-        placements = find_placement(task, cluster.nodes)
+        placements = PlacementContext(cluster).find_placement(task)
         if placements is None:
             return None
         return SchedulingDecision(placements=placements)

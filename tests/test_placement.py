@@ -1,4 +1,4 @@
-"""Tests for the shared placement machinery (NodeView, find_placement)."""
+"""Tests for the shared placement machinery (NodeView, PlacementContext)."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +12,8 @@ from repro.schedulers.fgd import fgd_score
 from repro.schedulers.placement import (
     NodeView,
     PlacementContext,
-    build_views,
-    filter_nodes,
-    find_placement,
+    _cheap_infeasibility,
+    _greedy_fill,
     gpus_held_on_node,
     spot_tasks_on_node,
     virtually_preempt_task,
@@ -77,33 +76,41 @@ class TestNodeView:
             PodPlacement(node_id=cluster.nodes[0].node_id, gpu_indices=()),
             PodPlacement(node_id=cluster.nodes[1].node_id, gpu_indices=()),
         ]
-        views = {n.node_id: NodeView.from_node(n) for n in cluster.nodes}
-        virtually_preempt_task(views, spot)
+        bases = {n.node_id: NodeView.from_node(n) for n in cluster.nodes}
+        views, owned = dict(bases), set()
+        written = virtually_preempt_task(views, owned, spot)
         assert views[cluster.nodes[0].node_id].idle_gpus == 8
         assert views[cluster.nodes[1].node_id].idle_gpus == 8
+        # Copy on first write: the two nodes written to are private copies,
+        # the views handed in are as they were, the third is still shared.
+        assert written == owned == {n.node_id for n in cluster.nodes[:2]}
+        assert all(bases[n.node_id] == NodeView.from_node(n) for n in cluster.nodes)
+        assert views[cluster.nodes[2].node_id] is bases[cluster.nodes[2].node_id]
+        # Evicting it again writes nothing.
+        assert virtually_preempt_task(views, owned, spot) == set()
 
 
 class TestFindPlacement:
     def test_single_pod_placement(self, cluster):
         task = build_task(TaskType.HP, gpus_per_pod=8.0)
-        placements = find_placement(task, cluster.nodes)
+        placements = PlacementContext(cluster).find_placement(task)
         assert placements is not None
         assert len(placements) == 1
 
     def test_gang_placement_across_nodes(self, cluster):
         task = build_task(TaskType.HP, num_pods=3, gpus_per_pod=8.0)
-        placements = find_placement(task, cluster.nodes)
+        placements = PlacementContext(cluster).find_placement(task)
         assert placements is not None
         assert len({p.node_id for p in placements}) == 3
 
     def test_infeasible_returns_none(self, cluster):
         task = build_task(TaskType.HP, num_pods=4, gpus_per_pod=8.0)
-        assert find_placement(task, cluster.nodes) is None
+        assert PlacementContext(cluster).find_placement(task) is None
 
     def test_default_policy_is_best_fit(self, cluster):
         cluster.nodes[1].allocate_pod(build_task(TaskType.HP, gpus_per_pod=6.0))
         task = build_task(TaskType.HP, gpus_per_pod=2.0)
-        placements = find_placement(task, cluster.nodes)
+        placements = PlacementContext(cluster).find_placement(task)
         assert placements[0].node_id == cluster.nodes[1].node_id
 
     def test_custom_score_preferred(self, cluster):
@@ -113,23 +120,24 @@ class TestFindPlacement:
             return 1.0 if node.node_id == preferred else 0.0
 
         task = build_task(TaskType.HP, gpus_per_pod=1.0)
-        placements = find_placement(task, cluster.nodes, score=score)
+        placements = PlacementContext(cluster).find_placement(task, score=score)
         assert placements[0].node_id == preferred
 
     def test_caller_views_not_mutated(self, cluster):
         task = build_task(TaskType.HP, num_pods=2, gpus_per_pod=8.0)
         views = {n.node_id: NodeView.from_node(n) for n in cluster.nodes}
-        find_placement(task, cluster.nodes, views=views)
+        assert _greedy_fill(task, dict(views), None) is not None
         assert all(v.idle_gpus == 8 for v in views.values())
 
     def test_model_filtering(self, cluster):
         task = build_task(TaskType.HP, gpus_per_pod=1.0, gpu_model=GPUModel.H800)
-        assert filter_nodes(task, cluster.nodes) == []
-        assert find_placement(task, cluster.nodes) is None
+        ctx = PlacementContext(cluster)
+        assert ctx.fit_candidates(task) == ctx.preemption_candidates(task) == []
+        assert ctx.find_placement(task) is None
 
     def test_fractional_pod_placement(self, cluster):
         task = build_task(TaskType.SPOT, gpus_per_pod=0.5)
-        placements = find_placement(task, cluster.nodes)
+        placements = PlacementContext(cluster).find_placement(task)
         assert placements is not None
         assert placements[0].fraction == pytest.approx(0.5)
 
@@ -144,8 +152,10 @@ class TestHelpers:
         assert gpus_held_on_node(spot, cluster.nodes[1]) == 0.0
 
     def test_build_views_covers_all_nodes(self, cluster):
-        views = build_views(cluster.nodes)
+        ctx = PlacementContext(cluster)
+        views = [ctx.base_view(n) for n in cluster.nodes]
         assert len(views) == len(cluster.nodes)
+        assert views == [NodeView.from_node(n) for n in cluster.nodes]
 
 
 # ----------------------------------------------------------------------
@@ -191,8 +201,31 @@ def frozen_context_find_placement(ctx, task, score=None, candidates=None):
     return frozen_greedy_fill(task, view_map, score)
 
 
-def frozen_find_placement(task, nodes, score, views):
-    candidates = filter_nodes(task, nodes)
+def frozen_filter_nodes(task, nodes):
+    return [
+        n
+        for n in nodes
+        if n.available and (task.gpu_model is None or n.gpu_model is task.gpu_model)
+    ]
+
+
+def frozen_virtually_preempt_task(views, task):
+    """The pre-change helper: writes straight into the views it is given."""
+    seen_nodes = set()
+    for pod in task.placements:
+        if pod.node_id in seen_nodes:
+            continue
+        seen_nodes.add(pod.node_id)
+        view = views.get(pod.node_id)
+        if view is not None and task.task_id not in view.preempted:
+            view.virtually_preempt(task)
+
+
+def frozen_find_placement(task, nodes, score=None, views=None):
+    """The deleted index-free scan: linear filter, clone every candidate."""
+    candidates = frozen_filter_nodes(task, nodes)
+    if views is None:
+        views = {n.node_id: NodeView.from_node(n) for n in candidates if n.can_fit_pod(task.gpus_per_pod)}
     view_map = {
         n.node_id: views[n.node_id].clone()
         for n in candidates
@@ -255,15 +288,28 @@ def test_copy_on_assign_search_equals_frozen_cloning_search(num_nodes, ops, sear
         assert ctx.find_placement(task, score=score, candidates=candidates, memo=False) == expected
         assert_base_views_intact(ctx)
 
-        # The index-free entry point over a caller's views (the baselines'
-        # preemption sweeps): same answer, the caller's views only read.
-        views = ctx.clone_views(cluster.nodes)
+        # The indexed search == the deleted index-free scan over the nodes.
+        if not subset:
+            assert expected == frozen_find_placement(task, cluster.nodes, score)
+
+        # The eviction sweep's probe (copy-on-write victims, then the greedy
+        # fill over the views that fit) == the scan over clone-everything
+        # views written to in place; the sweep's views are only read.
+        views, owned = {n.node_id: ctx.base_view(n) for n in cluster.nodes}, set()
+        frozen_views = {n.node_id: ctx.base_view(n).clone() for n in cluster.nodes}
         for victim in list(cluster.running_tasks.values())[:2]:
-            virtually_preempt_task(views, victim)
+            virtually_preempt_task(views, owned, victim)
+            frozen_virtually_preempt_task(frozen_views, victim)
+        assert views == frozen_views
         before = {node_id: view.clone() for node_id, view in views.items()}
-        expected = frozen_find_placement(task, cluster.nodes, score, views)
-        assert find_placement(task, cluster.nodes, score=score, views=views) == expected
+        expected = frozen_find_placement(task, cluster.nodes, score, frozen_views)
+        fitting = {k: v for k, v in views.items() if v.can_fit_pod(task.gpus_per_pod)}
+        probe = None
+        if fitting and not _cheap_infeasibility(task, fitting):
+            probe = _greedy_fill(task, fitting, score)
+        assert probe == expected
         assert views == before
+        assert_base_views_intact(ctx)
 
 
 def test_pod_one_ulp_under_a_whole_gpu_is_whole_everywhere(cluster):
@@ -287,7 +333,7 @@ def test_pod_one_ulp_under_a_whole_gpu_is_whole_everywhere(cluster):
         assert node.can_fit_pod(size) == view.can_fit_pod(size) == (node.idle_gpus >= 1)
     ctx = PlacementContext(cluster)
     assert ctx.fit_candidates(task) == ctx.view_fit_candidates(task) == cluster.nodes[:2]
-    placements = non_preemptive_placement(task, None, 0.0, ScoringConfig(), ctx=ctx)
+    placements = non_preemptive_placement(task, ctx, 0.0, ScoringConfig())
     assert [p.node_id for p in placements] == [cluster.nodes[0].node_id]
     assert len(cluster.nodes[0].allocate_pod(task)) == 1
     assert cluster.nodes[0].idle_gpus == 0

@@ -101,18 +101,18 @@ class TestScoring:
 class TestNonPreemptive:
     def test_places_all_pods_or_none(self, cluster):
         config = ScoringConfig()
-        ok = non_preemptive_placement(build_task(TaskType.HP, num_pods=4, gpus_per_pod=8.0), cluster.nodes, 0.0, config)
+        ok = non_preemptive_placement(build_task(TaskType.HP, num_pods=4, gpus_per_pod=8.0), PlacementContext(cluster), 0.0, config)
         assert ok is not None and len(ok) == 4
-        too_big = non_preemptive_placement(build_task(TaskType.HP, num_pods=5, gpus_per_pod=8.0), cluster.nodes, 0.0, config)
+        too_big = non_preemptive_placement(build_task(TaskType.HP, num_pods=5, gpus_per_pod=8.0), PlacementContext(cluster), 0.0, config)
         assert too_big is None
 
     def test_colocation_prefers_same_type_node(self, cluster):
         config = ScoringConfig()
         run_on(cluster, build_task(TaskType.HP, gpus_per_pod=4.0), 0)
         run_on(cluster, build_task(TaskType.SPOT, gpus_per_pod=4.0), 1)
-        placements = non_preemptive_placement(build_task(TaskType.SPOT, gpus_per_pod=2.0), cluster.nodes, 0.0, config)
+        placements = non_preemptive_placement(build_task(TaskType.SPOT, gpus_per_pod=2.0), PlacementContext(cluster), 0.0, config)
         assert placements[0].node_id == cluster.nodes[1].node_id
-        placements = non_preemptive_placement(build_task(TaskType.HP, gpus_per_pod=2.0), cluster.nodes, 0.0, config)
+        placements = non_preemptive_placement(build_task(TaskType.HP, gpus_per_pod=2.0), PlacementContext(cluster), 0.0, config)
         assert placements[0].node_id == cluster.nodes[0].node_id
 
     def test_circuit_breaker_excludes_node_for_spot(self, cluster):
@@ -121,7 +121,7 @@ class TestNonPreemptive:
         for i in range(50):
             bad_node.record_eviction(100.0 + i)
         run_on(cluster, build_task(TaskType.SPOT, gpus_per_pod=7.0), 0)  # most packed node
-        placements = non_preemptive_placement(build_task(TaskType.SPOT, gpus_per_pod=1.0), cluster.nodes, 200.0, config)
+        placements = non_preemptive_placement(build_task(TaskType.SPOT, gpus_per_pod=1.0), PlacementContext(cluster), 200.0, config)
         assert placements[0].node_id != bad_node.node_id
 
 
@@ -207,16 +207,10 @@ class TestNonPreemptiveMatchesBruteForce:
                 expected = brute_force_placement(
                     task, cluster.nodes, self.NOW, config, use_colocation, use_eviction_awareness
                 )
-                scanned = non_preemptive_placement(
-                    task, cluster.nodes, self.NOW, config,
-                    use_colocation=use_colocation, use_eviction_awareness=use_eviction_awareness,
-                )
                 indexed = non_preemptive_placement(
-                    task, None, self.NOW, config,
+                    task, PlacementContext(cluster), self.NOW, config,
                     use_colocation=use_colocation, use_eviction_awareness=use_eviction_awareness,
-                    ctx=PlacementContext(cluster),
                 )
-                assert scanned == expected
                 assert indexed == expected
 
     def test_scenarios_cover_breaker_gangs_and_failures(self):
@@ -228,7 +222,7 @@ class TestNonPreemptiveMatchesBruteForce:
             config = ScoringConfig(penalty=60.0)
             tripped += sum(circuit_breaker_active(n, self.NOW, config) for n in cluster.nodes)
             gang = build_task(TaskType.SPOT, num_pods=4, gpus_per_pod=4.0)
-            placements = non_preemptive_placement(gang, cluster.nodes, self.NOW, config)
+            placements = non_preemptive_placement(gang, PlacementContext(cluster), self.NOW, config)
             if placements is None:
                 unplaceable += 1
             elif len({p.node_id for p in placements}) > 1:
@@ -249,7 +243,7 @@ class TestPreemptive:
         run_on(cluster, build_task(TaskType.HP, gpus_per_pod=8.0), 2)
         run_on(cluster, build_task(TaskType.HP, gpus_per_pod=8.0), 3)
         result = preemptive_placement(
-            build_task(TaskType.HP, gpus_per_pod=8.0), cluster.nodes, cluster, now,
+            build_task(TaskType.HP, gpus_per_pod=8.0), PlacementContext(cluster), cluster, now,
             beta=0.5, total_gpu_seconds=1e6,
         )
         assert result is not None
@@ -261,7 +255,7 @@ class TestPreemptive:
         for i in range(4):
             run_on(cluster, build_task(TaskType.HP, gpus_per_pod=8.0), i)
         result = preemptive_placement(
-            build_task(TaskType.HP, gpus_per_pod=8.0), cluster.nodes, cluster, 0.0,
+            build_task(TaskType.HP, gpus_per_pod=8.0), PlacementContext(cluster), cluster, 0.0,
             beta=0.5, total_gpu_seconds=1e6,
         )
         assert result is None
@@ -269,7 +263,7 @@ class TestPreemptive:
     def test_spot_task_cannot_use_preemptive_path(self, cluster):
         with pytest.raises(ValueError):
             preemptive_placement(
-                build_task(TaskType.SPOT), cluster.nodes, cluster, 0.0, beta=0.5, total_gpu_seconds=1.0
+                build_task(TaskType.SPOT), PlacementContext(cluster), cluster, 0.0, beta=0.5, total_gpu_seconds=1.0
             )
 
     def test_multi_pod_preemption(self, cluster):
@@ -277,7 +271,7 @@ class TestPreemptive:
         for i in range(4):
             run_on(cluster, build_task(TaskType.SPOT, gpus_per_pod=8.0, duration=7200.0), i, start=now - 1000.0)
         result = preemptive_placement(
-            build_task(TaskType.HP, num_pods=2, gpus_per_pod=8.0), cluster.nodes, cluster, now,
+            build_task(TaskType.HP, num_pods=2, gpus_per_pod=8.0), PlacementContext(cluster), cluster, now,
             beta=0.5, total_gpu_seconds=1e6,
         )
         assert result is not None
@@ -348,7 +342,7 @@ def frozen_non_preemptive_placement(
     task, nodes, now, config, use_colocation=True, use_eviction_awareness=True, ctx=None
 ):
     if ctx is not None:
-        view_map = ctx.clone_views(ctx.view_fit_candidates(task))
+        view_map = {n.node_id: ctx.base_view(n).clone() for n in ctx.view_fit_candidates(task)}
     else:
         candidates = [
             n for n in (nodes or ()) if task.gpu_model is None or n.gpu_model is task.gpu_model
@@ -412,7 +406,7 @@ def frozen_preemptive_placement(
 ):
     if ctx is not None:
         candidates = ctx.preemption_candidates(task)
-        views = ctx.clone_views(candidates)
+        views = {n.node_id: ctx.base_view(n).clone() for n in candidates}
     else:
         candidates = [
             n for n in (nodes or ()) if task.gpu_model is None or n.gpu_model is task.gpu_model
@@ -556,18 +550,17 @@ def test_placing_without_cloning_equals_the_frozen_cloning_searches(
         )
         expected = frozen_non_preemptive_placement(task, cluster.nodes, NOW, config, **switches)
         assert expected == frozen_non_preemptive_placement(task, None, NOW, config, ctx=ctx, **switches)
-        assert non_preemptive_placement(task, cluster.nodes, NOW, config, **switches) == expected
-        assert non_preemptive_placement(task, None, NOW, config, ctx=ctx, **switches) == expected
+        assert non_preemptive_placement(task, ctx, NOW, config, **switches) == expected
         if task.is_hp:
             common = dict(beta=0.5, total_gpu_seconds=1e6, random_selection=random_selection)
             expected = frozen_preemptive_placement(
                 task, cluster.nodes, cluster, NOW, rng=random.Random(7), **common
             )
-            for entry in (dict(nodes=cluster.nodes), dict(nodes=None, ctx=ctx)):
-                got = preemptive_placement(
-                    task, cluster=cluster, now=NOW, rng=random.Random(7), **common, **entry
-                )
-                assert got == expected
+            assert expected == frozen_preemptive_placement(
+                task, None, cluster, NOW, rng=random.Random(7), ctx=ctx, **common
+            )
+            got = preemptive_placement(task, ctx, cluster, NOW, rng=random.Random(7), **common)
+            assert got == expected
         for node in cluster.nodes:
             assert ctx.base_view(node) == NodeView.from_node(node)
 

@@ -34,7 +34,6 @@ from repro.service.session import (
     SessionError,
     SimulationSession,
     task_from_payload,
-    task_to_payload,
 )
 from tests.conftest import service_server, task_payload as _payload
 
@@ -68,8 +67,8 @@ def _reference_metrics(waves) -> str:
 def test_task_payload_codec_roundtrip():
     payload = _payload("codec-001", 120.0, hp=True)
     task = task_from_payload(payload)
-    assert task_to_payload(task) == {**payload, "gang": False, "gpu_model": None,
-                                     "checkpoint_interval": 1800.0}
+    assert task.to_record() == {**payload, "gang": False, "gpu_model": None,
+                                "checkpoint_interval": 1800.0}
 
 
 def test_task_payload_rejects_missing_fields_and_bad_values():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import RunLog, TaskState, TaskType, generate_checkpoints
+from repro.cluster import GPUModel, RunLog, Task, TaskState, TaskType, generate_checkpoints
 from tests.conftest import build_task
 
 
@@ -54,6 +54,30 @@ class TestTaskBasics:
         b = build_task(TaskType.SPOT)
         assert len({a, b}) == 2
         assert a != b
+
+    def test_record_codec_roundtrip_defaults_and_errors(self):
+        task = build_task(TaskType.HP, num_pods=2, gpus_per_pod=0.5, gpu_model=GPUModel.H800)
+        record = task.to_record()
+        assert list(record) == [
+            "task_id", "task_type", "num_pods", "gpus_per_pod", "duration", "submit_time",
+            "org", "gpu_model", "gang", "checkpoint_interval",
+        ]
+        assert record["task_type"] == int(TaskType.HP) and record["gpu_model"] == "H800"
+        assert Task.from_record(record).to_record() == record
+        # Four required fields; the rest take the trace-format defaults, and
+        # values arrive as JSON scalars of any numeric type.
+        minimal = Task.from_record({"task_id": 7, "num_pods": 1, "gpus_per_pod": 1, "duration": 60})
+        assert minimal.to_record() == {
+            "task_id": "7", "task_type": int(TaskType.SPOT), "num_pods": 1, "gpus_per_pod": 1.0,
+            "duration": 60.0, "submit_time": 0.0, "org": "default", "gpu_model": None,
+            "gang": False, "checkpoint_interval": 1800.0,
+        }
+        with pytest.raises(KeyError):
+            Task.from_record({"task_id": "x"})
+        with pytest.raises(ValueError):
+            Task.from_record({**record, "num_pods": "many"})
+        with pytest.raises(ValueError):
+            Task.from_record({**record, "gpu_model": "no-such-card"})
 
     def test_describe_mentions_type_and_state(self):
         task = build_task(TaskType.HP)

@@ -6,11 +6,16 @@ atomic-write / deterministic-ordering satellites get targeted checks.
 """
 
 import gzip
+import hashlib
 import json
+import os
+import threading
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster import GPUModel
+from repro.cluster.task import reset_task_counter
 from repro.workloads import Trace, generate_trace
 
 # ----------------------------------------------------------------------
@@ -134,6 +139,68 @@ class TestSaveSemantics:
         except KeyboardInterrupt:
             pass
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json.gz"]
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_save_interrupted_while_writing_preserves_previous_file(self, tmp_path, monkeypatch, step):
+        # The rendered payload is on its way to disk (temp file written, not
+        # yet renamed) when the interrupt lands.
+        path = tmp_path / "t.json.gz"
+        generate_trace(128.0, duration_hours=4.0, seed=1).save(path)
+        before = path.read_bytes()
+
+        def explode(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, step, explode)
+        with pytest.raises(KeyboardInterrupt):
+            generate_trace(128.0, duration_hours=4.0, seed=2).save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json.gz"]
+
+    def test_saved_bytes_equal_the_parent_writer(self, tmp_path):
+        # The pre-change writer streamed gzip into a private temp file; the
+        # payload is now rendered in memory.  Same bytes either way, and the
+        # plain-JSON form is pinned to the parent commit's SHA-256.
+        reset_task_counter()
+        trace = generate_trace(128.0, duration_hours=4.0, seed=1)
+        payload = json.dumps(trace.to_records())
+        frozen = tmp_path / "frozen.json.gz"
+        with frozen.open("wb") as handle:
+            with gzip.GzipFile(filename="", fileobj=handle, mode="wb", mtime=0) as zipped:
+                zipped.write(payload.encode("utf-8"))
+        trace.save(tmp_path / "t.json.gz")
+        trace.save(tmp_path / "t.json")
+        assert (tmp_path / "t.json.gz").read_bytes() == frozen.read_bytes()
+        assert (tmp_path / "t.json").read_text() == payload
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+            "e8b99a807d8c0cab70f5a114216ac6a1aba62e941fb3c5da1f58d9e95cfbe8ba"
+        )
+
+    def test_two_threads_saving_one_path_leave_a_loadable_file(self, tmp_path):
+        # One process, one path: the old temp name (``.name.tmp.<pid>``) was
+        # shared by both writers; each save now has a temp file of its own.
+        path = tmp_path / "t.json.gz"
+        traces = [generate_trace(128.0, duration_hours=4.0, seed=seed) for seed in (1, 2)]
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def save(trace):
+            try:
+                barrier.wait()
+                for _ in range(10):
+                    trace.save(path)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save, args=(t,)) for t in traces]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert Trace.load(path).to_records() in [t.to_records() for t in traces]
         assert [p.name for p in tmp_path.iterdir()] == ["t.json.gz"]
 
     def test_plain_json_stays_plain(self, tmp_path):
