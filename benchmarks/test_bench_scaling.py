@@ -213,7 +213,7 @@ class LegacyClusterSimulator(ClusterSimulator):
             self.scheduler.on_tick(self.cluster, self.now, list(self.pending))
         pending_before = len(self.pending)
         self._schedule_pending()
-        has_other_events = any(e.kind is not EventKind.QUOTA_TICK for e in self._events)
+        has_other_events = any(kind is not EventKind.QUOTA_TICK for _, kind, *_ in self._events)
         stuck = (
             bool(self.pending)
             and not self.cluster.running_tasks

@@ -61,11 +61,12 @@ class DynamicsAction:
     online: bool = False
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """A scheduled simulator event (heap entry).
+    """A scheduled simulator event.
 
-    Heap order is ``(time, kind, tiebreak, seq)``.  ``tiebreak`` is the
+    Heaped as ``(time, kind, tiebreak, seq, event)``: ``heapq`` compares
+    the key in C, and ``seq`` is unique, so never the event.  ``tiebreak`` is the
     task id for ``TASK_ARRIVAL`` events and empty for every other kind:
     simultaneous arrivals are processed in task-id order — the same
     tie-break :meth:`~repro.workloads.trace.Trace.sorted_tasks` applies —

@@ -59,7 +59,7 @@ import itertools
 import pickle
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.recorder import NULL_RECORDER, EventLoopCounters, PassRecord, TickSample
 from .cluster import Cluster
@@ -192,7 +192,8 @@ class ClusterSimulator:
         #: parity suite asserts bit-identical metrics either way.
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.now: float = 0.0
-        self._events: List[Event] = []
+        #: heap of ``(time, kind, tiebreak, seq, event)``, compared in C
+        self._events: List[Tuple[float, EventKind, str, int, Event]] = []
         self._seq = itertools.count()
         #: indexed waiting queue (insertion-ordered, O(1) membership/removal)
         self.pending: PendingQueue = PendingQueue()
@@ -251,13 +252,14 @@ class ClusterSimulator:
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        """Restore from pickle, migrating pre-obs snapshots.
+        """Restore from pickle, migrating older snapshots.
 
         Snapshots taken before the observability layer carry plain
         ``_task_events`` / ``_dynamics_events`` / ``_tick_events`` ints
         and no ``obs`` attribute; fold the ints into an
-        :class:`~repro.obs.EventLoopCounters` and attach the null recorder
-        so old snapshots keep round-tripping.
+        :class:`~repro.obs.EventLoopCounters` and attach the null recorder.
+        A heap of bare ``Event`` objects (snapshots before the tuple keys)
+        is wrapped entry by entry in place: same order, still a heap.
         """
         if "_event_counts" not in state:
             state["_event_counts"] = EventLoopCounters(
@@ -265,6 +267,9 @@ class ClusterSimulator:
                 dynamics_events=int(state.pop("_dynamics_events", 0)),
                 tick_events=int(state.pop("_tick_events", 0)),
             )
+        events = state.get("_events")
+        if events and isinstance(events[0], Event):
+            state["_events"] = [(e.time, e.kind, e.tiebreak, e.seq, e) for e in events]
         state.setdefault("obs", NULL_RECORDER)
         self.__dict__.update(state)
 
@@ -278,21 +283,12 @@ class ClusterSimulator:
         tiebreak: str = "",
     ) -> None:
         self._event_counts.count(kind is EventKind.QUOTA_TICK, kind in DYNAMICS_EVENT_KINDS, +1)
-        heapq.heappush(
-            self._events,
-            Event(
-                time=time,
-                kind=kind,
-                tiebreak=tiebreak,
-                seq=next(self._seq),
-                task=task,
-                epoch=epoch,
-                payload=payload,
-            ),
-        )
+        seq = next(self._seq)
+        event = Event(time, kind, tiebreak, seq, task, epoch, payload)
+        heapq.heappush(self._events, (time, kind, tiebreak, seq, event))
 
     def _pop(self) -> Event:
-        event = heapq.heappop(self._events)
+        event = heapq.heappop(self._events)[4]
         kind = event.kind
         self._event_counts.count(kind is EventKind.QUOTA_TICK, kind in DYNAMICS_EVENT_KINDS, -1)
         return event
@@ -378,11 +374,11 @@ class ClusterSimulator:
             return True
         if not self._events:
             return True
-        head = self._events[0]
-        if self.config.max_time is not None and head.time > self.config.max_time:
+        head_time, head_kind = self._events[0][:2]
+        if self.config.max_time is not None and head_time > self.config.max_time:
             return True
         return (
-            head.kind in DYNAMICS_EVENT_KINDS
+            head_kind in DYNAMICS_EVENT_KINDS
             and self._event_counts.task_events == 0
             and not self.pending
             and not self.cluster.running_tasks
@@ -402,7 +398,7 @@ class ClusterSimulator:
             return
         self._started = True
         self._inject_dynamics()
-        first_time = self._events[0].time if self._events else self.now
+        first_time = self._events[0][0] if self._events else self.now
         self.now = first_time
         self._capacity_accrued_until = first_time
         if hasattr(self.scheduler, "on_simulation_start"):
@@ -427,10 +423,10 @@ class ClusterSimulator:
         processed = 0
         rec = self.obs
         while self._events:
-            head = self._events[0]
-            if until is not None and head.time > until:
+            head_time, head_kind = self._events[0][:2]
+            if until is not None and head_time > until:
                 break
-            if self.config.max_time is not None and head.time > self.config.max_time:
+            if self.config.max_time is not None and head_time > self.config.max_time:
                 self._time_capped = True
                 break
             # A fault schedule can stretch far past the trace: once no task
@@ -438,7 +434,7 @@ class ClusterSimulator:
             # future arrivals/finishes), trailing dynamics events cannot
             # affect any result and are abandoned unprocessed.
             if (
-                head.kind in DYNAMICS_EVENT_KINDS
+                head_kind in DYNAMICS_EVENT_KINDS
                 and self._event_counts.task_events == 0
                 and not self.pending
                 and not self.cluster.running_tasks

@@ -84,8 +84,16 @@ def content_key(payload: object, version: int = CACHE_VERSION) -> str:
 # Metrics (de)serialisation — full fidelity, unlike ``as_dict``
 # ----------------------------------------------------------------------
 def metrics_to_payload(metrics: SimulationMetrics) -> Dict[str, object]:
-    """Serialise a metrics bundle losslessly to JSON-able structures."""
-    return dataclasses.asdict(metrics)
+    """Serialise a metrics bundle losslessly to JSON-able structures: equal to
+    ``dataclasses.asdict(metrics)`` (lists copied, never aliased) without its
+    per-float ``deepcopy``, as the fields are scalars, lists and dataclasses."""
+    payload: Dict[str, object] = {}
+    for f in dataclasses.fields(metrics):
+        value = getattr(metrics, f.name)
+        if dataclasses.is_dataclass(value):
+            value = metrics_to_payload(value)
+        payload[f.name] = list(value) if isinstance(value, list) else value
+    return payload
 
 
 def metrics_from_payload(payload: Mapping[str, object]) -> SimulationMetrics:

@@ -17,6 +17,7 @@ drive sessions directly, with no event loop in sight.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Mapping, Optional, Sequence
 
 from ..cluster.events import DYNAMICS_EVENT_KINDS, DynamicsAction, EventKind
@@ -26,6 +27,7 @@ from ..cluster.task import Task, TaskType
 from ..experiments.config import ExperimentScale
 from ..experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
 from ..obs import Recorder, render_recorder
+from ..schedulers.registry import available_schedulers
 from ..workloads.scenarios import get_scenario
 from .stream import SessionStream
 
@@ -152,11 +154,22 @@ class SimulationSession:
             )
             record_limit = merged["pass_record_limit"]
             record_limit = None if record_limit in (None, 0) else int(record_limit)
-            if record_limit is not None and record_limit < 1:
-                raise ValueError("pass_record_limit must be >= 1 (or 0/null for unbounded)")
             stream_backlog = int(merged["stream_backlog"])
-            if stream_backlog < 0:
-                raise ValueError("stream_backlog must be >= 0 (0 disables streaming)")
+            scale = job.scale  # refused by name here, not by build_simulation
+            for name, ok, want in (
+                ("num_nodes", scale.num_nodes >= 1, "at least 1"),
+                ("gpus_per_node", scale.gpus_per_node >= 1, "at least 1"),
+                ("duration_hours", 0.0 < scale.duration_hours < math.inf, "positive and finite"),
+                ("spot_scale", 0.0 <= job.workload.spot_scale < math.inf, "non-negative and finite"),
+                ("scheduler", job.scheduler.kind.lower() in available_schedulers(),
+                 f"one of {available_schedulers()}"),
+                ("pass_record_limit", record_limit is None or record_limit >= 1,
+                 "at least 1 (or 0/null for unbounded)"),
+                ("stream_backlog", stream_backlog >= 0, "at least 0 (0 disables streaming)"),
+            ):
+                if not ok:
+                    raise ValueError(f"{name}={merged[name]!r} must be {want}")
+            job.resolved_dynamics()  # KeyError naming an unknown dynamics preset
         except (KeyError, ValueError) as exc:
             raise SessionError(f"invalid session parameters: {exc}") from exc
 

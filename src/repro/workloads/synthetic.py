@@ -19,6 +19,7 @@ simulation scale.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,18 +35,35 @@ from .organizations import (
 from .trace import Trace, fluid_org_usage
 
 
-@dataclass
+def choice_cdf(probabilities: Sequence[float]) -> Tuple[float, ...]:
+    """The cdf ``Generator.choice(n, p=probabilities)`` builds and searches:
+    ``bisect_right(cdf, rng.random())`` draws what ``choice`` draws, with
+    the same stream, and raises on the same negative or non-finite input."""
+    p = np.asarray(probabilities, dtype=float)
+    if not np.isfinite(p).all() or (p < 0).any():
+        raise ValueError(f"probabilities must be finite and non-negative, got {p.tolist()}")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
+@dataclass(frozen=True)
 class GPUSizeDistribution:
-    """Distribution over requested GPUs per pod (one column group of Table 3)."""
+    """Distribution over requested GPUs per pod (one column group of Table 3);
+    frozen, its :func:`choice_cdf` built once."""
 
     #: (gpus_per_pod, probability); fractional sizes model <1 card requests
     sizes: Sequence[Tuple[float, float]]
 
+    def __post_init__(self) -> None:
+        sizes = tuple((s, p) for s, p in self.sizes)
+        probs = np.array([p for _, p in sizes], dtype=float)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "_values", tuple(float(s) for s, _ in sizes))
+        object.__setattr__(self, "_cdf", choice_cdf(probs / probs.sum()))
+
     def sample(self, rng: np.random.Generator) -> float:
-        values = [s for s, _ in self.sizes]
-        probs = np.array([p for _, p in self.sizes], dtype=float)
-        probs = probs / probs.sum()
-        return float(rng.choice(values, p=probs))
+        return self._values[bisect_right(self._cdf, rng.random())]
 
 
 #: Table 3, HP row: <1: 0.11%, 1: 55.11%, 2: 13.37%, 4: 7.53%, 8: 23.69%.
@@ -217,13 +235,13 @@ class SyntheticTraceGenerator:
         tasks: List[Task] = []
         for hour in range(hours):
             count = self._rng.poisson(per_hour[hour])
-            weights = self._org_weights_at(hour, org_demand)
+            org_cdf = choice_cdf(self._org_weights_at(hour, org_demand))
             for _ in range(count):
                 submit = hour * 3600.0 + float(self._rng.uniform(0.0, 3600.0))
                 if submit >= horizon:
                     continue
                 num_pods, gpus_per_pod, gang = self._sample_task_shape(distribution, gang_fraction)
-                org = self.organizations[int(self._rng.choice(len(self.organizations), p=weights))]
+                org = self.organizations[bisect_right(org_cdf, self._rng.random())]
                 tasks.append(
                     make_task(
                         task_type=task_type,

@@ -1,12 +1,13 @@
 """Tests for the content-keyed artifact cache and grid exports."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
-from repro.cluster import SimulationMetrics, TaskClassMetrics
+from repro.cluster import ReliabilityMetrics, SimulationMetrics, TaskClassMetrics
 from repro.experiments import (
     ArtifactCache,
     content_key,
@@ -69,6 +70,39 @@ class TestMetricsRoundTrip:
         )
         assert math.isnan(rebuilt.hp.jct_mean)
         assert math.isnan(rebuilt.allocation_rate_mean)
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [
+            pytest.param(SimulationMetrics(), id="nan-means-empty-series"),
+            pytest.param(sample_metrics(), id="populated"),
+            pytest.param(
+                SimulationMetrics(
+                    hp=TaskClassMetrics(count=1, jct_mean=3.0),
+                    reliability=ReliabilityMetrics(
+                        node_failures=2, node_repairs=1, node_drains=3, capacity_changes=4,
+                        tasks_killed=5, hp_tasks_killed=1, restarts_per_task=0.125,
+                        lost_gpu_hours=1.5, goodput_gpu_hours=40.25, paid_gpu_hours=64.0,
+                    ),
+                    allocation_rate_series=[0.1 * i for i in range(50)],
+                    allocation_sample_times=[300.0 * i for i in range(50)],
+                ),
+                id="reliability-counts",
+            ),
+        ],
+    )
+    def test_payload_is_dataclasses_asdict_without_aliasing(self, metrics):
+        """The field walk replaced ``dataclasses.asdict``: the same dict, the
+        same JSON text, and lists of its own."""
+        payload = metrics_to_payload(metrics)
+        reference = dataclasses.asdict(metrics)
+        assert payload == reference
+        assert json.dumps(payload) == json.dumps(reference)
+        before = json.dumps(dataclasses.asdict(metrics))
+        payload["allocation_rate_series"].append(1.0)
+        payload["allocation_sample_times"].clear()
+        payload["hp"]["count"] = -1
+        assert json.dumps(dataclasses.asdict(metrics)) == before
 
 
 class TestArtifactCache:

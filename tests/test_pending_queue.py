@@ -231,13 +231,12 @@ class TestStaleEpochsAndCutoff:
         sim.run()
         from repro.cluster.events import DYNAMICS_EVENT_KINDS, EventKind
 
+        kinds = [kind for _, kind, *_ in sim._events]
         task_events = sum(
-            1
-            for e in sim._events
-            if e.kind is not EventKind.QUOTA_TICK and e.kind not in DYNAMICS_EVENT_KINDS
+            1 for k in kinds if k is not EventKind.QUOTA_TICK and k not in DYNAMICS_EVENT_KINDS
         )
-        ticks = sum(1 for e in sim._events if e.kind is EventKind.QUOTA_TICK)
-        dynamics = sum(1 for e in sim._events if e.kind in DYNAMICS_EVENT_KINDS)
+        ticks = sum(1 for k in kinds if k is EventKind.QUOTA_TICK)
+        dynamics = sum(1 for k in kinds if k in DYNAMICS_EVENT_KINDS)
         assert sim._event_counts.task_events == task_events
         assert sim._event_counts.tick_events == ticks
         assert sim._event_counts.dynamics_events == dynamics

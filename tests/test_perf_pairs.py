@@ -67,6 +67,25 @@ def test_tool_against_its_own_tree_at_smoke_sizes(capsys, monkeypatch):
     assert rows == [[workload, metric] for workload in workloads for metric in metrics]
 
 
+def test_layers_against_its_own_tree_at_smoke_sizes(capsys, monkeypatch):
+    """A/A of ``--layers``: every per-layer row printed once, no work row flagged."""
+    for knob in [k for k in os.environ if k.startswith(("REPRO_BENCH_", "REPRO_VALIDATE_"))]:
+        monkeypatch.delenv(knob)
+    workloads = ["sweep_small_cells", "service_session"]
+    status = perf_pairs.main(
+        ["--parent", str(REPO_ROOT), "--smoke", "--layers", "11", "--workloads", *workloads]
+    )
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert status == 0 and lines[-1] == "verdict: work rows equal, nothing failed"
+    assert not [line for line in lines if "FLAG" in line or line.startswith("PROBLEM")]
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    rows = [line.split()[:2] for line in lines if " -> " in line]
+    assert rows == [[workload, m["name"]] for workload in workloads for m in declared]
+    # the work rows of a smoke run are non-trivial: equal means compared
+    counts = {line.split()[1]: float(line.split()[2]) for line in lines if line.startswith("sweep")}
+    assert counts["cluster.simulator.events"] > 0 and counts["experiments.engine.job_pickle_bytes"] > 0
+
+
 def test_unknown_workload_and_missing_runner_are_refused(tmp_path):
     with pytest.raises(SystemExit):
         perf_pairs.main(["--parent", str(REPO_ROOT), "--workloads", "nope"])

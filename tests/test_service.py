@@ -211,6 +211,32 @@ def test_http_session_lifecycle_and_errors():
     asyncio.run(body())
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("scheduler", "nope"),  # was a KeyError out of build_simulation: 500
+        ("dynamics", "nope"),  # likewise
+        ("num_nodes", -3),  # was "a cluster needs at least one node": 500
+        ("duration_hours", -2.0),  # was numpy's "negative dimensions": 500
+        ("duration_hours", 0.0),  # was accepted: a NaN arrival profile, an empty trace
+        ("spot_scale", -1.0),  # was accepted
+    ],
+)
+def test_invalid_session_parameter_is_a_400_naming_it(name, value):
+    async def body():
+        async with service_server() as (server, client):
+            live = (await client.create_session(**PARAMS))["session_id"]
+            with pytest.raises(ServiceError) as err:
+                await client.create_session(**{**PARAMS, name: value})
+            assert err.value.status == 400
+            assert name in err.value.message
+            # The connection and the session created before are still live.
+            assert [s["session_id"] for s in await client.list_sessions()] == [live]
+            assert (await client.advance(live, until=600.0))["session_id"] == live
+
+    asyncio.run(body())
+
+
 @pytest.mark.parametrize("transport", ["asyncio", "http.client"])
 def test_client_lifecycle_on_both_transports(transport):
     """One API surface: the same calls, awaited, drive either transport —

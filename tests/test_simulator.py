@@ -1,6 +1,12 @@
 """Unit and integration tests for the discrete-event simulator."""
 
+import heapq
+from dataclasses import dataclass, field
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Cluster,
@@ -14,6 +20,7 @@ from repro.cluster import (
     TaskType,
     run_simulation,
 )
+from repro.cluster.events import EventKind
 from repro.schedulers import YarnCSScheduler
 from repro.schedulers.base import Scheduler
 from repro.schedulers.placement import PlacementContext
@@ -246,3 +253,45 @@ class TestUnpicklableScheduler:
         assert fork.finalize().unfinished_tasks == 0
         assert sim.finalize().unfinished_tasks == 1
         assert fork.scheduler.policy is not scheduler.policy
+
+
+# ----------------------------------------------------------------------
+# The event heap: tuple keys pop in the order the dataclass ordering did
+# ----------------------------------------------------------------------
+@dataclass(order=True)
+class _OrderedEvent:
+    """``Event`` when it ordered the heap itself (frozen verbatim)."""
+
+    time: float
+    kind: EventKind
+    tiebreak: str = ""
+    seq: int = 0
+    task: Optional[object] = field(default=None, compare=False)
+    epoch: int = field(default=0, compare=False)
+    payload: Optional[object] = field(default=None, compare=False)
+
+
+_push = st.tuples(
+    st.sampled_from([0.0, 1.0, 2.5, 3600.0]),  # few times: heavy ties
+    st.sampled_from(list(EventKind)),
+    st.sampled_from(["", "a", "b", "task-00001"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(st.one_of(_push, st.just("pop")), max_size=80))
+def test_heap_pop_order_matches_the_ordered_dataclass_heap(ops):
+    sim = ClusterSimulator(Cluster.homogeneous(1, 8, GPUModel.A100), FirstFitScheduler())
+    frozen, seq = [], 0
+    popped_new, popped_old = [], []
+    for op in ops + ["pop"] * len(ops):
+        if op != "pop":
+            time, kind, tiebreak = op
+            sim._push(time, kind, tiebreak=tiebreak)
+            heapq.heappush(frozen, _OrderedEvent(time, kind, tiebreak, seq))
+            seq += 1
+        elif frozen:
+            event, old = sim._pop(), heapq.heappop(frozen)
+            popped_new.append((event.time, event.kind, event.tiebreak, event.seq))
+            popped_old.append((old.time, old.kind, old.tiebreak, old.seq))
+    assert popped_new == popped_old and not sim._events

@@ -461,6 +461,49 @@ def test_store_file_holding_a_level6_envelope_recovers_and_continues(tmp_path):
     assert_metrics_identical(revived.sim.finalize(), witness.sim.finalize(), "recovered session")
 
 
+def _bare_event_heap_snapshot(sim: ClusterSimulator) -> bytes:
+    """``sim``'s snapshot as builds before the tuple-keyed heap pickled it.
+
+    Their heap held bare ``Event``s ordered by the dataclass's own
+    ``(time, kind, tiebreak, seq)``; unwrapping each entry keeps the list
+    order, which is therefore a heap under that ordering too.
+    """
+    copy_ = ClusterSimulator.restore(sim.snapshot())
+    copy_._events = [entry[-1] for entry in copy_._events]
+    return copy_.snapshot()
+
+
+def test_bare_event_heap_snapshot_restores_and_continues():
+    sim = build_sim("gfs", "node_churn")
+    sim.advance(until=DURATION_HOURS * 1800.0)
+    old = _bare_event_heap_snapshot(sim)
+    restored = ClusterSimulator.restore(old)
+    assert len(restored._events) == len(sim._events) > 0
+    for time, kind, tiebreak, seq, event in restored._events:
+        assert (time, kind, tiebreak, seq) == (event.time, event.kind, event.tiebreak, event.seq)
+    restored.advance()
+    sim.advance()
+    assert_metrics_identical(restored.finalize(), sim.finalize(), "bare-Event heap")
+
+
+def test_store_file_holding_a_bare_event_heap_recovers_and_continues(tmp_path):
+    params = {"scheduler": "gfs", "num_nodes": 8, "duration_hours": 4.0,
+              "spot_scale": 2.0, "seed": 5, "preload": True}
+    witness = SimulationSession(params, session_id="session-0001")
+    witness.advance(until=5400.0)
+    store = SessionStore(tmp_path)
+    store.save("session-0001", witness.params, encode_snapshot(_bare_event_heap_snapshot(witness.sim)))
+
+    report = store.recover()
+    assert not report.quarantined and len(report.recovered) == 1
+    stored = report.recovered[0]
+    revived = SimulationSession.from_stored(stored.params, stored.session_id, stored.snapshot)
+    assert all(isinstance(entry, tuple) for entry in revived.sim._events)
+    for session in (witness, revived):
+        session.advance()
+    assert_metrics_identical(revived.sim.finalize(), witness.sim.finalize(), "recovered session")
+
+
 @pytest.mark.parametrize("write", [encode_snapshot, _level6_envelope], ids=["level1", "level6"])
 @pytest.mark.parametrize(
     "mutilate, match",

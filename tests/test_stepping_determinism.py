@@ -251,7 +251,7 @@ def test_past_timestamped_submission_is_clamped_to_now():
     sim.advance(until=3600.0)
     stale = build_task(duration=600.0, submit_time=0.0, gpus_per_pod=1.0, task_id="stale-task")
     sim.submit(stale)
-    assert sim._events[0].time >= sim.now  # the clock never runs backwards
+    assert sim._events[0][0] >= sim.now  # the clock never runs backwards
     sim.advance()
     assert stale.finish_time is not None
     assert stale.first_start_time >= 3600.0

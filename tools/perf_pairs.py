@@ -2,6 +2,7 @@
 
     python3 tools/perf_pairs.py --parent /path/to/parent-checkout
     python3 tools/perf_pairs.py --parent . --smoke --seeds 11        # A/A, CI
+    python3 tools/perf_pairs.py --parent /path/to/parent-checkout --layers 11
 
 For every workload ``BENCHMARK.json`` declares and every seed, runs
 ``benchmarks/perf/run.py --workload W --seed S --trace 0`` once in each
@@ -17,10 +18,19 @@ and its quartile spread within ``bound`` x the parent's median.  Below
 ten pairs the numbers are printed and neither rule is applied: one pair
 of this box's runs differs by more than most bounds.
 
+``--layers SEED`` is the per-layer evidence behind a pair set: one
+``--trace 1`` run per tree and workload at ``SEED``, every per-layer row
+printed as parent -> change with its ratio.  A ``count`` or ``bytes`` row
+that differs is flagged for a reader to explain: a speed-only change
+moves times, not work — but a few such rows count what fits in the time
+budget (``service.requests``) or a format that changed on purpose.
+
 Each tree runs its own ``benchmarks/perf`` (a change may not edit it, so
 they are the same program); the workloads, metrics and bounds are read
-from this tree's ``BENCHMARK.json``.  Nothing is written.  Exit status 0
-unless a run failed, a pair's digests differ or something is worse.
+from this tree's ``BENCHMARK.json``.  Nothing is written but the span
+file a traced run leaves in each tree's git-ignored
+``benchmarks/perf/out/``.  Exit status 0 unless a run failed, a pair's
+digests differ or something is worse.
 """
 
 from __future__ import annotations
@@ -41,14 +51,36 @@ DEFAULT_SEEDS = tuple(range(11, 21))
 MIN_PAIRS, MIN_WIN_SHARE = 10, 0.9
 
 
-def run_once(tree: Path, workload: str, seed: int, smoke: bool) -> Tuple[Dict[str, object], List[str]]:
+#: per-layer units that measure work, not time: equal in a speed-only change
+WORK_UNITS = ("count", "bytes")
+
+
+def run_once(
+    tree: Path, workload: str, seed: int, smoke: bool, trace: int = 0
+) -> Tuple[Dict[str, object], List[str]]:
     """One benchmark run in ``tree``: its verdict object and its digest lines."""
-    command = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    command = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     if smoke:
         command.append("--smoke")
     proc = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[-1]), [line for line in lines if line.startswith("digest ")]
+
+
+def run_pair(
+    trees: Dict[str, Path], workload: str, seed: int, smoke: bool, trace: int, change_first: bool,
+    problems: List[str],
+) -> Dict[str, Dict[str, object]]:
+    """One run per tree, back to back: each side's verdict object.  Appends
+    to ``problems`` a run that failed operations and digests that differ."""
+    verdicts, digests = {}, {}
+    for side in ("change", "parent") if change_first else ("parent", "change"):
+        verdicts[side], digests[side] = run_once(trees[side], workload, seed, smoke, trace)
+        if not verdicts[side]["correct"] or verdicts[side]["failed"]:
+            problems.append(f"{workload} seed {seed} {side}: {verdicts[side]['failed']} failed operations")
+    if digests["parent"] != digests["change"] or not digests["parent"]:
+        problems.append(f"{workload} seed {seed}: digests differ {digests}")
+    return verdicts
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -90,12 +122,47 @@ def compare(metric: Dict[str, object], parent: Sequence[float], change: Sequence
     }
 
 
+def layers(
+    declared: Sequence[Dict[str, object]], workloads: Sequence[str], trees: Dict[str, Path], seed: int, smoke: bool
+) -> int:
+    """``--layers``: one traced run per tree and workload, every per-layer row side by side."""
+    problems: List[str] = []
+    flags: List[str] = []
+    for workload in workloads:
+        verdicts = run_pair(trees, workload, seed, smoke, 1, False, problems)
+        for metric in declared:
+            name, unit = metric["name"], metric["unit"]
+            old, new = (float(verdicts[side]["metrics"][name]["value"]) for side in ("parent", "change"))
+            flagged = unit in WORK_UNITS and old != new
+            print(
+                f"{workload:<18} {name:<44} {old:>14.6g} -> {new:<14.6g} {unit:<6}"
+                + (f" x{new / old:.3f}" if old else "")
+                + (" FLAG" if flagged else "")
+            )
+            if flagged:
+                flags.append(f"{workload}/{name}: {unit} {old:g} -> {new:g}")
+    for flag in flags:
+        print("FLAG " + flag)
+    for problem in problems:
+        print("PROBLEM " + problem)
+    print(
+        "verdict: "
+        + (f"{len(flags)} work rows differ" if flags else "work rows equal")
+        + ", "
+        + (f"{len(problems)} problems" if problems else "nothing failed")
+    )
+    return 1 if problems else 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
     parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
     parser.add_argument("--smoke", action="store_true", help="tiny sizes: checks the tool, measures nothing")
+    parser.add_argument(
+        "--layers", type=int, metavar="SEED", help="instead of pairs: one traced run per tree at SEED"
+    )
     args = parser.parse_args(argv)
 
     catalog = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
@@ -106,21 +173,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     trees = {"parent": args.parent.resolve(), "change": REPO_ROOT}
     if not (trees["parent"] / RUNNER).is_file():
         parser.error(f"{trees['parent']} has no {RUNNER}")
+    if args.layers is not None:
+        return layers(catalog["per_layer"], workloads, trees, args.layers, args.smoke)
 
     failures: List[str] = []
     gains: List[str] = []
     for workload in workloads:
         values: Dict[str, Dict[str, List[float]]] = {side: {} for side in trees}
         for index, seed in enumerate(args.seeds):
-            digests = {}
-            for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
-                verdict, digests[side] = run_once(trees[side], workload, seed, args.smoke)
-                if not verdict["correct"] or verdict["failed"]:
-                    failures.append(f"{workload} seed {seed} {side}: {verdict['failed']} failed operations")
+            verdicts = run_pair(trees, workload, seed, args.smoke, 0, index % 2 == 1, failures)
+            for side, verdict in verdicts.items():
                 for name, entry in verdict["metrics"].items():
                     values[side].setdefault(name, []).append(float(entry["value"]))
-            if digests["parent"] != digests["change"] or not digests["parent"]:
-                failures.append(f"{workload} seed {seed}: digests differ {digests}")
             print(f"pair {workload} seed {seed}: " + "  ".join(
                 f"{name} {values['parent'][name][-1]:.4g} -> {values['change'][name][-1]:.4g}"
                 for name in values["parent"]
