@@ -94,9 +94,9 @@ perf-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<checkout of the parent commit>"; exit 2; }
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) $(PAIRS_ARGS)
 
-## YARN-CS / FGD / Lyra on 45 eviction-heavy cells (3 families x 5
-## scenarios x 3 seeds, ~45 s) in a checkout of the parent commit and in
-## this tree: every cell's metrics must have the same content key.
+## YARN-CS / FGD / Lyra / PTS / GFS on 75 eviction-heavy cells (5 families
+## x 5 scenarios x 3 seeds, ~75 s) in a checkout of the parent commit and
+## in this tree: every cell's metrics must have the same content key.
 baseline-diff:
 	@test -n "$(PARENT)" || { echo "usage: make baseline-diff PARENT=<checkout of the parent commit>"; exit 2; }
 	$(PYTHON) tools/baseline_differential.py --parent $(PARENT)

@@ -49,7 +49,8 @@ class _ModelIndex:
     __slots__ = ("idle_buckets", "max_idle", "total_idle", "free", "frac", "spot")
 
     def __init__(self, max_gpus: int):
-        #: idle-card count -> {node_id: Node}
+        #: idle-card count -> {node_id: Node}; one bucket per count up to the
+        #: largest node ever inserted, so ``len - 1`` bounds every node's size
         self.idle_buckets: List[Dict[str, Node]] = [dict() for _ in range(max_gpus + 1)]
         self.max_idle: int = 0
         #: sum of completely idle cards across the model's nodes
@@ -61,13 +62,10 @@ class _ModelIndex:
         #: nodes with spot-held GPUs (spot_gpus > 0)
         self.spot: Dict[str, Node] = {}
 
-    def _grow(self, idle: int) -> None:
-        while len(self.idle_buckets) <= idle:
-            self.idle_buckets.append(dict())
-
     def insert(self, node: Node) -> None:
         idle = node.idle_gpus
-        self._grow(idle)
+        while len(self.idle_buckets) <= node.num_gpus:
+            self.idle_buckets.append(dict())
         self.idle_buckets[idle][node.node_id] = node
         self.total_idle += idle
         if idle > self.max_idle:
@@ -84,7 +82,6 @@ class _ModelIndex:
         new_idle = node.idle_gpus
         if new_idle != old_idle:
             del self.idle_buckets[old_idle][node.node_id]
-            self._grow(new_idle)
             self.idle_buckets[new_idle][node.node_id] = node
             self.total_idle += new_idle - old_idle
             if new_idle > self.max_idle:
@@ -260,6 +257,25 @@ class CapacityIndex:
             for bucket in ix.idle_buckets[whole:]:
                 found.extend(bucket.values())
         return self._ordered(found)
+
+    def idle_levels(
+        self, model: Optional[GPUModel], start: int
+    ) -> Tuple[int, List[List[Dict[str, Node]]]]:
+        """The idle-card buckets of ``model`` from ``start`` cards up.
+
+        ``(size, levels)``: ``levels[i]`` lists the walked models' buckets
+        (the index's own: read only) with exactly ``start + i`` idle cards;
+        ``size`` is the largest node, so a node in ``levels[i:]`` has at
+        most ``1 - (start + i) / size`` of its cards in use.
+        """
+        size, levels = 0, []
+        for ix in self._indexes_for(model):
+            size = max(size, len(ix.idle_buckets) - 1)
+            for i, bucket in enumerate(ix.idle_buckets[start : ix.max_idle + 1]):
+                if i == len(levels):
+                    levels.append([])
+                levels[i].append(bucket)
+        return size, levels
 
     def node_fit_candidates(
         self, model: Optional[GPUModel], gpus_per_pod: float

@@ -7,12 +7,12 @@ breaker), then ranked by the lexicographic score tuple
 cannot be placed the whole task fails (gang semantics) and no state is
 mutated — the simulator only materialises returned decisions.
 
-The candidate set comes from the cluster's capacity index through the
-:class:`~repro.schedulers.placement.PlacementContext` (only nodes that can
-host at least one pod right now) instead of a scan over every
-model-compatible node; a node that cannot host a pod at pass time can never
-become feasible during the task's own greedy loop, so the restriction is
-exact.
+A node's key only grows as pods land on it, so the per-pod argmax fills
+nodes in their initial key order.  Score 1 (Eq. 13) of a node with ``b``
+idle cards is at most ``1 - b / S_max``, so the walk reaches the capacity
+index's idle buckets in ascending ``b`` and fills a node only once its
+Score 1 beats that bound of every bucket not reached yet: nodes it never
+reaches are never scored.  Candidates are ``view_fit_candidates``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ...cluster import PodPlacement, Task
-from ...cluster.gpu import EPSILON, is_fractional_pod
-from ...schedulers.placement import PlacementContext
+from ...schedulers.placement import PlacementContext, pod_demand
 from .scoring import ScoringConfig, eviction_penalty, eviction_terms
 
 
@@ -34,53 +33,53 @@ def non_preemptive_placement(
     use_eviction_awareness: bool = True,
 ) -> Optional[List[PodPlacement]]:
     """Algorithm 1: place every pod of ``task`` without preempting anyone."""
-    views = [ctx.base_view(n) for n in ctx.view_fit_candidates(task)]
-
-    # A whole-GPU pod consumes (and Score 1 ranks) idle cards, a fractional
-    # pod free capacity: either way one number per node, and the views are
-    # only read.  A pod fits while ``capacity + slack >= need``.
+    # A whole-GPU pod consumes (and Score 1 ranks) idle cards, a fractional one free capacity.
     gpus_per_pod = task.gpus_per_pod
-    fractional = is_fractional_pod(gpus_per_pod)
-    need = gpus_per_pod if fractional else int(round(gpus_per_pod))
-    slack = EPSILON if fractional else 0
+    fractional, need, slack = pod_demand(gpus_per_pod)
     breaker_applies = task.is_spot and not fractional
     task_type = task.task_type
-
     # Within one call ``now``, the eviction histories and the nodes' real
-    # HP/spot allocation are fixed: the circuit breaker, Score 2 (Eq. 14)
-    # and Score 3 (Eqs. 15-16) are evaluated once per node that can host a
-    # pod; only feasibility and Score 1 follow the tentative assignments.
-    # A node without eviction history has penalty exactly 0.0.
+    # HP/spot allocation are fixed.  A node without eviction history has
+    # penalty exactly 0.0.
     calm = eviction_terms(0.0, task) if use_eviction_awareness else (False, 0.0)
-    rows = []
-    for view in views:
-        capacity = view.free_capacity if fractional else view.idle_gpus
-        if capacity + slack < need:
-            continue
-        node = view.node
-        if use_eviction_awareness and node.eviction_history:
-            broken, s3 = eviction_terms(eviction_penalty(node, now, config), task)
-        else:
-            broken, s3 = calm
-        if broken and breaker_applies:
-            continue
-        total = node.num_gpus
-        s2 = node.allocated_gpus_by_type(task_type) / total if use_colocation and total > 0 else 0.0
-        rows.append([capacity, total, s2, s3, node.node_id])
 
+    run: list = []  # (s1, s2, s3, node_id, capacity) of reached nodes, best last
     placements: List[PodPlacement] = []
-    for _ in range(task.num_pods):
-        chosen = chosen_key = None
-        for row in rows:
-            capacity, total, s2, s3, node_id = row
-            if capacity + slack < need:
-                continue
-            # Score 1 (Eq. 13): fewer idle GPUs rank higher.
-            key = (1.0 - capacity / total if total > 0 else 0.0, s2, s3, node_id)
-            if chosen is None or key > chosen_key:
-                chosen, chosen_key = row, key
-        if chosen is None:
-            return None
-        chosen[0] -= need
-        placements.append(PodPlacement(node_id=chosen[4], gpu_indices=(), fraction=gpus_per_pod))
-    return placements
+
+    def fill(bound: float) -> bool:
+        """Fill the reached nodes whose Score 1 beats ``bound``; True once the gang is placed."""
+        while run and run[-1][0] > bound:
+            _, _, _, node_id, capacity = run.pop()
+            while capacity + slack >= need:
+                capacity -= need
+                placements.append(PodPlacement(node_id, (), gpus_per_pod))
+                if len(placements) == task.num_pods:
+                    return True
+        return False
+
+    start = 0 if fractional else need
+    size, levels = ctx.index.idle_levels(task.gpu_model, start)
+    for idle, buckets in enumerate(levels, start):
+        # Every node from this bucket on has ``idle`` idle cards or more.
+        if fill(1.0 - idle / size):
+            return placements
+        for bucket in buckets:
+            for node in bucket.values():
+                capacity = idle
+                if fractional:
+                    capacity = node.free_capacity
+                    if capacity + slack < need or capacity <= 0.0:
+                        continue
+                if use_eviction_awareness and node.eviction_history:
+                    broken, s3 = eviction_terms(eviction_penalty(node, now, config), task)
+                else:
+                    broken, s3 = calm
+                if broken and breaker_applies:
+                    continue
+                total = node.num_gpus  # a node has at least one card
+                s2 = node.allocated_gpus_by_type(task_type) / total if use_colocation else 0.0
+                # Score 1 (Eq. 13): fewer idle GPUs rank higher; ties to the larger id.
+                run.append((1.0 - capacity / total, s2, s3, node.node_id, capacity))
+        run.sort()
+    # Score 1 is never negative: what is left of ``run`` can all be filled.
+    return placements if fill(-1.0) else None

@@ -101,6 +101,17 @@ class NodeView:
         self.preempted.add(task.task_id)
 
 
+def pod_demand(gpus_per_pod: float) -> Tuple[bool, float, float]:
+    """``(fractional, need, slack)``: ``NodeView.can_fit_pod`` worked out once.
+
+    A pod fits while ``capacity + slack >= need``, ``capacity`` being the
+    free capacity for a fractional pod and the idle cards otherwise.
+    """
+    if is_fractional_pod(gpus_per_pod):
+        return True, gpus_per_pod, EPSILON
+    return False, int(round(gpus_per_pod)), 0
+
+
 def freed_by_preempting(task: Task, node: Node) -> Tuple[int, float]:
     """``(idle cards, free capacity)`` that evicting ``task`` returns on ``node``."""
     gpus_here = gpus_held_on_node(task, node)
@@ -140,6 +151,16 @@ def _cheap_infeasibility(task: Task, view_map: Dict[str, NodeView]) -> bool:
     return False
 
 
+def _fitting(view_map: Dict[str, NodeView], gpus_per_pod: float) -> Dict[str, NodeView]:
+    """The views one pod fits on: ``NodeView.can_fit_pod``, its test worked out once."""
+    fractional, need, slack = pod_demand(gpus_per_pod)
+    return {
+        node_id: v
+        for node_id, v in view_map.items()
+        if (v.free_capacity if fractional else v.idle_gpus) + slack >= need
+    }
+
+
 def _greedy_fill(
     task: Task,
     view_map: Dict[str, NodeView],
@@ -153,9 +174,7 @@ def _greedy_fill(
     placements: List[PodPlacement] = []
     owned: Set[str] = set()
     for _ in range(task.num_pods):
-        feasible = [
-            v for v in view_map.values() if v.can_fit_pod(task.gpus_per_pod)
-        ]
+        feasible = _fitting(view_map, task.gpus_per_pod).values()
         if not feasible:
             return None
         if score is None:
@@ -238,10 +257,6 @@ class PlacementContext:
     def fit_candidates(self, task: Task) -> List[Node]:
         """Nodes that can host one pod now (``Node.can_fit_pod`` semantics)."""
         return self.index.node_fit_candidates(task.gpu_model, task.gpus_per_pod)
-
-    def view_fit_candidates(self, task: Task) -> List[Node]:
-        """Nodes that can host one pod now (``NodeView`` aggregate semantics)."""
-        return self.index.view_fit_candidates(task.gpu_model, task.gpus_per_pod)
 
     def spot_nodes(self, task: Task) -> List[Node]:
         """Nodes holding spot GPUs the task's model could reclaim."""
@@ -357,9 +372,7 @@ class PlacementContext:
         victims: Dict[str, Task] = {}
 
         def probe() -> Optional[Tuple[List[PodPlacement], List[str]]]:
-            fitting = {
-                node_id: v for node_id, v in views.items() if v.can_fit_pod(task.gpus_per_pod)
-            }
+            fitting = _fitting(views, task.gpus_per_pod)
             if not fitting or _cheap_infeasibility(task, fitting):
                 return None
             placements = _greedy_fill(task, fitting, score)

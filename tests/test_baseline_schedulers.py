@@ -379,7 +379,7 @@ def test_sweep_scenarios_cover_gangs_fractions_subsets_and_failures():
 
 def test_differential_tool_against_its_own_tree(capsys):
     """``tools/baseline_differential.py`` A/A on a small grid: every cell
-    equal, every family evicting (the 45-cell run takes a parent checkout)."""
+    equal, every family evicting (the 75-cell run takes a parent checkout)."""
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
         "baseline_differential", root / "tools" / "baseline_differential.py"
@@ -389,4 +389,4 @@ def test_differential_tool_against_its_own_tree(capsys):
     status = tool.main(["--parent", str(root), "--nodes", "8", "--hours", "6", "--seeds", "1"])
     out = capsys.readouterr().out
     assert status == 0, out
-    assert "15 cells, 0 differ" in out
+    assert "25 cells, 0 differ" in out

@@ -190,6 +190,20 @@ def test_indexed_candidates_equal_brute_force(data):
             if n.spot_gpus > 0.0 and (model is None or n.gpu_model is model)
         ]
         assert index.spot_nodes(model) == spot_want
+        members = [n for n in cluster.nodes if model is None or n.gpu_model is model]
+        for start in (0, 1, 3):
+            size, levels = index.idle_levels(model, start)
+            assert size == max((n.num_gpus for n in members), default=0)
+            want = {}
+            for n in members:
+                if n.idle_gpus >= start:
+                    want.setdefault(n.idle_gpus, set()).add(n.node_id)
+            walked = {
+                start + i: {node_id for bucket in buckets for node_id in bucket}
+                for i, buckets in enumerate(levels)
+            }
+            assert {b: ids for b, ids in walked.items() if ids} == want
+            assert start + len(levels) - 1 == max(want, default=start - 1)
 
 
 # ----------------------------------------------------------------------
@@ -260,3 +274,19 @@ class TestPlacementContext:
         task = build_task(TaskType.HP, num_pods=2, gpus_per_pod=8.0)
         assert ctx.find_placement(task) is not None
         assert all(ctx.base_view(n).idle_gpus == 8 for n in cluster.nodes)
+
+
+def test_idle_levels_size_counts_nodes_busy_when_indexed():
+    """The bound's node size covers a larger node that joined with cards in use."""
+    from repro.cluster import Node
+
+    busy = Node(node_id="big", gpu_model=GPUModel.A100, num_gpus=8)
+    task = build_task(TaskType.HP, gpus_per_pod=6.0)
+    busy.allocate_pod(task)
+    cluster = Cluster([Node(node_id="small", gpu_model=GPUModel.A100, num_gpus=4), busy])
+    index = cluster.capacity_index
+    assert index.idle_levels(GPUModel.A100, 0)[0] == 8
+    busy.release_task(task.task_id)
+    size, levels = index.idle_levels(None, 5)
+    assert size == 8
+    assert [[list(b) for b in buckets] for buckets in levels] == [[[]], [[]], [[]], [["big"]]]

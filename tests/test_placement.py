@@ -332,7 +332,8 @@ def test_pod_one_ulp_under_a_whole_gpu_is_whole_everywhere(cluster):
         view = NodeView.from_node(node)
         assert node.can_fit_pod(size) == view.can_fit_pod(size) == (node.idle_gpus >= 1)
     ctx = PlacementContext(cluster)
-    assert ctx.fit_candidates(task) == ctx.view_fit_candidates(task) == cluster.nodes[:2]
+    view_fit = ctx.index.view_fit_candidates(task.gpu_model, size)
+    assert ctx.fit_candidates(task) == view_fit == cluster.nodes[:2]
     placements = non_preemptive_placement(task, ctx, 0.0, ScoringConfig())
     assert [p.node_id for p in placements] == [cluster.nodes[0].node_id]
     assert len(cluster.nodes[0].allocate_pod(task)) == 1

@@ -1,13 +1,24 @@
 """Tests for the Preemptive Task Scheduler: scoring, Algorithms 1-3."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster, ClusterSimulator, GPUModel, PodPlacement, TaskState, TaskType
+from repro.cluster import (
+    Cluster,
+    ClusterSimulator,
+    GPUModel,
+    Node,
+    PodPlacement,
+    TaskState,
+    TaskType,
+)
+from repro.cluster.gpu import EPSILON
 from repro.cluster.task import RunLog
 from repro.core.pts import (
     PTSConfig,
@@ -126,8 +137,17 @@ class TestNonPreemptive:
 
 
 def brute_force_placement(task, nodes, now, config, use_colocation, use_eviction_awareness):
-    """Algorithm 1 spelled out: every pod re-ranks every node from scratch."""
-    views = [NodeView.from_node(node) for node in nodes]
+    """Algorithm 1 spelled out: every pod re-ranks every node from scratch.
+
+    Candidates are the nodes of the task's model with some free capacity
+    (which a pod at or below EPSILON would otherwise "fit" on a full node).
+    """
+    views = [
+        NodeView.from_node(node)
+        for node in nodes
+        if (task.gpu_model is None or node.gpu_model is task.gpu_model)
+        and node.free_capacity > 0.0
+    ]
     placements = []
     for _ in range(task.num_pods):
         feasible = [
@@ -165,13 +185,33 @@ def brute_force_placement(task, nodes, now, config, use_colocation, use_eviction
     return placements
 
 
+#: two GPU models, and tiny fractional pods: EPSILON and one below it
+MODELS = (GPUModel.A100, GPUModel.H800)
+TINY_PODS = (EPSILON, EPSILON / 10)
+
+
+def mixed_cluster(shapes):
+    """A cluster of ``(model, cards)`` nodes, in that order."""
+    return Cluster(
+        Node(node_id=f"n{i:02d}", gpu_model=model, num_gpus=cards)
+        for i, (model, cards) in enumerate(shapes)
+    )
+
+
 class TestNonPreemptiveMatchesBruteForce:
-    """Scoring each node once per call changes no placement."""
+    """Walking the idle buckets in Score-1 order changes no placement."""
 
     NOW = 200_000.0
 
     def _random_cluster(self, rng):
-        cluster = Cluster.homogeneous(rng.randint(3, 8), 8, GPUModel.A100)
+        # 8-40 nodes, so that the walk skips buckets; one or two GPU models,
+        # each of 4-card nodes, 8-card nodes or both.
+        sizes = {m: rng.choice([(4,), (8,), (4, 8)]) for m in MODELS[: rng.randint(1, 2)]}
+        models = list(sizes)
+        cluster = mixed_cluster(
+            (model, rng.choice(sizes[model]))
+            for model in (rng.choice(models) for _ in range(rng.randint(8, 40)))
+        )
         for node in cluster.nodes:
             for _ in range(rng.randint(0, 4)):
                 resident = build_task(
@@ -197,11 +237,13 @@ class TestNonPreemptiveMatchesBruteForce:
         # it on every node with a recent eviction.
         config = ScoringConfig(gamma=rng.choice([0.5, 0.8]), penalty=rng.choice([3.0, 20.0, 60.0]))
         switches = list(itertools.product([True, False], repeat=2))
+        models = sorted({n.gpu_model for n in cluster.nodes})
         for _ in range(12):
             task = build_task(
                 rng.choice([TaskType.HP, TaskType.SPOT]),
                 num_pods=rng.randint(1, 5),
-                gpus_per_pod=rng.choice([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]),
+                gpus_per_pod=rng.choice((0.25, 0.5, 1.0, 2.0, 4.0, 8.0) + TINY_PODS),
+                gpu_model=rng.choice([None] + models),
             )
             for use_colocation, use_eviction_awareness in switches:
                 expected = brute_force_placement(
@@ -342,10 +384,14 @@ def frozen_non_preemptive_placement(
     task, nodes, now, config, use_colocation=True, use_eviction_awareness=True, ctx=None
 ):
     if ctx is not None:
-        view_map = {n.node_id: ctx.base_view(n).clone() for n in ctx.view_fit_candidates(task)}
+        fit = ctx.index.view_fit_candidates(task.gpu_model, task.gpus_per_pod)
+        view_map = {n.node_id: ctx.base_view(n).clone() for n in fit}
     else:
+        # Only nodes with free capacity are candidates (see ``brute_force_placement``).
         candidates = [
-            n for n in (nodes or ()) if task.gpu_model is None or n.gpu_model is task.gpu_model
+            n
+            for n in (nodes or ())
+            if (task.gpu_model is None or n.gpu_model is task.gpu_model) and n.free_capacity > 0.0
         ]
         view_map = {n.node_id: NodeView.from_node(n) for n in candidates}
     if not view_map:
@@ -451,29 +497,34 @@ def frozen_preemptive_placement(
 NOW = 200_000.0
 POD_SIZES = (0.25, 0.4, 0.5, 1.0, 2.0, 4.0, 8.0)
 
-#: (node, pods, size, spot?, seconds since start, checkpoint interval) or an eviction
-cluster_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("run"),
-            st.integers(0, 5),
-            st.integers(1, 3),
-            st.sampled_from(POD_SIZES[:6]),
-            st.booleans(),
-            st.floats(0.0, 7000.0),
-            st.sampled_from([600.0, 1800.0, 7200.0]),
+
+def cluster_ops_on(last_node):
+    """(node, pods, size, spot?, seconds since start, checkpoint interval) or an eviction."""
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("run"),
+                st.integers(0, last_node),
+                st.integers(1, 3),
+                st.sampled_from(POD_SIZES[:6]),
+                st.booleans(),
+                st.floats(0.0, 7000.0),
+                st.sampled_from([600.0, 1800.0, 7200.0]),
+            ),
+            st.tuples(st.just("evict"), st.integers(0, last_node)),
+            # Evictions older than both windows, in the 24 h one, in the last hour.
+            st.tuples(
+                st.just("record"),
+                st.integers(0, last_node),
+                st.sampled_from([120_000.0, 40_000.0, 3_000.0, 900.0, 30.0]),
+                st.integers(1, 12),
+            ),
         ),
-        st.tuples(st.just("evict"), st.integers(0, 5)),
-        # Evictions older than both windows, in the 24 h one, in the last hour.
-        st.tuples(
-            st.just("record"),
-            st.integers(0, 5),
-            st.sampled_from([120_000.0, 40_000.0, 3_000.0, 900.0, 30.0]),
-            st.integers(1, 12),
-        ),
-    ),
-    max_size=40,
-)
+        max_size=40,
+    )
+
+
+cluster_ops = cluster_ops_on(5)
 
 
 def start_running(cluster, task, hosts, age):
@@ -563,6 +614,90 @@ def test_placing_without_cloning_equals_the_frozen_cloning_searches(
             assert got == expected
         for node in cluster.nodes:
             assert ctx.base_view(node) == NodeView.from_node(node)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.sampled_from(MODELS), st.sampled_from([4, 8])), min_size=8, max_size=40
+    ),
+    ops=cluster_ops_on(39),
+    packed=st.booleans(),
+    tasks=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(1, 5),
+            st.sampled_from(POD_SIZES + TINY_PODS),
+            st.sampled_from((None,) + MODELS),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    penalty=st.sampled_from([3.0, 20.0, 60.0]),
+    use_colocation=st.booleans(),
+    use_eviction_awareness=st.booleans(),
+)
+def test_bucket_walk_equals_the_frozen_per_pod_argmax(
+    shapes, ops, packed, tasks, penalty, use_colocation, use_eviction_awareness
+):
+    """Mixed 4/8-card nodes of two models, tasks of either model or none."""
+    cluster = mixed_cluster(shapes)
+    apply_cluster_ops(cluster, ops, packed)
+    config = ScoringConfig(penalty=penalty)
+    ctx = PlacementContext(cluster)
+    switches = dict(use_colocation=use_colocation, use_eviction_awareness=use_eviction_awareness)
+    for spot, num_pods, size, model in tasks:
+        task = build_task(
+            TaskType.SPOT if spot else TaskType.HP, num_pods=num_pods, gpus_per_pod=size,
+            gpu_model=model,
+        )
+        expected = frozen_non_preemptive_placement(task, cluster.nodes, NOW, config, **switches)
+        via_ctx = frozen_non_preemptive_placement(task, None, NOW, config, ctx=ctx, **switches)
+        assert via_ctx == expected
+        assert non_preemptive_placement(task, ctx, NOW, config, **switches) == expected
+
+
+def test_one_pod_scores_only_the_bucket_it_lands_in(monkeypatch):
+    """63 idle nodes and one with exactly k idle cards: the walk scores
+    (breaker, Score 2, Score 3) the one node and stops."""
+    import repro.core.pts.nonpreemptive as algorithm1
+
+    cluster = Cluster.homogeneous(64, 8, GPUModel.A100)
+    for node in cluster.nodes:
+        node.record_eviction(NOW - 1800.0)
+    target = cluster.nodes[17]
+    run_on(cluster, build_task(TaskType.HP, gpus_per_pod=5.0), 17)
+    calls = {"s2": 0, "s3": 0}
+    real_s2, real_s3 = Node.allocated_gpus_by_type, algorithm1.eviction_penalty
+
+    def s2(node, task_type):
+        calls["s2"] += 1
+        return real_s2(node, task_type)
+
+    def s3(node, now, config):
+        calls["s3"] += 1
+        return real_s3(node, now, config)
+
+    monkeypatch.setattr(Node, "allocated_gpus_by_type", s2)
+    monkeypatch.setattr(algorithm1, "eviction_penalty", s3)
+    task = build_task(TaskType.SPOT, gpus_per_pod=3.0)
+    placements = non_preemptive_placement(task, PlacementContext(cluster), NOW, ScoringConfig())
+    assert placements == [PodPlacement(node_id=target.node_id, gpu_indices=(), fraction=3.0)]
+    assert calls == {"s2": 1, "s3": 1}
+
+
+def test_algorithm1_builds_no_node_views():
+    """Algorithm 1 reads nodes straight from the capacity index."""
+    source = Path(__file__).resolve().parent.parent / "src/repro/core/pts/nonpreemptive.py"
+    names = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"base_view", "NodeView"}
 
 
 def test_replay_clones_no_view_it_does_not_write(monkeypatch):

@@ -1,13 +1,15 @@
-"""YARN-CS / FGD / Lyra cell by cell against a checkout of the parent commit.
+"""The preempting schedulers cell by cell against a checkout of the parent commit.
 
     python3 tools/baseline_differential.py --parent /path/to/parent-checkout
 
-Runs the same grid of cells — three preempting baselines x five scenarios
-x three seeds, on a cluster small and loaded enough that HP tasks evict
-spot tasks in every family — once with the parent's ``src/`` and once with
-this tree's, and requires the canonical content key of every cell's
-metrics (``content_key(metrics_to_payload(m))``, the artifact cache's
-NaN-stable form) to be equal.  Prints the evictions per family so an
+Runs the same grid of cells — five preempting families (the YARN-CS / FGD
+/ Lyra eviction sweep, and PTS and GFS, whose placements go through
+Algorithm 1) x five scenarios x three seeds, 75 cells on a cluster small
+and loaded enough that HP tasks evict spot tasks in every family — once
+with the parent's ``src/`` and once with this tree's, and requires the
+canonical content key of every cell's metrics
+(``content_key(metrics_to_payload(m))``, the artifact cache's NaN-stable
+form) to be equal.  Prints the evictions per family so an
 equal-because-nothing-happened grid cannot pass for evidence.  Nothing is
 written.  Exit status 0 only when every cell is identical and every
 family evicted.
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-FAMILIES = ("yarn-cs", "fgd", "lyra")
+FAMILIES = ("yarn-cs", "fgd", "lyra", "pts", "gfs")
 SCENARIOS = ("default", "spot_heavy", "hetero", "large_gang", "node_churn")
 SEEDS = (1, 2, 3)
 
