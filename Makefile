@@ -7,8 +7,7 @@ export PYTHONPATH
 
 .PHONY: loc durations baseline-diff test bench bench-scaling bench-record benchmark-smoke bench-service perf-pairs perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
 
-# Knobs for `make profile` (self-profiler tier/scheduler).
-PROFILE_TIER      ?= full
+# Knob for `make profile` (self-profiler scheduler).
 PROFILE_SCHEDULER ?= chronus
 
 # Knobs for `make sweep` (scenario library + parallel experiment engine).
@@ -142,22 +141,24 @@ chaos-harness-smoke:
 		tests/test_chaos_harness.py tests/test_service_durability.py -q
 
 ## Self-profiler: wall-clock phase breakdown (event dispatch vs placement
-## search vs metric accrual) of the placement-bound benchmark tier, with
-## the instrumentation-off baseline and metric-parity check.  E.g.
-##   make profile PROFILE_TIER=smoke
+## search vs tick hook vs metric accrual) of the BENCH_4 placement cell
+## (512 nodes, 56 h, seed 11), with the instrumentation-off baseline and
+## metric-parity check.  E.g.
+##   make profile PROFILE_SCHEDULER=gfs
 profile:
-	$(PYTHON) -m repro.experiments.cli profile \
-		--tier $(PROFILE_TIER) --scheduler $(PROFILE_SCHEDULER) --check-overhead
+	$(PYTHON) -m repro.experiments.cli profile --scheduler $(PROFILE_SCHEDULER) \
+		--nodes 512 --hours 56 --seed 11 --check-overhead
 
 ## Observability smoke for CI: profile (Chronus, then GFS with its
-## policy tick hook) + trace export on the smoke tier, plus the /metrics
-## scrape and per-session stats of a live server.
+## policy tick hook) on the 256-node BENCH_4 smoke cell + trace export.
+## The /metrics scrape and per-session stats run in tier-1.
 obs-smoke:
-	$(PYTHON) -m repro.experiments.cli profile --tier smoke --check-overhead
-	$(PYTHON) -m repro.experiments.cli profile --tier smoke --scheduler gfs --check-overhead
+	$(PYTHON) -m repro.experiments.cli profile --scheduler chronus \
+		--nodes 256 --hours 24 --seed 11 --check-overhead
+	$(PYTHON) -m repro.experiments.cli profile --scheduler gfs \
+		--nodes 256 --hours 24 --seed 11 --check-overhead
 	$(PYTHON) -m repro.experiments.cli trace-viz --scenario node_churn \
 		--nodes 16 --hours 4.0 --trace-out .obs-smoke-trace.json
-	$(PYTHON) -m pytest tests/test_service.py -q -k "metrics_endpoint or stats_endpoint"
 
 ## Live-telemetry smoke: SSE subscribe + mid-stream disconnect +
 ## Last-Event-ID resume against a real server (byte-for-byte lossless

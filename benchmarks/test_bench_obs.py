@@ -2,7 +2,7 @@
 
 Runs the BENCH_4 placement tier twice — once with a live
 :class:`~repro.obs.Recorder`, once with the default ``NullRecorder`` —
-through the self-profiler harness (:func:`repro.obs.profiler.run_profile`)
+through the self-profiler (:func:`repro.obs.profiler.run_profile`)
 and measures the instrumentation-on/off wall-clock ratio.  Two claims
 are on trial:
 
@@ -36,15 +36,34 @@ import os
 from pathlib import Path
 
 from _bench_common import BENCH_SCHEMA_VERSION, write_bench_record
-from repro.obs.profiler import PROFILE_TIERS, run_profile
+from repro.experiments.config import ExperimentScale
+from repro.experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec
+from repro.obs.profiler import run_profile
+from test_bench_scaling import PLACEMENT_CONFIGS
 
 #: Hard ceiling on instrumented / uninstrumented wall time.
 OVERHEAD_RATIO_CEILING = 2.0
 
 
+def _tier_job(tier: str) -> SimulationJob:
+    """The tier's BENCH_4 placement cell: Chronus re-offers the whole FCFS queue each pass."""
+    cfg = PLACEMENT_CONFIGS[tier]
+    return SimulationJob(
+        key=f"obs-{tier}",
+        scale=ExperimentScale(
+            name=f"obs-{tier}",
+            num_nodes=int(cfg["num_nodes"]),
+            duration_hours=cfg["duration_hours"],
+            seed=int(cfg["seed"]),
+        ),
+        scheduler=SchedulerSpec(kind="chronus"),
+        workload=WorkloadSpec(spot_scale=cfg["spot_scale"]),
+    )
+
+
 def _record_bench7(tier: str, report) -> None:
     """Write the machine-readable perf record for the bench trajectory."""
-    cfg = PROFILE_TIERS[tier]
+    cfg = PLACEMENT_CONFIGS[tier]
     record = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "bench": "observability-overhead",
@@ -78,8 +97,8 @@ def _record_bench7(tier: str, report) -> None:
 
 def test_bench_observability_overhead():
     tier = os.environ.get("REPRO_BENCH_OBS_TIER", "smoke").strip().lower()
-    assert tier in PROFILE_TIERS, f"unknown obs tier {tier!r}"
-    report, recorder, _sim = run_profile(tier=tier, scheduler="chronus", check_overhead=True)
+    assert tier in PLACEMENT_CONFIGS, f"unknown obs tier {tier!r}"
+    report, recorder, _sim = run_profile(_tier_job(tier), check_overhead=True)
 
     # Claim 1, unconditionally: observation must not steer the run.
     assert report.metrics_identical, (
@@ -99,7 +118,7 @@ def test_bench_observability_overhead():
     if ratio > OVERHEAD_RATIO_CEILING:
         # Retry once before a verdict: a load spike on a shared runner can
         # hit either leg of the ratio.
-        retry, _, _ = run_profile(tier=tier, scheduler="chronus", check_overhead=True)
+        retry, _, _ = run_profile(_tier_job(tier), check_overhead=True)
         assert retry.metrics_identical
         ratio = min(ratio, retry.overhead_ratio)
 

@@ -206,9 +206,8 @@ class LegacyClusterSimulator(ClusterSimulator):
                 self.pending.remove(task)
 
     def _handle_tick(self):
-        if self.config.sample_allocation:
-            self.allocation_samples.append(self.cluster.allocation_rate())
-            self.allocation_sample_times.append(self.now)
+        self.allocation_samples.append(self.cluster.allocation_rate())
+        self.allocation_sample_times.append(self.now)
         if hasattr(self.scheduler, "on_tick"):
             self.scheduler.on_tick(self.cluster, self.now, list(self.pending))
         pending_before = len(self.pending)

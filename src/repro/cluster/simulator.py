@@ -92,8 +92,6 @@ class SimulatorConfig:
     tick_interval: float = 300.0
     #: hard cap on simulated time (None = run until the trace drains)
     max_time: Optional[float] = None
-    #: sample the allocation rate at every tick
-    sample_allocation: bool = True
 
 
 class SimulationError(RuntimeError):
@@ -570,14 +568,13 @@ class ClusterSimulator:
 
     def _handle_tick(self) -> None:
         rec = self.obs
-        if self.config.sample_allocation:
-            if rec.enabled:
-                with rec.span("sim.metric_accrual_s"):
-                    self.allocation_samples.append(self.cluster.allocation_rate())
-                    self.allocation_sample_times.append(self.now)
-            else:
+        if rec.enabled:
+            with rec.span("sim.metric_accrual_s"):
                 self.allocation_samples.append(self.cluster.allocation_rate())
                 self.allocation_sample_times.append(self.now)
+        else:
+            self.allocation_samples.append(self.cluster.allocation_rate())
+            self.allocation_sample_times.append(self.now)
         if hasattr(self.scheduler, "on_tick"):
             if rec.enabled:
                 with rec.span("sim.scheduler_tick_s"):

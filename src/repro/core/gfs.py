@@ -52,8 +52,6 @@ class GFSConfig:
     >>> scheduler = GFSScheduler(config, org_history=trace.org_history)
     """
 
-    #: MILP objective weight alpha (kept for the optimisation reference)
-    alpha: float = 0.5
     #: preemption-cost weight beta (Eq. 19)
     beta: float = 0.5
     #: target guarantee rate p (Eq. 9)

@@ -16,7 +16,7 @@ Usage::
     python -m repro.experiments.cli scenarios
     python -m repro.experiments.cli trace convert philly.csv philly.json.gz
     python -m repro.experiments.cli serve --port 8151
-    python -m repro.experiments.cli profile --tier smoke --check-overhead
+    python -m repro.experiments.cli profile --nodes 256 --hours 24 --seed 11 --check-overhead
     python -m repro.experiments.cli trace-viz --scenario node_churn --trace-out trace.json
 
 Each experiment prints the same rows as the corresponding table/figure of

@@ -42,6 +42,7 @@ from ..cluster import ClusterSimulator, SimulationMetrics, SimulatorConfig, rese
 from ..core import GFSConfig
 from ..dynamics import DynamicsSpec, FaultInjector, get_dynamics
 from ..obs import Recorder
+from ..obs.profiler import phase_totals
 from ..obs.telemetry import TelemetryBus
 from ..runtime import (
     ChaosPlan,
@@ -102,12 +103,11 @@ class SchedulerSpec:
 class WorkloadSpec:
     """Which workload to generate inside the worker.
 
-    ``scenario`` names a registered :class:`~repro.workloads.Scenario`;
-    ``overrides`` are extra :class:`WorkloadConfig` field overrides (sorted
-    pairs) applied on top of the scenario's own.  ``dynamics`` optionally
-    names a registered :class:`~repro.dynamics.DynamicsSpec` preset to
-    attach cluster dynamics to this cell — it *overrides* any dynamics the
-    scenario itself carries, so chaos presets compose with every scenario
+    ``scenario`` names a registered :class:`~repro.workloads.Scenario`.
+    ``dynamics`` optionally names a registered
+    :class:`~repro.dynamics.DynamicsSpec` preset to attach cluster
+    dynamics to this cell — it *overrides* any dynamics the scenario
+    itself carries, so chaos presets compose with every scenario
     including ``trace:<path>`` replays.
     """
 
@@ -115,7 +115,6 @@ class WorkloadSpec:
     spot_scale: float = 1.0
     seed_offset: int = 0
     label: str = ""
-    overrides: OverridePairs = ()
     dynamics: str = ""
 
     @property
@@ -223,7 +222,6 @@ def cache_payload(job: SimulationJob) -> Dict[str, object]:
             "scenario": descriptor,
             "spot_scale": job.workload.spot_scale,
             "seed_offset": job.workload.seed_offset,
-            "overrides": job.workload.overrides,
             # The *resolved* dynamics (a workload-level preset overrides the
             # scenario's own), so attaching/editing chaos invalidates
             # exactly the affected cells.
@@ -256,7 +254,6 @@ def build_simulation(
         spot_scale=job.workload.spot_scale,
         seed=job.seed,
         gpu_model=scale.gpu_model,
-        extra_overrides=dict(job.workload.overrides),
         base_overrides=scale.workload_overrides,
     )
     cluster = scenario.build_cluster(scale.num_nodes, scale.gpus_per_node, scale.gpu_model)
@@ -287,19 +284,15 @@ def job_profile_summary(recorder: Recorder, wall_s: float) -> Dict[str, object]:
     """Flatten one cell's recorder into ``obs_*`` grid columns.
 
     Counter-derived columns (events, passes, examined, …) are
-    deterministic; the ``*_wall_s`` columns are wall-clock phase totals
-    feeding the profiler and vary run to run.
+    deterministic; the ``*_wall_s`` columns are the profiler's
+    :func:`~repro.obs.profiler.phase_totals` and vary run to run
+    (``obs_tick_wall_s`` is the scheduler's tick hook: GDE forecast and
+    SQA quota under GFS).
     """
+    totals = phase_totals(recorder)
     events = sum(
         value for (name, _), value in recorder.counters.items() if name == "sim.events"
     )
-    dispatch_wall = sum(
-        hist.total
-        for name, hist in recorder.histograms.items()
-        if name.startswith("sim.dispatch_s.")
-    )
-    pass_hist = recorder.histograms.get("sim.pass_wall_s")
-    accrual_hist = recorder.histograms.get("sim.metric_accrual_s")
     return {
         "obs_wall_s": round(wall_s, 6),
         "obs_events": int(events),
@@ -309,9 +302,10 @@ def job_profile_summary(recorder: Recorder, wall_s: float) -> Dict[str, object]:
         "obs_memo_hits": int(recorder.counter_value("sim.pass.memo_hits")),
         "obs_index_rejects": int(recorder.counter_value("sim.pass.index_rejects")),
         "obs_searches": int(recorder.counter_value("sim.pass.searches")),
-        "obs_pass_wall_s": round(pass_hist.total, 6) if pass_hist else 0.0,
-        "obs_dispatch_wall_s": round(dispatch_wall, 6),
-        "obs_accrual_wall_s": round(accrual_hist.total, 6) if accrual_hist else 0.0,
+        "obs_pass_wall_s": round(totals["pass"][0], 6),
+        "obs_dispatch_wall_s": round(totals["dispatch"][0], 6),
+        "obs_accrual_wall_s": round(totals["accrual"][0], 6),
+        "obs_tick_wall_s": round(totals["tick"][0], 6),
     }
 
 

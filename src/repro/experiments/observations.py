@@ -175,7 +175,7 @@ def run_fleet_observation(
     return rates
 
 
-def run_observations(scale: Optional[ExperimentScale] = None, quick: bool = True) -> ObservationResults:
+def run_observations(scale: Optional[ExperimentScale] = None) -> ObservationResults:
     """Run every observation experiment and bundle the results."""
     scale = scale or MEDIUM_SCALE
     results = ObservationResults()
@@ -183,7 +183,6 @@ def run_observations(scale: Optional[ExperimentScale] = None, quick: bool = True
     results.org_demand = organization_demand_figure()
     results.heatmap_rates = run_heatmap_observation()
     results.runtimes = run_runtime_observation(scale)
-    results.eviction_weeks = run_eviction_observation(scale, weeks=2 if quick else 4)
-    if not quick:
-        results.fleet_rates = run_fleet_observation()
+    results.eviction_weeks = run_eviction_observation(scale)
+    results.fleet_rates = run_fleet_observation()
     return results

@@ -12,20 +12,21 @@ path — and consumers imported only where used:
 * :mod:`repro.obs.trace_export` — Chrome-trace/Perfetto JSON export of
   scheduling passes and task lifecycles (``cli trace-viz``).
 * :mod:`repro.obs.profiler` — wall-clock self-profiler reporting the
-  per-phase cost breakdown (``cli profile`` / ``make profile``).
-* :mod:`repro.obs.telemetry` — the sweep-plane :class:`TelemetryBus`,
-  the one way the engine and the executor report; its records are also
+  per-phase cost breakdown (``cli profile`` / ``make profile``) and
+  :func:`~repro.obs.profiler.phase_totals`, the one fold of the
+  recorder's ``sim.*`` wall histograms.
+* :mod:`repro.obs.telemetry` — the :class:`TelemetryBus`, the one way
+  the engine, the executor and the service report; its records are also
   their log lines, and JSONL / live-TTY sinks consume them
   (``cli sweep --progress`` / ``--telemetry``).
-* :mod:`repro.obs.logging` — structured JSON-lines logging with
-  run/session/job correlation ids, shared by the telemetry bus and the
-  service.
+* :mod:`repro.obs.logging` — the JSON-lines rendering of those log
+  lines and the stdlib wiring behind ``cli serve --log-level``.
 
 See ``docs/observability.md`` for the recorder API, the hook-point
 inventory and walkthroughs of every consumer.
 """
 
-from .logging import StructuredLogger, configure_json_logging, get_logger, new_run_id
+from .logging import configure_json_logging, new_run_id
 from .prometheus import (
     PROMETHEUS_CONTENT_TYPE,
     parse_prometheus_text,
@@ -51,12 +52,10 @@ __all__ = [
     "PassRecord",
     "PROMETHEUS_CONTENT_TYPE",
     "Recorder",
-    "StructuredLogger",
     "TTYProgressSink",
     "TelemetryBus",
     "TickSample",
     "configure_json_logging",
-    "get_logger",
     "new_run_id",
     "parse_prometheus_text",
     "render_recorder",

@@ -2,16 +2,19 @@
 
 Routed from the main experiments CLI so both spellings work::
 
-    python -m repro.experiments.cli profile --tier smoke --check-overhead
+    python -m repro.experiments.cli profile --scheduler chronus \\
+        --nodes 256 --hours 24 --seed 11 --check-overhead
     python -m repro.experiments.cli trace-viz --scenario node_churn \\
         --scheduler gfs --trace-out trace.json
 
-``profile`` runs the self-profiler on a BENCH_4 placement tier and
-prints the per-phase wall-clock breakdown (see
-:mod:`repro.obs.profiler`); ``trace-viz`` replays a scenario with a live
-recorder and writes a Chrome-trace/Perfetto JSON of every task lifecycle
-and scheduling pass (see :mod:`repro.obs.trace_export`).  Load the
-output at ``chrome://tracing`` or https://ui.perfetto.dev.
+Both run one simulation cell with a live recorder through
+:func:`repro.obs.profiler.run_profile` and take the same flags.
+``profile`` prints the per-phase wall-clock breakdown (see
+:mod:`repro.obs.profiler`); ``trace-viz`` prints a one-line summary and
+writes a Chrome-trace/Perfetto JSON of every task lifecycle and
+scheduling pass (see :mod:`repro.obs.trace_export`) to ``trace.json``
+unless ``--trace-out`` says otherwise.  Load the output at
+``chrome://tracing`` or https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
@@ -21,86 +24,24 @@ import json
 import sys
 from typing import List, Optional
 
-from .profiler import PROFILE_TIERS, run_profile
-from .recorder import Recorder
+from ..dynamics import dynamics_names
+from ..experiments.config import ExperimentScale
+from ..experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec
+from .profiler import run_profile
 from .trace_export import write_chrome_trace
 
 
-def _profile_main(argv: List[str]) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if not argv or argv[0] not in ("profile", "trace-viz"):
+        print("usage: cli {profile,trace-viz} [options]", file=sys.stderr)
+        return 2
+    command = argv[0]
     parser = argparse.ArgumentParser(
-        prog="cli profile",
-        description="Self-profile a simulation run: per-phase wall-clock breakdown.",
-    )
-    parser.add_argument(
-        "--tier",
-        default="full",
-        choices=sorted(PROFILE_TIERS),
-        help="BENCH_4 placement tier: full = 512 nodes / 56 h, smoke = 256 nodes / 24 h",
-    )
-    parser.add_argument("--scheduler", default="chronus", help="scheduler kind to profile")
-    parser.add_argument("--nodes", type=int, default=None, help="override the tier's node count")
-    parser.add_argument("--hours", type=float, default=None, help="override the tier's duration")
-    parser.add_argument("--seed", type=int, default=None, help="override the tier's trace seed")
-    parser.add_argument(
-        "--spot-scale", type=float, default=None, help="override the tier's spot multiplier"
-    )
-    parser.add_argument(
-        "--check-overhead",
-        action="store_true",
-        help="also run the NullRecorder baseline: overhead ratio + metric parity",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="additionally export the profiled run as Chrome-trace JSON to this path",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report as JSON on stdout (phase_breakdown rows in "
-        "the BENCH_7.json shape) instead of the text table",
-    )
-    args = parser.parse_args(argv)
-    report, recorder, sim = run_profile(
-        tier=args.tier,
-        scheduler=args.scheduler,
-        check_overhead=args.check_overhead,
-        overrides={
-            "num_nodes": args.nodes,
-            "duration_hours": args.hours,
-            "seed": args.seed,
-            "spot_scale": args.spot_scale,
-        },
-    )
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.format())
-    if args.check_overhead and report.metrics_identical is False:
-        print("ERROR: instrumented metrics diverged from the uninstrumented run", file=sys.stderr)
-        return 1
-    if args.trace_out:
-        out = write_chrome_trace(
-            args.trace_out,
-            tasks=sim.all_tasks,
-            recorder=recorder,
-            final_time=sim.now,
-            metadata={"command": "profile", "label": report.label},
-        )
-        print(f"[trace written to {out}]")
-    return 0
-
-
-def _trace_viz_main(argv: List[str]) -> int:
-    # Imported here: the engine imports repro.obs for its recorder.
-    from ..dynamics import dynamics_names
-    from ..experiments.config import ExperimentScale
-    from ..experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
-
-    parser = argparse.ArgumentParser(
-        prog="cli trace-viz",
-        description="Replay a scenario and export a Chrome-trace/Perfetto JSON "
-        "of task lifecycles and scheduling passes.",
+        prog=f"cli {command}",
+        description="Run one simulation cell with a live recorder: 'profile' prints "
+        "its per-phase wall-clock breakdown, 'trace-viz' exports a "
+        "Chrome-trace/Perfetto JSON of task lifecycles and scheduling passes.",
     )
     parser.add_argument("--scenario", default="default", help="workload scenario name")
     parser.add_argument("--scheduler", default="gfs", help="scheduler kind")
@@ -115,15 +56,27 @@ def _trace_viz_main(argv: List[str]) -> int:
         help="attach a dynamics preset (overrides the scenario's own)",
     )
     parser.add_argument(
-        "--trace-out", "--out", dest="trace_out", default="trace.json",
-        help="output path for the Chrome-trace JSON (default: trace.json)",
+        "--trace-out", "--out", dest="trace_out", default=None,
+        help="write the run as Chrome-trace JSON to this path "
+        "(trace-viz default: trace.json)",
     )
-    args = parser.parse_args(argv)
+    parser.add_argument(
+        "--check-overhead",
+        action="store_true",
+        help="also run the NullRecorder baseline: overhead ratio + metric parity",
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="print profile's report as JSON (phase_breakdown rows in the "
+        "BENCH_7.json shape) instead of the text table",
+    )
+    args = parser.parse_args(argv[1:])
 
     job = SimulationJob(
-        key="trace-viz",
+        key=command,
         scale=ExperimentScale(
-            name="trace-viz", num_nodes=args.nodes, duration_hours=args.hours, seed=args.seed
+            name=command, num_nodes=args.nodes, duration_hours=args.hours, seed=args.seed
         ),
         scheduler=SchedulerSpec(kind=args.scheduler),
         workload=WorkloadSpec(
@@ -132,48 +85,43 @@ def _trace_viz_main(argv: List[str]) -> int:
     )
     scenario = job.resolved_scenario()
     spec = job.resolved_dynamics()
-    recorder = Recorder()
-    sim, trace = build_simulation(job, recorder=recorder)
-    sim.submit_all(trace.sorted_tasks())
-    metrics = sim.run()
+    report, recorder, sim = run_profile(job, check_overhead=args.check_overhead)
 
-    out = write_chrome_trace(
-        args.trace_out,
-        tasks=sim.all_tasks,
-        recorder=recorder,
-        final_time=sim.now,
-        metadata={
-            "command": "trace-viz",
-            "scenario": scenario.name,
-            "scheduler": args.scheduler,
-            "nodes": args.nodes,
-            "hours": args.hours,
-            "seed": args.seed,
-            "spot_scale": args.spot_scale,
-            "dynamics": spec.name if spec is not None else "",
-        },
-    )
-    print(
-        f"[trace-viz] scenario={scenario.name} scheduler={args.scheduler} "
-        f"tasks={len(trace.tasks)} passes={len(recorder.pass_records)} "
-        f"unfinished={metrics.unfinished_tasks}"
-    )
-    print(f"[trace written to {out} — load at chrome://tracing or ui.perfetto.dev]")
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if not argv:
-        print("usage: cli {profile,trace-viz} [options]", file=sys.stderr)
-        return 2
-    command, rest = argv[0], argv[1:]
     if command == "profile":
-        return _profile_main(rest)
-    if command == "trace-viz":
-        return _trace_viz_main(rest)
-    print(f"unknown obs command {command!r}; expected profile or trace-viz", file=sys.stderr)
-    return 2
+        if args.json:
+            print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        else:
+            print(report.format())
+    else:
+        unfinished = sum(1 for task in sim.all_tasks if task.finish_time is None)
+        print(
+            f"[trace-viz] scenario={scenario.name} scheduler={args.scheduler} "
+            f"tasks={report.num_tasks} passes={len(recorder.pass_records)} "
+            f"unfinished={unfinished}"
+        )
+    if report.metrics_identical is False:
+        print("ERROR: instrumented metrics diverged from the uninstrumented run", file=sys.stderr)
+        return 1
+    trace_out = args.trace_out or ("trace.json" if command == "trace-viz" else None)
+    if trace_out:
+        out = write_chrome_trace(
+            trace_out,
+            tasks=sim.all_tasks,
+            recorder=recorder,
+            final_time=sim.now,
+            metadata={
+                "command": command,
+                "scenario": scenario.name,
+                "scheduler": args.scheduler,
+                "nodes": args.nodes,
+                "hours": args.hours,
+                "seed": args.seed,
+                "spot_scale": args.spot_scale,
+                "dynamics": spec.name if spec is not None else "",
+            },
+        )
+        print(f"[trace written to {out} — load at chrome://tracing or ui.perfetto.dev]")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

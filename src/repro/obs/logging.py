@@ -1,33 +1,21 @@
-"""Structured JSON-lines logging with run/session/job correlation ids.
+"""Structured JSON-lines log lines: rendering, parsing, wiring.
 
-Every long-running plane of the system — the experiment engine, the
-resilient executor, the scheduler service — emits operational events
-(retries, quarantines, timeouts, 504s) that previously went to ad-hoc
-``%``-formatted log lines.  This module gives them one discipline:
-
-* each log line is **one JSON object** with a stable vocabulary —
-  ``ts`` (epoch seconds), ``level``, ``event`` (a short machine name
-  like ``http_request`` or ``job_retry``), plus event-specific fields;
-* correlation ids (``run_id``, ``session_id``, ``job_id``) are **bound
-  once** with :meth:`StructuredLogger.bind` and stamped onto every
-  subsequent line, so one ``grep '"run_id": "r-..."'`` reconstructs a
-  sweep and one ``grep session-0007`` reconstructs a session's life;
-* transport stays stdlib :mod:`logging` — handlers, levels, ``caplog``
-  and host-application configuration all keep working, and a logger
-  with no handler stays silent below WARNING exactly as before.
+Every operational event of the system — sweep lifecycle, retries,
+timeouts, HTTP requests, quarantines — is a
+:class:`~repro.obs.telemetry.TelemetryBus` record, and the bus renders
+each one with :func:`json_log_line` as **one JSON object** on the
+``repro.telemetry`` logger: ``ts`` (epoch seconds), ``level``,
+``event`` (a short machine name like ``http_request`` or
+``job_retry``), then the record's correlation ids (``seq``,
+``run_id``) and event fields, so one ``grep svc-<id>`` reconstructs a
+server's life.  Transport stays stdlib :mod:`logging` —
+handlers, levels, ``caplog`` and host-application configuration all
+keep working, and a logger with no handler stays silent below WARNING.
 
 The emitted *message* is the JSON document itself, so pairing the
 logger with a bare ``%(message)s`` formatter (what
 :func:`configure_json_logging` installs) yields clean JSONL on stderr
 or into a file.
-
-Usage::
-
-    from repro.obs.logging import get_logger, new_run_id
-
-    log = get_logger("repro.experiments").bind(run_id=new_run_id())
-    log.info("sweep_start", cells=120, workers=8)
-    log.warning("job_retry", job_id="sweep/burst/GFS", attempt=2)
 """
 
 from __future__ import annotations
@@ -40,9 +28,7 @@ import uuid
 from typing import Dict, IO, Mapping, Optional
 
 __all__ = [
-    "StructuredLogger",
     "configure_json_logging",
-    "get_logger",
     "json_log_line",
     "new_run_id",
     "parse_log_line",
@@ -69,7 +55,7 @@ def _jsonable(value: object) -> object:
 
 
 def json_log_line(level: str, event: str, fields: Mapping[str, object]) -> str:
-    """Render one structured log line (compact, key-sorted JSON)."""
+    """One structured log line: compact JSON, ``ts``/``level``/``event`` then ``fields``."""
     payload: Dict[str, object] = {
         "ts": round(time.time(), 6),
         "level": level.lower(),
@@ -88,65 +74,10 @@ def parse_log_line(line: str) -> Dict[str, object]:
     return record
 
 
-class StructuredLogger:
-    """A stdlib-logger wrapper emitting JSON-lines with bound fields.
-
-    Instances are cheap and immutable: :meth:`bind` returns a new logger
-    carrying extra correlation fields; the underlying
-    :class:`logging.Logger` (and therefore handlers and levels) is
-    shared.  Level methods mirror stdlib naming.
-    """
-
-    __slots__ = ("_logger", "_fields")
-
-    def __init__(self, logger: logging.Logger, fields: Optional[Mapping[str, object]] = None):
-        self._logger = logger
-        self._fields: Dict[str, object] = dict(fields or {})
-
-    @property
-    def bound_fields(self) -> Dict[str, object]:
-        return dict(self._fields)
-
-    def bind(self, **fields: object) -> "StructuredLogger":
-        """A child logger with ``fields`` stamped onto every line."""
-        merged = dict(self._fields)
-        merged.update(fields)
-        return StructuredLogger(self._logger, merged)
-
-    # ------------------------------------------------------------------
-    def log(self, level: int, event: str, **fields: object) -> None:
-        if not self._logger.isEnabledFor(level):
-            return  # skip JSON rendering entirely when nobody listens
-        merged = dict(self._fields)
-        merged.update(fields)
-        self._logger.log(
-            level, json_log_line(logging.getLevelName(level), event, merged)
-        )
-
-    def debug(self, event: str, **fields: object) -> None:
-        self.log(logging.DEBUG, event, **fields)
-
-    def info(self, event: str, **fields: object) -> None:
-        self.log(logging.INFO, event, **fields)
-
-    def warning(self, event: str, **fields: object) -> None:
-        self.log(logging.WARNING, event, **fields)
-
-    def error(self, event: str, **fields: object) -> None:
-        self.log(logging.ERROR, event, **fields)
-
-
-def get_logger(name: str, **fields: object) -> StructuredLogger:
-    """The structured logger for ``name``, with optional bound fields."""
-    return StructuredLogger(logging.getLogger(name), fields)
-
-
 def configure_json_logging(
-    level_name: Optional[str],
-    logger_name: str = "repro",
-    stream: Optional[IO[str]] = None,
+    level_name: Optional[str], stream: Optional[IO[str]] = None
 ) -> Optional[logging.Handler]:
-    """Wire ``logger_name`` (and children) to emit raw JSONL at a level.
+    """Wire the ``repro`` logger (and children) to emit raw JSONL at a level.
 
     ``None`` configures nothing — logging stays at the host
     application's discretion.  Returns the installed handler so callers
@@ -158,7 +89,7 @@ def configure_json_logging(
     level = getattr(logging, level_name.upper())
     handler = logging.StreamHandler(stream)
     handler.setFormatter(logging.Formatter("%(message)s"))
-    logger = logging.getLogger(logger_name)
+    logger = logging.getLogger("repro")
     logger.setLevel(level)
     logger.addHandler(handler)
     return handler

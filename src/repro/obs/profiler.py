@@ -7,14 +7,13 @@ passes), the scheduler's tick hook (policy code: GDE forecast and SQA
 quota under GFS) and metric accrual, plus headline rates (events/s,
 tasks/s).
 
-The default target is the BENCH_4 placement tier (512 nodes, 56 h,
-Chronus, seed 11 — ``benchmarks/test_bench_scaling.py``'s
-``PLACEMENT_CONFIGS``); ``tier="smoke"`` is the 256-node CI-sized run.
-Use ``python -m repro.experiments.cli profile`` or ``make profile``.
+``python -m repro.experiments.cli profile`` (``make profile``: the
+512-node, 56 h Chronus cell) profiles one :class:`SimulationJob`.
 
 The phase accounting comes entirely from the recorder's wall-clock
-histograms; the deterministic sim channel is untouched, so profiling a
-run never changes its metrics (``--check-overhead`` re-runs with the
+histograms, folded by :func:`phase_totals` (also the source of the
+engine's ``obs_*_wall_s`` sweep columns); the deterministic sim channel
+is untouched, so profiling a run never changes its metrics (``--check-overhead`` re-runs with the
 :class:`~repro.obs.recorder.NullRecorder` and verifies bit-identical
 ``SimulationMetrics`` while measuring the instrumentation overhead
 ratio — the number ``make bench-record`` stamps into ``BENCH_7.json``).
@@ -27,14 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .recorder import Recorder
-
-#: The BENCH_4 placement tiers (mirrors benchmarks/test_bench_scaling.py
-#: PLACEMENT_CONFIGS — Chronus re-offers the whole FCFS queue each pass,
-#: making placement search the hot path).
-PROFILE_TIERS: Dict[str, Dict[str, float]] = {
-    "smoke": dict(num_nodes=256, duration_hours=24.0, spot_scale=2.0, seed=11),
-    "full": dict(num_nodes=512, duration_hours=56.0, spot_scale=2.0, seed=11),
-}
 
 
 @dataclass
@@ -120,99 +111,88 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def phase_breakdown(recorder: Recorder, wall_time_s: float) -> List[PhaseCost]:
-    """Fold the recorder's wall histograms into the per-phase cost rows.
+def phase_totals(recorder: Recorder) -> Dict[str, Tuple[float, int]]:
+    """``(seconds, calls)`` per phase, folded from the ``sim.*`` wall histograms.
 
-    Scheduling passes, the scheduler's tick hook (policy code such as
-    the GFS demand forecast and quota update) and metric accrual happen
-    *inside* event handlers, so their time is subtracted from the
-    per-kind dispatch totals to leave ``event dispatch (other)`` —
-    bookkeeping, heap churn and handler logic that is none of those.
+    Keys: ``pass`` (placement search), ``tick`` (the scheduler's tick
+    hook), ``accrual`` (metric accrual), ``dispatch`` (every handled
+    event) and ``dispatch.<KIND>`` per event kind.  The first three run
+    inside event handlers, so their time is part of ``dispatch``.
     """
-    phases: List[PhaseCost] = []
-    dispatch_total = 0.0
-    dispatch_count = 0
+
+    def total(name: str) -> Tuple[float, int]:
+        hist = recorder.histograms.get(name)
+        return (hist.total, hist.count) if hist else (0.0, 0)
+
+    totals = {
+        "pass": total("sim.pass_wall_s"),
+        "tick": total("sim.scheduler_tick_s"),
+        "accrual": total("sim.metric_accrual_s"),
+    }
+    seconds, calls = 0.0, 0
     for name, hist in sorted(recorder.histograms.items()):
         if name.startswith("sim.dispatch_s."):
-            dispatch_total += hist.total
-            dispatch_count += hist.count
-    pass_hist = recorder.histograms.get("sim.pass_wall_s")
-    tick_hist = recorder.histograms.get("sim.scheduler_tick_s")
-    accrual_hist = recorder.histograms.get("sim.metric_accrual_s")
-    pass_total = pass_hist.total if pass_hist else 0.0
-    tick_total = tick_hist.total if tick_hist else 0.0
-    accrual_total = accrual_hist.total if accrual_hist else 0.0
-
-    def add(name: str, seconds: float, count: int) -> None:
-        share = seconds / wall_time_s if wall_time_s > 0 else 0.0
-        phases.append(PhaseCost(name=name, seconds=seconds, count=count, share=share))
-
-    add("placement search (passes)", pass_total, pass_hist.count if pass_hist else 0)
-    add("scheduler tick hook (policy)", tick_total, tick_hist.count if tick_hist else 0)
-    add("metric accrual", accrual_total, accrual_hist.count if accrual_hist else 0)
-    add(
-        "event dispatch (other)",
-        max(0.0, dispatch_total - pass_total - tick_total - accrual_total),
-        dispatch_count,
-    )
-    for name, hist in sorted(recorder.histograms.items()):
-        if name.startswith("sim.dispatch_s."):
-            kind = name[len("sim.dispatch_s."):]
-            add(f"  dispatch {kind}", hist.total, hist.count)
-    add("outside dispatch (setup/teardown)", max(0.0, wall_time_s - dispatch_total), 1)
-    return phases
+            totals["dispatch." + name[len("sim.dispatch_s."):]] = (hist.total, hist.count)
+            seconds += hist.total
+            calls += hist.count
+    totals["dispatch"] = (seconds, calls)
+    return totals
 
 
-def _timed_run(tier_cfg: Dict[str, float], scheduler_kind: str, recorder) -> Tuple[object, float, int, object]:
+def phase_breakdown(recorder: Recorder, wall_time_s: float) -> List[PhaseCost]:
+    """The per-phase cost rows of :func:`phase_totals`.
+
+    ``event dispatch (other)`` is dispatch time that is none of passes,
+    tick hook or accrual: bookkeeping, heap churn and handler logic.
+    """
+    totals = phase_totals(recorder)
+    inside = sum(totals[phase][0] for phase in ("pass", "tick", "accrual"))
+    dispatch_s, dispatch_calls = totals["dispatch"]
+    rows = [
+        ("placement search (passes)", *totals["pass"]),
+        ("scheduler tick hook (policy)", *totals["tick"]),
+        ("metric accrual", *totals["accrual"]),
+        ("event dispatch (other)", max(0.0, dispatch_s - inside), dispatch_calls),
+    ]
+    rows += [
+        (f"  dispatch {key[len('dispatch.'):]}", seconds, calls)
+        for key, (seconds, calls) in totals.items()
+        if key.startswith("dispatch.")
+    ]
+    rows.append(("outside dispatch (setup/teardown)", max(0.0, wall_time_s - dispatch_s), 1))
+    return [
+        PhaseCost(name, seconds, calls, seconds / wall_time_s if wall_time_s > 0 else 0.0)
+        for name, seconds, calls in rows
+    ]
+
+
+def _timed_run(job, recorder) -> Tuple[object, float, int, object]:
     """One full simulation; returns (metrics, wall s, task count, sim)."""
-    # Imported here: the engine imports repro.obs for its recorder.
-    from ..experiments.config import ExperimentScale
-    from ..experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
+    # Imported here: the engine imports this module for phase_totals.
+    from ..experiments.engine import build_simulation
 
-    job = SimulationJob(
-        key="profile",
-        scale=ExperimentScale(
-            name="profile",
-            num_nodes=int(tier_cfg["num_nodes"]),
-            duration_hours=tier_cfg["duration_hours"],
-            seed=int(tier_cfg["seed"]),
-        ),
-        scheduler=SchedulerSpec(kind=scheduler_kind),
-        workload=WorkloadSpec(spot_scale=tier_cfg["spot_scale"]),
-    )
     sim, trace = build_simulation(job, recorder=recorder)
     tasks = trace.sorted_tasks()
     start = time.perf_counter()
     sim.submit_all(tasks)
     metrics = sim.run()
-    elapsed = time.perf_counter() - start
-    return metrics, elapsed, len(tasks), sim
+    return metrics, time.perf_counter() - start, len(tasks), sim
 
 
-def run_profile(
-    tier: str = "full",
-    scheduler: str = "chronus",
-    check_overhead: bool = False,
-    overrides: Optional[Dict[str, float]] = None,
-    recorder: Optional[Recorder] = None,
-) -> Tuple[ProfileReport, Recorder, object]:
-    """Profile one tier; returns (report, recorder, simulator).
+def run_profile(job, check_overhead: bool = False) -> Tuple[ProfileReport, Recorder, object]:
+    """Profile one :class:`~repro.experiments.engine.SimulationJob`.
 
-    ``overrides`` patches tier parameters (``num_nodes`` etc.) for ad-hoc
-    sizings; ``check_overhead`` also runs the NullRecorder baseline and
-    asserts metric parity while measuring the overhead ratio.
+    Returns ``(report, recorder, simulator)``.  ``check_overhead`` also
+    runs the job with the NullRecorder, comparing metrics and measuring
+    the overhead ratio.
     """
-    if tier not in PROFILE_TIERS:
-        raise KeyError(f"unknown profile tier {tier!r}; expected one of {sorted(PROFILE_TIERS)}")
-    cfg = dict(PROFILE_TIERS[tier])
-    if overrides:
-        cfg.update({k: v for k, v in overrides.items() if v is not None})
-    rec = recorder if recorder is not None else Recorder()
-    metrics, elapsed, num_tasks, sim = _timed_run(cfg, scheduler, rec)
+    rec = Recorder()
+    metrics, elapsed, num_tasks, sim = _timed_run(job, rec)
+    scale = job.scale
     report = ProfileReport(
         label=(
-            f"tier={tier} scheduler={scheduler} nodes={int(cfg['num_nodes'])} "
-            f"hours={cfg['duration_hours']:g} seed={int(cfg['seed'])}"
+            f"scenario={job.workload.scenario} scheduler={job.scheduler.kind} "
+            f"nodes={scale.num_nodes} hours={scale.duration_hours:g} seed={job.seed}"
         ),
         wall_time_s=elapsed,
         num_tasks=num_tasks,
@@ -223,7 +203,7 @@ def run_profile(
     if check_overhead:
         from ..experiments.artifacts import content_key, metrics_to_payload
 
-        base_metrics, base_elapsed, _, _ = _timed_run(cfg, scheduler, None)
+        base_metrics, base_elapsed, _, _ = _timed_run(job, None)
         report.baseline_wall_time_s = base_elapsed
         # Compared through the cache's canonical serialisation: full
         # fidelity and NaN-stable, where dataclass ``==`` is neither.

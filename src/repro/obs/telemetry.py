@@ -1,12 +1,14 @@
-"""Sweep-plane telemetry: one structured event bus with pluggable sinks.
+"""Telemetry: one structured event bus with pluggable sinks.
 
-The experiment engine and the resilient executor report everything —
-job start/done/fail/retry, cache and journal hits, pool rebuilds,
-progress with an ETA from the completed-cell rate, the sweep summary —
+The experiment engine, the resilient executor and the scheduler service
+report everything — job start/done/fail/retry, cache and journal hits,
+pool rebuilds, progress with an ETA from the completed-cell rate, the
+sweep summary; HTTP requests, quarantined sessions, failed persists —
 through :meth:`TelemetryBus.emit` and nothing else.  The bus stamps each
-record with its envelope, writes it unchanged as one structured log line
-on the ``repro.telemetry`` logger (``job_fail``, ``job_timeout`` and
-``pool_rebuild`` at WARNING, every other event at INFO; a line is
+record with its envelope, renders it as one structured log line on the
+``repro.telemetry`` logger (the record plus ``level``;
+``job_fail``, ``job_timeout``, ``pool_rebuild``, ``session_quarantined``
+and ``persist_failed`` at WARNING, every other event at INFO; a line is
 rendered only when its level is enabled) and hands it to its sinks:
 
 * :class:`JsonlSink` — one compact JSON object per line, flushed per
@@ -15,7 +17,7 @@ rendered only when its level is enabled) and hands it to its sinks:
   terminal, plain throttled progress lines on a pipe.
 
 A bus without sinks is what the engine and the executor build when given
-none; its records still reach the log.
+none, and what the service reports on; its records still reach the log.
 
 Design rules, inherited from the recorder (see ``docs/observability.md``):
 
@@ -41,7 +43,7 @@ import threading
 import time
 from typing import Dict, IO, List, Mapping, Optional, Tuple
 
-from .logging import get_logger, new_run_id
+from .logging import json_log_line, new_run_id
 
 __all__ = [
     "JsonlSink",
@@ -66,14 +68,19 @@ TELEMETRY_EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     "pool_rebuild": ("rebuilds",),
     "progress": ("done", "total", "failed", "rate_per_s", "eta_s"),
     "sweep_end": ("done", "total", "failed", "executed", "cache_hits", "journal_hits", "wall_s"),
+    "http_request": ("method", "path", "status", "duration_ms"),
+    "session_quarantined": ("session_id", "error"),
+    "persist_failed": ("session_id", "error"),
 }
 
 _ENVELOPE_FIELDS = ("seq", "ts", "run_id", "event")
 
-_LOG = get_logger("repro.telemetry")
+_LOG = logging.getLogger("repro.telemetry")
 
 #: events logged at WARNING; every other event logs at INFO
-_WARNING_EVENTS = frozenset({"job_fail", "job_timeout", "pool_rebuild"})
+_WARNING_EVENTS = frozenset(
+    {"job_fail", "job_timeout", "pool_rebuild", "session_quarantined", "persist_failed"}
+)
 
 
 def validate_telemetry_record(record: Mapping[str, object]) -> None:
@@ -126,9 +133,10 @@ class TelemetryBus:
             }
             record.update(fields)
             self.emitted += 1
-            # The record's ``event`` binds to the logger's own parameter,
-            # so the log line is the record plus ``level``.
-            _LOG.log(logging.WARNING if event in _WARNING_EVENTS else logging.INFO, **record)
+            level = logging.WARNING if event in _WARNING_EVENTS else logging.INFO
+            if _LOG.isEnabledFor(level):
+                fields = {key: value for key, value in record.items() if key != "event"}
+                _LOG.log(level, json_log_line(logging.getLevelName(level), event, fields))
             dead: List[object] = []
             for sink in self.sinks:
                 try:

@@ -4,11 +4,11 @@ Reached through the main experiments CLI (``python -m repro.experiments.cli
 serve``) or directly as ``python -m repro.service.cli``.  The server runs
 until interrupted or until a client posts ``/shutdown``.
 
-``--log-level info`` turns on the structured JSON-lines log (one JSON
-object per request/operation, with run/session correlation ids — schema
-in ``docs/observability.md``) on the ``repro.service`` logger; the
-default leaves logging unconfigured, so the server stays silent exactly
-as before.
+``--log-level info`` sends the ``repro`` logger to stderr at that level:
+the server's telemetry records (one JSON object per request, quarantined
+session or failed persist, with the server's ``svc-…`` run id — schema
+in ``docs/observability.md``) arrive there on ``repro.telemetry``.  The
+default leaves logging unconfigured, so the server stays silent.
 """
 
 from __future__ import annotations
@@ -21,16 +21,6 @@ from ..obs.logging import configure_json_logging
 from .server import serve
 
 _LOG_LEVELS = ("critical", "error", "warning", "info", "debug")
-
-
-def configure_logging(level_name: Optional[str]) -> None:
-    """Wire the ``repro.service`` structured log to stderr at ``level_name``.
-
-    ``None`` (flag omitted) configures nothing — logging stays at the
-    host application's discretion and the server is silent by default.
-    The emitted lines are raw JSON documents (``repro.obs.logging``).
-    """
-    configure_json_logging(level_name, "repro.service")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -46,7 +36,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--log-level",
         default=None,
         choices=_LOG_LEVELS,
-        help="enable the structured access log at this level (default: off)",
+        help="log the server's JSON telemetry lines to stderr at this level (default: off)",
     )
     parser.add_argument(
         "--state-dir",
@@ -73,7 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: %(default)ss; 0 disables the periodic flush)",
     )
     args = parser.parse_args(argv)
-    configure_logging(args.log_level)
+    configure_json_logging(args.log_level)
     try:
         asyncio.run(
             serve(

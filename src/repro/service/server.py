@@ -74,7 +74,8 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..obs import PROMETHEUS_CONTENT_TYPE, Recorder, render_recorder
-from ..obs.logging import get_logger, new_run_id
+from ..obs.logging import new_run_id
+from ..obs.telemetry import TelemetryBus
 from .dashboard import DASHBOARD_HTML
 from .session import SessionError, SimulationSession, advance_session_counter
 from .snapshot import SnapshotError, snapshot_from_text, snapshot_to_text
@@ -94,11 +95,6 @@ _MUTATING_VERBS = frozenset({"advance", "submit", "inject", "restore"})
 
 #: seconds between SSE keep-alive comments on an otherwise idle stream
 STREAM_HEARTBEAT_S = 15.0
-
-#: Structured JSON-lines log (``repro.obs.logging`` schema, one object
-#: per line); silent unless the host configures logging — ``cli serve
-#: --log-level info`` does.  Server instances bind a ``run_id``.
-_LOG = get_logger("repro.service")
 
 
 class TextResponse:
@@ -157,9 +153,10 @@ class SchedulerServer:
         self._shutdown = asyncio.Event()
         self.host: str = ""
         self.port: int = 0
-        #: correlation id stamped on every structured log line of this server
-        self.run_id = new_run_id("svc")
-        self._log = _LOG.bind(run_id=self.run_id)
+        #: where requests, quarantines and failed persists are reported: one
+        #: ``repro.telemetry`` log line each, silent unless the host
+        #: configures logging (``cli serve --log-level info`` does)
+        self.telemetry = TelemetryBus(run_id=new_run_id("svc"))
         #: seconds between keep-alive comments on idle SSE streams
         self.stream_heartbeat_s = STREAM_HEARTBEAT_S
         #: server-level instruments: request counts and latencies
@@ -235,7 +232,7 @@ class SchedulerServer:
                     stored.snapshot,
                 )
             except Exception as exc:  # noqa: BLE001 - quarantine, don't crash the boot
-                self._log.warning(
+                self.telemetry.emit(
                     "session_quarantined", session_id=stored.session_id, error=str(exc)
                 )
                 self.store.quarantine(self.store._path(stored.session_id))
@@ -269,7 +266,7 @@ class SchedulerServer:
                 try:
                     await self._run(lock, lambda s=session: self._persist(s))
                 except Exception as exc:  # noqa: BLE001 - a failed flush must not kill the loop
-                    self._log.warning(
+                    self.telemetry.emit(
                         "persist_failed", session_id=session_id, error=str(exc)
                     )
 
@@ -326,7 +323,7 @@ class SchedulerServer:
         clean = path.split("?", 1)[0]
         if clean.startswith("/sessions/"):
             session_id = clean[len("/sessions/"):].split("/", 1)[0] or None
-        self._log.info(
+        self.telemetry.emit(
             "http_request",
             method=method,
             path=clean,

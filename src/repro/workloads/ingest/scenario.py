@@ -50,7 +50,6 @@ class TraceScenario(Scenario):
         spot_scale: float = 1.0,
         seed: int = 0,
         gpu_model: Optional[GPUModel] = GPUModel.A100,
-        extra_overrides: Optional[Mapping[str, object]] = None,
         base_overrides: Optional[Mapping[str, object]] = None,
     ) -> Trace:
         """Load the trace and clip it to the experiment scale's window.

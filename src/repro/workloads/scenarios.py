@@ -61,7 +61,7 @@ class Scenario:
 
     ``overrides`` are :class:`WorkloadConfig` field overrides applied on
     top of the caller's base parameters (cluster size, duration, seed,
-    spot scale); caller-supplied ``extra_overrides`` win over both.
+    spot scale).
     ``org_builder`` optionally replaces the default organization mix, and
     ``fleet_mix`` optionally replaces the homogeneous simulation cluster
     with a multi-model fleet (node fractions per GPU model).
@@ -91,14 +91,13 @@ class Scenario:
         spot_scale: float = 1.0,
         seed: int = 0,
         gpu_model: Optional[GPUModel] = GPUModel.A100,
-        extra_overrides: Optional[Mapping[str, object]] = None,
         base_overrides: Optional[Mapping[str, object]] = None,
     ) -> WorkloadConfig:
         """Assemble the workload config for this scenario.
 
         Precedence (lowest to highest): base parameters, ``base_overrides``
-        (e.g. an experiment scale's workload overrides), the scenario's own
-        ``overrides``, then caller ``extra_overrides``.
+        (e.g. an experiment scale's workload overrides), then the
+        scenario's own ``overrides``.
         """
         kwargs: Dict[str, object] = {
             "cluster_gpus": cluster_gpus,
@@ -110,8 +109,6 @@ class Scenario:
         if base_overrides:
             kwargs.update(base_overrides)
         kwargs.update(self.overrides)
-        if extra_overrides:
-            kwargs.update(extra_overrides)
         # JSON round-trips (job specs, caches) turn tuples into lists.
         for key in ("gang_pod_range",):
             if key in kwargs and isinstance(kwargs[key], list):
@@ -125,18 +122,11 @@ class Scenario:
         spot_scale: float = 1.0,
         seed: int = 0,
         gpu_model: Optional[GPUModel] = GPUModel.A100,
-        extra_overrides: Optional[Mapping[str, object]] = None,
         base_overrides: Optional[Mapping[str, object]] = None,
     ) -> Trace:
         """Generate a trace for this scenario (deterministic in ``seed``)."""
         config = self.build_config(
-            cluster_gpus,
-            duration_hours,
-            spot_scale,
-            seed,
-            gpu_model,
-            extra_overrides,
-            base_overrides,
+            cluster_gpus, duration_hours, spot_scale, seed, gpu_model, base_overrides
         )
         organizations = self.org_builder(seed) if self.org_builder else None
         trace = SyntheticTraceGenerator(config, organizations=organizations).generate()

@@ -2,6 +2,8 @@
 
 import ast
 import hashlib
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,30 @@ class TestPackage:
             for banned in ("NULL_TELEMETRY", "MetricsServer", "PrometheusSink"):
                 assert banned not in source, f"{banned} is back in {path}"
 
+    def test_one_obs_path(self):
+        # One structured-log path (the telemetry bus), one parser for the
+        # instrumented-run commands, one fold of the sim.* wall histograms.
+        package = Path(repro.__file__).parent
+        for path in package.rglob("*.py"):
+            names = {
+                getattr(n, "id", getattr(n, "attr", getattr(n, "name", None)))
+                for n in ast.walk(ast.parse(path.read_text()))
+            }
+            assert not names & {"StructuredLogger", "get_logger"}, path
+        obs_cli = ast.parse((package / "obs" / "cli.py").read_text())
+        parsers = [
+            n for n in ast.walk(obs_cli)
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "ArgumentParser"
+        ]
+        assert len(parsers) == 1
+        engine = ast.parse((package / "experiments" / "engine.py").read_text())
+        wall_names = [
+            n.value for n in ast.walk(engine)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and re.match(r"sim\.[\w.]*_s\b", n.value)
+        ]
+        assert wall_names == []
+
 
 def test_sweep_resume_of_an_unreadable_journal_exits_2(capsys, tmp_path):
     # A journal from a newer format is named with its version, not
@@ -229,6 +255,52 @@ class TestCLI:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "ee240870b5fb125e5328ebabd080221161ae7fcf8ac9ad7759c3fef8ec111cac"
         )
+
+    def test_profile_and_trace_viz_write_the_same_trace(self, capsys, tmp_path):
+        cell = ["--scenario", "node_churn", "--nodes", "12", "--hours", "6", "--seed", "3"]
+        traces = {}
+        for command in ("profile", "trace-viz"):
+            out = tmp_path / f"{command}.json"
+            assert cli.main([command, *cell, "--trace-out", str(out)]) == 0
+            traces[command] = json.loads(out.read_text())
+        assert "Self-profile:" in capsys.readouterr().out
+        for command, trace in traces.items():
+            assert trace["otherData"].pop("command") == command
+        assert traces["profile"] == traces["trace-viz"]
+
+    def test_sweep_profile_rows_carry_the_policy_tick_time(self, capsys, monkeypatch, tmp_path):
+        from repro.experiments import engine as engine_module
+
+        recorders = []
+
+        class CapturingRecorder(engine_module.Recorder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                recorders.append(self)
+
+        monkeypatch.setattr(engine_module, "Recorder", CapturingRecorder)
+        assert cli.main([
+            "sweep", "--nodes", "8", "--hours", "6", "--schedulers", "GFS,YARN-CS",
+            "--profile", "--out", str(tmp_path),
+        ]) == 0
+        rows = json.loads((tmp_path / "grid.json").read_text())
+        assert len(rows) == len(recorders) == 2
+        for row, recorder in zip(rows, recorders):
+            assert row["obs_events"] == sum(
+                value for (name, _), value in recorder.counters.items() if name == "sim.events"
+            )
+            hist = recorder.histograms.get("sim.scheduler_tick_s")
+            assert row["obs_tick_wall_s"] == round(hist.total if hist else 0.0, 6)
+        (gfs,) = [row for row in rows if row["scheduler"] == "GFS"]
+        assert gfs["obs_tick_wall_s"] > 0
+
+    def test_observations_report_has_table_1(self, capsys):
+        assert cli.main(["observations", "--scale", "small"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 1 (fleet allocation rates" in out
+        rows = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert {"A10", "A100", "A800", "H800"} <= rows
+        assert "Figure 5 week 4" in out
 
     def test_sweep_unknown_scheduler_filter_rejected(self):
         with pytest.raises(SystemExit):

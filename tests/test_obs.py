@@ -27,7 +27,8 @@ from repro.obs import (
     parse_prometheus_text,
     render_recorder,
 )
-from repro.obs.profiler import phase_breakdown
+from repro.experiments.engine import job_profile_summary
+from repro.obs.profiler import phase_breakdown, phase_totals
 from repro.obs.prometheus import metric_name, render_histogram
 
 
@@ -93,6 +94,30 @@ def test_phase_breakdown_splits_the_scheduler_tick_hook_out_of_dispatch():
     quiet = {phase.name.strip(): phase for phase in phase_breakdown(Recorder(), wall_time_s=1.0)}
     assert quiet["scheduler tick hook (policy)"].seconds == 0.0
     assert quiet["scheduler tick hook (policy)"].count == 0
+
+
+def test_job_profile_summary_wall_columns_are_the_phase_totals():
+    rec = Recorder()
+    rec.record_dispatch("QUOTA_TICK", 1.0)
+    rec.record_dispatch("TASK_ARRIVAL", 0.5)
+    rec.record_dispatch("TASK_ARRIVAL", 0.25)
+    rec.observe("sim.pass_wall_s", 0.4)
+    rec.observe("sim.scheduler_tick_s", 0.3)
+    rec.observe("sim.metric_accrual_s", 0.1)
+    totals = phase_totals(rec)
+    assert totals["dispatch"] == (1.75, 3)
+    assert totals["dispatch.TASK_ARRIVAL"] == (0.75, 2)
+    row = job_profile_summary(rec, wall_s=2.0)
+    for column, phase in (
+        ("obs_pass_wall_s", "pass"), ("obs_tick_wall_s", "tick"),
+        ("obs_accrual_wall_s", "accrual"), ("obs_dispatch_wall_s", "dispatch"),
+    ):
+        assert row[column] == round(totals[phase][0], 6), column
+    assert row["obs_events"] == sum(
+        value for (name, _), value in rec.counters.items() if name == "sim.events"
+    ) == 3
+    # An empty recorder folds to zeros, every column present.
+    assert job_profile_summary(Recorder(), wall_s=1.0)["obs_tick_wall_s"] == 0.0
 
 
 def test_pass_record_limit_drops_oldest_deterministically():

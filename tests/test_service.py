@@ -29,6 +29,7 @@ import pytest
 
 from repro.cluster.simulator import ClusterSimulator
 from repro.obs.logging import parse_log_line
+from repro.obs.telemetry import validate_telemetry_record
 from repro.service import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.session import (
     SessionError,
@@ -593,21 +594,25 @@ def test_structured_access_log_lines(caplog):
                 await client.status("no-such-session")
             return sid
 
-    with caplog.at_level(logging.INFO, logger="repro.service"):
+    with caplog.at_level(logging.INFO, logger="repro.telemetry"):
         sid = asyncio.run(body())
     records = [
         parse_log_line(r.getMessage())
         for r in caplog.records
-        if r.name == "repro.service"
+        if r.name == "repro.telemetry"
     ]
     requests = [r for r in records if r["event"] == "http_request"]
     assert requests, records
-    # every request line carries the full structured vocabulary
+    # every request line is a telemetry record of the server's own bus
     for rec in requests:
         assert rec["level"] == "info"
         assert isinstance(rec["ts"], float)
         assert rec["run_id"].startswith("svc-")
         assert isinstance(rec["duration_ms"], (int, float))
+        validate_telemetry_record(rec)
+    assert len({r["run_id"] for r in requests}) == 1
+    seqs = [r["seq"] for r in requests]
+    assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
     assert any(
         r["method"] == "POST" and r["path"] == "/sessions" and r["status"] == 200
         for r in requests
@@ -622,19 +627,25 @@ def test_structured_access_log_lines(caplog):
     ), requests
 
 
-def test_configure_logging_levels():
+def test_configure_logging_levels(monkeypatch):
     import logging
 
-    from repro.service.cli import configure_logging
+    from repro.service import cli as service_cli
 
-    logger = logging.getLogger("repro.service")
+    async def no_server(*args, **kwargs):
+        return None
+
+    monkeypatch.setattr(service_cli, "serve", no_server)
+    logger = logging.getLogger("repro")
     old_level, old_handlers = logger.level, list(logger.handlers)
     try:
-        configure_logging(None)  # no-op: stays unconfigured
+        service_cli.main([])  # no --log-level: stays unconfigured
         assert logger.level == old_level and logger.handlers == old_handlers
-        configure_logging("debug")
+        service_cli.main(["--log-level", "debug"])
         assert logger.level == logging.DEBUG
         assert len(logger.handlers) == len(old_handlers) + 1
+        # the server's telemetry logger inherits the wiring
+        assert logging.getLogger("repro.telemetry").isEnabledFor(logging.DEBUG)
     finally:
         for handler in logger.handlers[len(old_handlers):]:
             logger.removeHandler(handler)

@@ -3,7 +3,8 @@
 Covers the :class:`TelemetryBus` contract (envelope, schema validation,
 sink fault isolation), every bundled sink (JSONL, TTY progress), the
 engine/executor event wiring (lifecycle events for real sweeps,
-including failures and retries), and the JSON-lines structured logger.
+including failures and retries), and the JSON-lines log lines the bus
+renders.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from repro.experiments.engine import (
     sweep_jobs,
 )
 from repro.obs.logging import (
-    StructuredLogger,
     configure_json_logging,
-    get_logger,
     json_log_line,
     new_run_id,
     parse_log_line,
@@ -300,41 +299,40 @@ def test_parse_log_line_rejects_unstructured_text():
         parse_log_line("GET /sessions 200")
 
 
-def test_bind_is_immutable_and_stamps_fields(caplog):
-    base = get_logger("repro.test_tele")
-    bound = base.bind(run_id="r-9", session_id="s-1")
-    rebound = bound.bind(session_id="s-2")
-    assert bound.bound_fields == {"run_id": "r-9", "session_id": "s-1"}
-    assert rebound.bound_fields["session_id"] == "s-2"
-    assert base.bound_fields == {}
-    with caplog.at_level(logging.INFO, logger="repro.test_tele"):
-        rebound.info("thing_happened", detail=7)
-    record = parse_log_line(caplog.records[-1].getMessage())
-    assert record["run_id"] == "r-9"
-    assert record["session_id"] == "s-2"
-    assert record["detail"] == 7
-
-
-def test_logger_skips_rendering_below_level():
+def test_logger_skips_rendering_below_level(caplog):
     class Exploding:
         def __str__(self):
             raise AssertionError("rendered a suppressed log line")
 
-    log = get_logger("repro.test_tele.silent")
-    # DEBUG is not enabled: the field must never be stringified
-    log.debug("expensive", payload=Exploding())
+    bus = TelemetryBus(run_id="svc-quiet")
+    with caplog.at_level(logging.WARNING, logger="repro.telemetry"):
+        # INFO is not enabled: the field must never be stringified
+        bus.emit(
+            "http_request", method="GET", path="/", status=200, duration_ms=1.0,
+            payload=Exploding(),
+        )
+        bus.emit("persist_failed", session_id="s-1", error="disk full")
+    lines = [parse_log_line(r.getMessage()) for r in caplog.records]
+    assert [(line["event"], line["level"], line["seq"]) for line in lines] == [
+        ("persist_failed", "warning", 2)
+    ]
 
 
 def test_configure_json_logging_installs_and_returns_handler():
     assert configure_json_logging(None) is None
     stream = io.StringIO()
-    handler = configure_json_logging("info", "repro.test_tele.cfg", stream=stream)
+    logger = logging.getLogger("repro")
+    old_level = logger.level
+    handler = configure_json_logging("info", stream=stream)
     try:
-        get_logger("repro.test_tele.cfg").info("configured", ok=True)
+        # The bus logs on repro.telemetry, a child of the configured logger.
+        TelemetryBus(run_id="r-cfg").emit("cache_hit", job="a")
         record = parse_log_line(stream.getvalue().strip())
-        assert record["event"] == "configured" and record["ok"] is True
+        assert record["event"] == "cache_hit" and record["job"] == "a"
+        assert record["run_id"] == "r-cfg" and record["seq"] == 1
     finally:
-        logging.getLogger("repro.test_tele.cfg").removeHandler(handler)
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
 
 
 def test_new_run_id_is_prefixed_and_unique():
