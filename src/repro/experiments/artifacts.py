@@ -113,17 +113,11 @@ class ArtifactCache:
 
     def __init__(self, root: str | Path = ".repro-cache"):
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
         #: corrupt entries moved aside by :meth:`load` this lifetime
         self.quarantined = 0
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
-
-    def key_for(self, payload: object) -> str:
-        """The content key a payload would be stored under."""
-        return content_key(payload)
 
     def load(self, key: str) -> Optional[SimulationMetrics]:
         """Return the cached metrics for ``key``, or ``None`` on a miss.
@@ -136,16 +130,13 @@ class ArtifactCache:
         """
         path = self._path(key)
         if not path.exists():
-            self.misses += 1
             return None
         try:
             record = json.loads(path.read_text())
             metrics = metrics_from_payload(record["metrics"])
         except (ValueError, KeyError, TypeError) as exc:
             self._quarantine(path, exc)
-            self.misses += 1
             return None
-        self.hits += 1
         return metrics
 
     def _quarantine(self, path: Path, exc: Exception) -> None:

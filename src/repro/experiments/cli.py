@@ -262,8 +262,8 @@ def main(argv: List[str] | None = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-cell deadline; an expired cell's worker pool is killed and "
-        "rebuilt, the cell retries (requires --workers >= 2)",
+        help="per-cell deadline; cells then run in worker processes (one at "
+        "--workers 1), and an expired cell's pool is killed and rebuilt, the cell retries",
     )
     parser.add_argument(
         "--retries",

@@ -424,8 +424,6 @@ class ExperimentEngine:
         self.profiles: Dict[str, Dict[str, object]] = {}
         #: job key -> structured failure for cells that exhausted retries
         self.failures: Dict[str, JobFailure] = {}
-        #: supervision counters from the last run (rebuilds/retries/timeouts)
-        self.last_supervision: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[SimulationJob]) -> Dict[str, SimulationMetrics]:
@@ -553,10 +551,9 @@ class ExperimentEngine:
         worker: Callable = run_cell_profiled if self.profile else run_cell
         if self.chaos is not None:
             worker = ChaosWorker(self.chaos, worker)
-        # A lone pending cell normally runs in-process (no pool startup
-        # cost), but timeouts and chaos need a separate worker process to
-        # kill.
-        lone = len(pending) == 1 and self.chaos is None and self.guard.timeout_s is None
+        # A lone pending cell needs one worker (no pool startup cost),
+        # unless chaos needs separate worker processes to kill.
+        lone = len(pending) == 1 and self.chaos is None
         executor = ResilientExecutor(
             worker,
             workers=1 if lone else self.workers,
@@ -589,12 +586,6 @@ class ExperimentEngine:
                 return stop.requested
         except KeyboardInterrupt:
             return True
-        finally:
-            self.last_supervision = {
-                "pool_rebuilds": executor.pool_rebuilds,
-                "retries": executor.retries,
-                "timeouts": executor.timeouts,
-            }
 
     def _absorb(
         self,

@@ -14,9 +14,9 @@ share one vocabulary of durability primitives:
 * :mod:`.journal` — the write-ahead sweep journal (append-only fsync'd
   JSONL keyed by content-hash cache keys) behind
   ``cli sweep --resume``;
-* :mod:`.executor` — a supervised process pool that survives
-  ``BrokenProcessPool`` by re-spawning and re-queueing, and un-wedges
-  hung workers by deadline-killing the pool;
+* :mod:`.executor` — one supervision loop, in-process or over a
+  process pool that survives ``BrokenProcessPool`` by re-spawning and
+  re-queueing, and un-wedges hung workers by deadline-killing the pool;
 * :mod:`.chaos` — the self-chaos harness: seeded kill/hang/poison
   injection into harness workers, mirroring the discipline
   :class:`~repro.dynamics.FaultInjector` applies to simulated nodes;

@@ -21,7 +21,8 @@ budget exceeds the worst-case strike count provably converges, and the
 chaos suite can assert the swept grid is bit-identical to an
 uninterrupted reference run (``tests/test_chaos_harness.py``).
 
-Only use ``kill``/``hang`` modes with pool execution (``workers >= 2``):
+Only use ``kill``/``hang`` modes with jobs in worker processes
+(``workers >= 2``, or a guard deadline, which ``hang`` needs anyway):
 in-process, ``os._exit`` would take the driver down with it.
 """
 
@@ -85,13 +86,12 @@ class ChaosWorker:
     startup.
     """
 
-    def __init__(self, plan: ChaosPlan, inner: Callable, key_of: str = "key"):
+    def __init__(self, plan: ChaosPlan, inner: Callable):
         self.plan = plan
         self.inner = inner
-        self.key_of = key_of
 
     def __call__(self, item, attempt: int = 1):
-        job_key = str(getattr(item, self.key_of, item))
+        job_key = item.key
         action = self.plan.decide(job_key, attempt)
         if action == "kill":
             os._exit(139)  # no unwinding: indistinguishable from kill -9

@@ -1,4 +1,4 @@
-"""Fault-tolerant job execution over a supervised process pool.
+"""Fault-tolerant job execution: one supervision loop, in process or over a pool.
 
 ``concurrent.futures.ProcessPoolExecutor`` has a brutal failure model:
 one worker dying (``kill -9``, OOM kill, a segfaulting extension)
@@ -7,15 +7,15 @@ one worker dying (``kill -9``, OOM kill, a segfaulting extension)
 is worse: nothing times out, ever.  :class:`ResilientExecutor` wraps the
 pool with the supervision loop both cases need:
 
-* **pool loss** — on ``BrokenProcessPool`` the pool is torn down and
-  re-spawned, and every in-flight job is re-queued with its attempt
-  counter bumped (the guilty job cannot be distinguished from innocent
-  ones, so all pay one attempt — bounded by the guard's retry budget);
-* **timeouts** — each submitted job carries a deadline; when one
-  expires the pool's worker processes are terminated outright (the only
-  way to un-wedge a hung worker), the pool is rebuilt, the expired job
-  is charged an attempt and innocent in-flight jobs are re-queued *for
-  free* at their current attempt;
+* **pool loss** — on ``BrokenProcessPool`` every in-flight job is
+  charged one attempt (the guilty job cannot be distinguished from
+  innocent ones, so all pay — bounded by the guard's retry budget) and
+  the pool is rebuilt;
+* **timeouts** — each submitted job carries a deadline; a job that
+  outlives it is charged an attempt and the pool is rebuilt: its worker
+  processes are terminated outright (the only way to un-wedge a hung
+  worker) and innocent in-flight jobs re-queue *for free* at their
+  current attempt;
 * **retries** — failed attempts re-queue after a deterministic
   exponential backoff (:class:`~.guards.RetryPolicy`); jobs whose
   budget is exhausted yield a structured
@@ -25,17 +25,19 @@ pool with the supervision loop both cases need:
   and lets in-flight work finish, so Ctrl-C flushes a consistent
   partial grid instead of vaporising it.
 
+``workers`` and the guard's ``timeout_s`` alone decide where jobs run:
+``workers=1`` without a deadline runs each job in-process (no pool, no
+pickling) through the same loop, whose stand-in pool runs a job at
+``submit``; a deadline needs a worker process to kill, so it makes even
+``workers=1`` use a one-process pool.
+
 Jobs flow out of :meth:`run` as ``(item, outcome)`` pairs the moment
 they complete — outcome is the worker's return value or a
 :class:`JobFailure` — so callers can journal and cache incrementally.
-Workers are called as ``worker(item, attempt)``; the attempt number is
-what lets the chaos harness (:mod:`.chaos`) key fault injection
-deterministically per execution.
-
-The ``workers=1`` path runs everything in-process (the reference serial
-path: no pool, no pickling) with the same retry/failure semantics;
-``timeout_s`` is not enforceable there since a process cannot preempt
-itself.
+Workers are called as ``worker(item, attempt)`` and report failures
+under ``item.key``; the attempt number is what lets the chaos harness
+(:mod:`.chaos`) key fault injection deterministically per execution.
+Supervision is reported on the telemetry bus only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import signal
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -89,7 +91,7 @@ def _worker_init() -> None:
             pass
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
+def _kill_pool(pool: Executor) -> None:
     """Tear a pool down *now*, terminating workers (hung ones included)."""
     processes = list(getattr(pool, "_processes", {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
@@ -109,13 +111,25 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+class _InProcessPool(Executor):
+    """The pool stand-in for ``workers=1`` without a deadline: ``submit``
+    runs the job in this process and returns its completed future."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - the loop's harvest judges it
+            future.set_exception(exc)
+        return future
+
+
 class ResilientExecutor:
     """Supervised execution of a batch of keyed jobs (see module doc).
 
-    ``worker`` must be picklable for ``workers > 1`` (a top-level
+    ``worker`` must be picklable when jobs run in a pool (a top-level
     function or an instance of a top-level class) and is invoked as
-    ``worker(item, attempt)``.  ``key_of`` extracts the stable string
-    key failures are reported under (defaults to ``item.key``).
+    ``worker(item, attempt)``; failures are reported under ``item.key``.
 
     ``telemetry`` is the :class:`~repro.obs.telemetry.TelemetryBus`
     every supervision event goes to — ``job_start`` / ``job_done`` /
@@ -130,20 +144,15 @@ class ResilientExecutor:
         worker: Callable,
         workers: int = 1,
         guard: Optional[JobGuard] = None,
-        key_of: Callable[[object], str] = None,
         telemetry: Optional[TelemetryBus] = None,
     ):
         self.worker = worker
         self.workers = max(1, int(workers))
         self.guard = guard or JobGuard()
-        self.key_of = key_of or (lambda item: item.key)
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
-        #: supervision counters (pool rebuilds, retries, timeouts)
+        #: pool teardowns so far (the count each ``pool_rebuild`` event carries)
         self.pool_rebuilds = 0
-        self.retries = 0
-        self.timeouts = 0
 
-    # ------------------------------------------------------------------
     def run(
         self,
         items: Sequence[object],
@@ -156,68 +165,15 @@ class ResilientExecutor:
         un-launched items are simply never yielded (the caller's
         journal knows which cells completed).
         """
-        if self.workers == 1:
-            yield from self._run_serial(items, should_stop)
-        else:
-            yield from self._run_pool(items, should_stop)
-
-    # ------------------------------------------------------------------
-    # Serial reference path
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self, items: Sequence[object], should_stop: Optional[Callable[[], bool]]
-    ) -> Iterator[Tuple[object, object]]:
-        for item in items:
-            if should_stop is not None and should_stop():
-                return
-            attempt = 1
-            while True:
-                key = self.key_of(item)
-                self.telemetry.emit("job_start", job=key, attempt=attempt)
-                started = time.perf_counter()
-                try:
-                    result = self.worker(item, attempt)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - guard converts to JobFailure
-                    if self.guard.allows_retry(attempt):
-                        self.retries += 1
-                        delay = self.guard.backoff.delay(attempt)
-                        self.telemetry.emit(
-                            "job_retry", job=key, attempt=attempt, delay_s=delay
-                        )
-                        time.sleep(delay)
-                        attempt += 1
-                        continue
-                    failure = JobFailure.from_exception(key, exc, attempt)
-                    self.telemetry.emit(
-                        "job_fail", job=key, kind=failure.kind, attempts=failure.attempts
-                    )
-                    yield item, failure
-                    break
-                else:
-                    self.telemetry.emit(
-                        "job_done",
-                        job=key,
-                        wall_s=round(time.perf_counter() - started, 6),
-                    )
-                    yield item, result
-                    break
-
-    # ------------------------------------------------------------------
-    # Supervised pool path
-    # ------------------------------------------------------------------
-    def _run_pool(
-        self, items: Sequence[object], should_stop: Optional[Callable[[], bool]]
-    ) -> Iterator[Tuple[object, object]]:
         # queue entries: (item, attempt, not_before_monotonic)
         queue: Deque[Tuple[object, int, float]] = deque(
             (item, 1, 0.0) for item in items
         )
         # future -> (item, attempt, deadline, started_monotonic)
-        inflight: Dict[object, Tuple[object, int, float, float]] = {}
-        pool: Optional[ProcessPoolExecutor] = None
+        inflight: Dict[Future, Tuple[object, int, float, float]] = {}
         timeout_s = self.guard.timeout_s
+        in_process = self.workers == 1 and not timeout_s
+        pool: Optional[Executor] = None
         try:
             while queue or inflight:
                 now = time.monotonic()
@@ -234,27 +190,21 @@ class ResilientExecutor:
                             pending_retry.append((item, attempt, not_before))
                             continue
                         if pool is None:
-                            pool = ProcessPoolExecutor(
+                            pool = _InProcessPool() if in_process else ProcessPoolExecutor(
                                 max_workers=self.workers, initializer=_worker_init
                             )
+                        self.telemetry.emit("job_start", job=item.key, attempt=attempt)
+                        started = time.monotonic()
                         try:
                             future = pool.submit(self.worker, item, attempt)
                         except (BrokenProcessPool, RuntimeError):
-                            # Pool broke between harvests; recycle and requeue.
+                            # Pool broke between harvests; rebuild and requeue.
                             queue.appendleft((item, attempt, not_before))
-                            for fut, entry in inflight.items():
-                                fut.cancel()
-                                queue.append(entry[:2] + (0.0,))
-                            inflight.clear()
-                            _kill_pool(pool)
+                            self._rebuild(pool, inflight, queue)
                             pool = None
-                            self._note_rebuild()
                             break
-                        deadline = now + timeout_s if timeout_s else float("inf")
-                        inflight[future] = (item, attempt, deadline, time.monotonic())
-                        self.telemetry.emit(
-                            "job_start", job=self.key_of(item), attempt=attempt
-                        )
+                        deadline = started + timeout_s if timeout_s else float("inf")
+                        inflight[future] = (item, attempt, deadline, started)
                     queue.extendleft(reversed(pending_retry))
 
                 if not inflight:
@@ -279,14 +229,12 @@ class ResilientExecutor:
                     except BrokenProcessPool as exc:
                         pool_broken = True
                         outcomes.extend(self._requeue_or_fail(queue, item, attempt, exc, "worker-lost"))
-                    except KeyboardInterrupt:
-                        raise
                     except Exception as exc:  # noqa: BLE001 - guard converts to JobFailure
                         outcomes.extend(self._requeue_or_fail(queue, item, attempt, exc, "exception"))
                     else:
                         self.telemetry.emit(
                             "job_done",
-                            job=self.key_of(item),
+                            job=item.key,
                             wall_s=round(time.monotonic() - started, 6),
                         )
                         outcomes.append((item, result))
@@ -294,42 +242,26 @@ class ResilientExecutor:
                 if pool_broken:
                     # The whole pool is dead: every other in-flight job
                     # failed with it.  Charge them all one attempt (the
-                    # guilty one is indistinguishable) and rebuild.
-                    for future, (item, attempt, _, _) in list(inflight.items()):
+                    # guilty one is indistinguishable).
+                    for item, attempt, _, _ in inflight.values():
                         exc = BrokenProcessPool("worker process died; pool re-spawned")
                         outcomes.extend(self._requeue_or_fail(queue, item, attempt, exc, "worker-lost"))
                     inflight.clear()
-                    if pool is not None:
-                        _kill_pool(pool)
-                        pool = None
-                    self._note_rebuild()
 
                 # Deadline sweep: a hung worker cannot be interrupted, so
-                # an expired job costs the whole pool — innocents requeue
-                # at their current attempt (they did nothing wrong).
+                # an expired job costs the whole pool.
                 now = time.monotonic()
                 expired = [f for f, entry in inflight.items() if entry[2] <= now]
-                if expired:
-                    for future in expired:
-                        item, attempt, _, _ = inflight.pop(future)
-                        self.timeouts += 1
-                        self.telemetry.emit(
-                            "job_timeout",
-                            job=self.key_of(item),
-                            attempt=attempt,
-                            timeout_s=timeout_s,
-                        )
-                        exc = TimeoutError(
-                            f"job exceeded guard timeout of {timeout_s:.3f}s"
-                        )
-                        outcomes.extend(self._requeue_or_fail(queue, item, attempt, exc, "timeout"))
-                    for future, (item, attempt, _, _) in inflight.items():
-                        queue.append((item, attempt, 0.0))
-                    inflight.clear()
-                    if pool is not None:
-                        _kill_pool(pool)
-                        pool = None
-                    self._note_rebuild()
+                for future in expired:
+                    item, attempt, _, _ = inflight.pop(future)
+                    self.telemetry.emit(
+                        "job_timeout", job=item.key, attempt=attempt, timeout_s=timeout_s
+                    )
+                    exc = TimeoutError(f"job exceeded guard timeout of {timeout_s:.3f}s")
+                    outcomes.extend(self._requeue_or_fail(queue, item, attempt, exc, "timeout"))
+                if pool_broken or expired:
+                    self._rebuild(pool, inflight, queue)
+                    pool = None
 
                 yield from outcomes
 
@@ -341,8 +273,15 @@ class ResilientExecutor:
             if pool is not None:
                 _kill_pool(pool)
 
-    def _note_rebuild(self) -> None:
-        """Count one pool teardown/re-spawn and report it."""
+    def _rebuild(self, pool: Executor, inflight: Dict, queue: Deque) -> None:
+        """Tear down a lost pool: in-flight jobs requeue at their current
+        attempt (they did nothing wrong), the workers are killed and the
+        rebuild is reported; the next launch spawns a fresh pool."""
+        for future, (item, attempt, _, _) in inflight.items():
+            future.cancel()
+            queue.append((item, attempt, 0.0))
+        inflight.clear()
+        _kill_pool(pool)
         self.pool_rebuilds += 1
         self.telemetry.emit("pool_rebuild", rebuilds=self.pool_rebuilds)
 
@@ -355,16 +294,13 @@ class ResilientExecutor:
         kind: str,
     ) -> List[Tuple[object, JobFailure]]:
         """Schedule a retry with backoff, or emit a terminal failure."""
-        key = self.key_of(item)
         if self.guard.allows_retry(attempt):
-            self.retries += 1
             delay = self.guard.backoff.delay(attempt)
-            self.telemetry.emit("job_retry", job=key, attempt=attempt, delay_s=delay)
-            not_before = time.monotonic() + delay
-            queue.append((item, attempt + 1, not_before))
+            self.telemetry.emit("job_retry", job=item.key, attempt=attempt, delay_s=delay)
+            queue.append((item, attempt + 1, time.monotonic() + delay))
             return []
-        failure = JobFailure.from_exception(key, exc, attempt, kind=kind)
+        failure = JobFailure.from_exception(item.key, exc, attempt, kind=kind)
         self.telemetry.emit(
-            "job_fail", job=key, kind=failure.kind, attempts=failure.attempts
+            "job_fail", job=item.key, kind=failure.kind, attempts=failure.attempts
         )
         return [(item, failure)]

@@ -54,9 +54,9 @@ class RetryPolicy:
 class JobGuard:
     """How one job may fail: timeout, retry budget, sweep strictness.
 
-    ``timeout_s=None`` disables the deadline (and is the only mode the
-    in-process serial path supports — a single process cannot preempt
-    itself; pool execution enforces deadlines by killing workers).
+    ``timeout_s=None`` disables the deadline; a deadline makes every job
+    run in a worker process (a process cannot preempt itself, so
+    deadlines are enforced by killing workers).
     ``retries=N`` allows up to ``1 + N`` executions per job.  With
     ``strict=True`` (the default) the engine raises :class:`SweepError`
     once the whole sweep has drained if any cell failed; ``strict=False``
@@ -98,17 +98,6 @@ class JobFailure:
             "message": self.message,
             "traceback": self.traceback_text,
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "JobFailure":
-        return cls(
-            job_key=str(payload.get("job_key", "")),
-            kind=str(payload.get("kind", "exception")),
-            attempts=int(payload.get("attempts", 1)),
-            error_type=str(payload.get("error_type", "")),
-            message=str(payload.get("message", "")),
-            traceback_text=str(payload.get("traceback", "")),
-        )
 
     @classmethod
     def from_exception(

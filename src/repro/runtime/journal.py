@@ -3,7 +3,6 @@
 One journal is an append-only JSONL file recording the life of a sweep:
 
     {"kind": "sweep", "version": 1, "created": ..., "jobs": N, ...}
-    {"kind": "start", "job_key": "...", "cache_key": "<sha256>", "attempt": 1}
     {"kind": "done",  "job_key": "...", "cache_key": "<sha256>", "metrics": {...}}
     {"kind": "failed","job_key": "...", "cache_key": "<sha256>", "failure": {...}}
 
@@ -20,21 +19,21 @@ Durability contract: every append is one ``write()`` of a complete
 returns.  A crash (SIGKILL, power loss) can therefore lose at most the
 line being written — never corrupt earlier lines — and :meth:`replay`
 tolerates exactly that: a torn trailing line is counted and ignored,
-anything readable before it is recovered.  Appending after a crash picks
-up where the journal left off; the torn line's cell simply re-runs
+anything readable before it is recovered.  Appending after a crash first
+ends the torn line, so the next record stays readable; the torn line's
+cell simply re-runs
 (simulations are deterministic and side-effect-free, so a duplicate
 ``done`` record later in the file is harmless — last record wins).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import BinaryIO, Dict, Iterator, Optional
 
 #: journal format version (stamped into the header record)
 JOURNAL_VERSION = 1
@@ -51,16 +50,10 @@ class JournalReplay:
     header: Dict[str, object] = field(default_factory=dict)
     #: cache_key -> lossless metrics payload of every completed cell
     completed: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: cache_key -> job display key (auditing / reporting)
-    job_keys: Dict[str, str] = field(default_factory=dict)
     #: cache_key -> failure payload of cells that exhausted their guard
     failed: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: unreadable lines skipped during the scan (torn tail after a crash)
     torn_lines: int = 0
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.completed and not self.failed and not self.header
 
 
 class SweepJournal:
@@ -68,15 +61,23 @@ class SweepJournal:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._handle: Optional[io.TextIOWrapper] = None
+        self._handle: Optional[BinaryIO] = None
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _open(self) -> io.TextIOWrapper:
+    def _open(self) -> BinaryIO:
         if self._handle is None or self._handle.closed:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
+            handle = open(self.path, "ab+")
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    # A crash mid-append left the last line unterminated:
+                    # end it, so this invocation's first record gets a
+                    # line of its own (flushed and fsync'd with it).
+                    handle.write(b"\n")
+            self._handle = handle
         return self._handle
 
     def append(self, record: Dict[str, object]) -> None:
@@ -85,7 +86,7 @@ class SweepJournal:
         if "\n" in line:  # defensive: json.dumps never emits raw newlines
             raise JournalError("journal records must serialise to one line")
         handle = self._open()
-        handle.write(line + "\n")
+        handle.write(line.encode("utf-8") + b"\n")
         handle.flush()
         os.fsync(handle.fileno())
 
@@ -100,11 +101,6 @@ class SweepJournal:
         if meta:
             record.update(meta)
         self.append(record)
-
-    def record_start(self, job_key: str, cache_key: str, attempt: int = 1) -> None:
-        self.append(
-            {"kind": "start", "job_key": job_key, "cache_key": cache_key, "attempt": attempt}
-        )
 
     def record_done(
         self, job_key: str, cache_key: str, metrics_payload: Dict[str, object]
@@ -187,7 +183,6 @@ class SweepJournal:
                 metrics = record.get("metrics")
                 if isinstance(cache_key, str) and isinstance(metrics, dict):
                     replay.completed[cache_key] = metrics
-                    replay.job_keys[cache_key] = str(record.get("job_key", ""))
                     replay.failed.pop(cache_key, None)
                 else:
                     replay.torn_lines += 1
@@ -195,7 +190,7 @@ class SweepJournal:
                 cache_key = record.get("cache_key")
                 if isinstance(cache_key, str):
                     replay.failed[cache_key] = dict(record.get("failure") or {})
-                    replay.job_keys[cache_key] = str(record.get("job_key", ""))
                     replay.completed.pop(cache_key, None)
-            # "start" records are intent markers; nothing to recover.
+            # Any other kind (older journals' "start" intent markers)
+            # carries nothing to recover.
         return replay

@@ -37,7 +37,6 @@ class GracefulShutdown:
         self.signums = signums
         self.requested = False
         self._previous: List[Tuple[int, object]] = []
-        self._installed = False
 
     # `should_stop` callable handed to the executor
     def triggered(self) -> bool:
@@ -54,7 +53,6 @@ class GracefulShutdown:
                 for signum in self.signums:
                     self._previous.append((signum, signal.getsignal(signum)))
                     signal.signal(signum, self._handler)
-                self._installed = True
             except (ValueError, OSError):
                 # Non-main interpreter or restricted environment: flag-only.
                 self._restore()
@@ -70,4 +68,3 @@ class GracefulShutdown:
             except (ValueError, OSError):
                 pass
         self._previous.clear()
-        self._installed = False

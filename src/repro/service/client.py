@@ -40,16 +40,14 @@ import time
 import uuid
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..runtime.guards import RetryPolicy
 from .snapshot import snapshot_from_text, snapshot_to_text
 from .stream import parse_sse_stream
 
 #: transport-level delivery attempts per request (1 original + retries)
 DEFAULT_RETRIES = 2
-
-
-def _retry_delay_s(attempt: int, base_s: float = 0.05, cap_s: float = 2.0) -> float:
-    """Deterministic exponential backoff between delivery attempts."""
-    return min(cap_s, base_s * 2.0 ** (attempt - 1))
+#: deterministic exponential backoff between delivery attempts
+_BACKOFF = RetryPolicy(base_s=0.05, factor=2.0, cap_s=2.0)
 
 
 def _new_idempotency_key() -> str:
@@ -281,7 +279,7 @@ class ServiceClient(_ServiceAPI):
                 self.close()
                 if attempt == attempts:
                     raise
-                time.sleep(_retry_delay_s(attempt))
+                time.sleep(_BACKOFF.delay(attempt))
                 continue
             if status != 200:
                 raise _service_error(status, data)
@@ -426,7 +424,7 @@ class AsyncServiceClient(_ServiceAPI):
                 await self.close()
                 if attempt == attempts:
                     raise
-                await asyncio.sleep(_retry_delay_s(attempt))
+                await asyncio.sleep(_BACKOFF.delay(attempt))
                 continue
             if status != 200:
                 raise _service_error(status, data)

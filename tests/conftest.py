@@ -72,6 +72,20 @@ def task_payload(task_id: str, submit_time: float, *, hp: bool = False, gpus: fl
     }
 
 
+class EventSink(list):
+    """A telemetry sink keeping every bus record it is handed; the bus is
+    the only report of sweep supervision (retries, timeouts, rebuilds)."""
+
+    def handle(self, record) -> None:
+        self.append(record)
+
+    def close(self) -> None:
+        pass
+
+    def events(self, name: str) -> list:
+        return [record for record in self if record["event"] == name]
+
+
 @contextlib.asynccontextmanager
 async def service_server(**server_kwargs):
     """A live ``SchedulerServer`` on an ephemeral port and one client on it.

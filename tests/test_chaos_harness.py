@@ -6,7 +6,7 @@ The proof obligation of the fault-tolerance layer: with a deterministic
 :class:`JobGuard` whose retry budget exceeds the plan's ``max_strikes``,
 every sweep **converges to the bit-identical uninterrupted reference** —
 the chaos is invisible in the results, visible only in the supervision
-counters.  When the budget does *not* cover the strikes, failures are
+events on the telemetry bus.  When the budget does *not* cover the strikes, failures are
 structured (:class:`JobFailure` / :class:`SweepError`), never a crash.
 """
 
@@ -20,7 +20,9 @@ from repro.experiments import (
     metrics_to_payload,
     sweep_jobs,
 )
+from repro.obs.telemetry import TelemetryBus
 from repro.runtime import ChaosPlan, JobGuard, RetryPolicy, SweepError, SweepJournal
+from tests.conftest import EventSink
 
 TINY = ExperimentScale(name="tiny", num_nodes=8, duration_hours=6.0, seed=13)
 
@@ -42,6 +44,12 @@ def reference_payloads(jobs):
         key: metrics_to_payload(m)
         for key, m in ExperimentEngine(workers=1).run(jobs).items()
     }
+
+
+def watched_engine(**kwargs):
+    """An engine reporting on a bus whose records land in the returned sink."""
+    sink = EventSink()
+    return ExperimentEngine(telemetry=TelemetryBus(sinks=[sink]), **kwargs), sink
 
 
 def scheduled_strikes(plan, jobs):
@@ -74,23 +82,23 @@ class TestChaosConvergence:
         reference = reference_payloads(jobs)
         plan = seed_with_strikes(jobs, "kill", want=2, kill_prob=0.4)
         guard = JobGuard(retries=plan.max_strikes + 1, backoff=FAST)
-        engine = ExperimentEngine(workers=2, guard=guard, chaos=plan)
+        engine, sink = watched_engine(workers=2, guard=guard, chaos=plan)
         results = engine.run(jobs)
         assert {k: metrics_to_payload(m) for k, m in results.items()} == reference
         assert engine.failures == {}
         # The kills really happened: the pool was rebuilt to survive them.
-        assert engine.last_supervision["pool_rebuilds"] >= 1
+        assert len(sink.events("pool_rebuild")) >= 1
 
     def test_poison_storm_converges(self):
         jobs = chaos_grid()
         reference = reference_payloads(jobs)
         plan = ChaosPlan(seed=0, poison_prob=1.0, max_strikes=2)
         guard = JobGuard(retries=3, backoff=FAST)
-        engine = ExperimentEngine(workers=2, guard=guard, chaos=plan)
+        engine, sink = watched_engine(workers=2, guard=guard, chaos=plan)
         results = engine.run(jobs)
         assert {k: metrics_to_payload(m) for k, m in results.items()} == reference
         # Every cell was poisoned max_strikes times before succeeding.
-        assert engine.last_supervision["retries"] == len(jobs) * plan.max_strikes
+        assert len(sink.events("job_retry")) == len(jobs) * plan.max_strikes
 
     def test_hang_converges_through_guard_timeout(self):
         jobs = chaos_grid()[:2]
@@ -99,10 +107,10 @@ class TestChaosConvergence:
             jobs, "hang", want=1, hang_prob=0.3, hang_s=30.0, max_strikes=1
         )
         guard = JobGuard(timeout_s=0.75, retries=2, backoff=FAST)
-        engine = ExperimentEngine(workers=2, guard=guard, chaos=plan)
+        engine, sink = watched_engine(workers=2, guard=guard, chaos=plan)
         results = engine.run(jobs)
         assert {k: metrics_to_payload(m) for k, m in results.items()} == reference
-        assert engine.last_supervision["timeouts"] >= 1
+        assert len(sink.events("job_timeout")) >= 1
 
     def test_mixed_chaos_converges(self):
         jobs = chaos_grid()

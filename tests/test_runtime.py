@@ -7,14 +7,19 @@ stays inside the tier-1 time budget; the heavier end-to-end proofs
 ``test_chaos_harness.py``.
 """
 
+import ast
 import json
 import os
 import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.experiments.engine
+import repro.runtime.executor
+from repro.obs.telemetry import TelemetryBus
 from repro.runtime import (
     CHAOS_ACTIONS,
     ChaosPlan,
@@ -32,6 +37,7 @@ from repro.runtime import (
     atomic_write_text,
     deterministic_fraction,
 )
+from tests.conftest import EventSink
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +80,12 @@ def hang_once(item, attempt):
     if attempt == 1 and item.key == "sleeper":
         time.sleep(60.0)
     return f"{item.key}:done@{attempt}"
+
+
+def watched(worker, **kwargs):
+    """An executor reporting on a bus whose records land in the returned sink."""
+    sink = EventSink()
+    return ResilientExecutor(worker, telemetry=TelemetryBus(sinks=[sink]), **kwargs), sink
 
 
 FAST = RetryPolicy(base_s=0.01, factor=2.0, cap_s=0.05)
@@ -136,8 +148,16 @@ class TestGuards:
         assert failure.kind == "exception"
         assert failure.error_type == "ValueError"
         assert "boom" in failure.summary()
-        restored = JobFailure.from_payload(failure.as_payload())
-        assert restored == failure
+        payload = failure.as_payload()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload == {
+            "job_key": "cell-1",
+            "kind": "exception",
+            "attempts": 3,
+            "error_type": "ValueError",
+            "message": "boom",
+            "traceback": failure.traceback_text,
+        }
 
     def test_sweep_error_lists_failures(self):
         failures = [
@@ -163,13 +183,14 @@ class TestGuards:
 class TestSweepJournal:
     def test_replay_empty_when_missing(self, tmp_path):
         replay = SweepJournal(tmp_path / "absent.jsonl").replay()
-        assert replay.is_empty
+        assert (replay.header, replay.completed, replay.failed) == ({}, {}, {})
         assert replay.torn_lines == 0
 
     def test_append_and_replay(self, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
         journal.begin_sweep(2, meta={"workers": 2})
-        journal.record_start("a", "key-a")
+        # older journals carry "start" intent markers; replay skips them
+        journal.append({"kind": "start", "job_key": "a", "cache_key": "key-a", "attempt": 1})
         journal.record_done("a", "key-a", {"makespan": 1.0})
         journal.record_failed("b", "key-b", {"kind": "timeout", "attempts": 3})
         journal.close()
@@ -179,7 +200,7 @@ class TestSweepJournal:
         assert replay.header["workers"] == 2
         assert replay.completed == {"key-a": {"makespan": 1.0}}
         assert replay.failed == {"key-b": {"kind": "timeout", "attempts": 3}}
-        assert replay.job_keys == {"key-a": "a", "key-b": "b"}
+        assert replay.torn_lines == 0
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
@@ -192,6 +213,22 @@ class TestSweepJournal:
         replay = journal.replay()
         assert replay.torn_lines == 1
         assert set(replay.completed) == {"key-a"}
+
+    def test_append_after_torn_tail_keeps_the_next_record(self, tmp_path):
+        journal = SweepJournal(tmp_path / "sweep.jsonl")
+        journal.record_done("a", "key-a", {"makespan": 1.0})
+        journal.close()
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "done", "job_key": "b", "cache_')
+        # The next invocation's first record must not land on the fragment.
+        resumed = SweepJournal(journal.path)
+        resumed.record_done("c", "key-c", {"makespan": 3.0})
+        resumed.record_done("d", "key-d", {"makespan": 4.0})
+        resumed.close()
+        replay = resumed.replay()
+        assert replay.torn_lines == 1
+        assert set(replay.completed) == {"key-a", "key-c", "key-d"}
+        assert journal.path.read_text().endswith("\n")
 
     def test_last_record_wins(self, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
@@ -230,25 +267,30 @@ class TestSweepJournal:
 
 
 # ----------------------------------------------------------------------
-# Executor: serial path
+# Executor: one contract in-process (workers=1) and pooled (workers=2)
 # ----------------------------------------------------------------------
-class TestSerialExecutor:
-    def test_success_passthrough(self):
-        executor = ResilientExecutor(ok_worker, workers=1)
+def keep_going(item, attempt):
+    return item.key
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestExecutorContract:
+    def test_success_passthrough(self, workers):
+        executor = ResilientExecutor(ok_worker, workers=workers)
         results = dict(executor.run([Item("a"), Item("b")]))
         assert {i.key for i in results} == {"a", "b"}
         assert set(results.values()) == {"a:ok", "b:ok"}
 
-    def test_retries_then_recovers(self):
+    def test_retries_then_recovers(self, workers):
         guard = JobGuard(retries=2, backoff=FAST)
-        executor = ResilientExecutor(fail_until_attempt_3, workers=1, guard=guard)
+        executor, sink = watched(fail_until_attempt_3, workers=workers, guard=guard)
         [(item, outcome)] = list(executor.run([Item("a")]))
         assert outcome == "a:recovered"
-        assert executor.retries == 2
+        assert len(sink.events("job_retry")) == 2
 
-    def test_exhausted_budget_yields_failure(self):
+    def test_exhausted_budget_yields_failure(self, workers):
         guard = JobGuard(retries=1, backoff=FAST)
-        executor = ResilientExecutor(always_fail, workers=1, guard=guard)
+        executor = ResilientExecutor(always_fail, workers=workers, guard=guard)
         [(item, outcome)] = list(executor.run([Item("a")]))
         assert isinstance(outcome, JobFailure)
         assert outcome.kind == "exception"
@@ -256,20 +298,60 @@ class TestSerialExecutor:
         assert outcome.error_type == "RuntimeError"
         assert "permanently broken" in outcome.traceback_text
 
-    def test_should_stop_halts_before_next_item(self):
-        calls = []
+    def test_should_stop_halts_before_next_item(self, workers):
+        # Stop once the first outcome is out: the jobs already launched
+        # (one per worker) drain, nothing else starts.
+        done = []
+        executor, sink = watched(keep_going, workers=workers)
+        for item, outcome in executor.run(
+            [Item("a"), Item("b"), Item("c")], should_stop=lambda: bool(done)
+        ):
+            done.append(outcome)
+        assert sorted(done) == ["a", "b"][:workers]
+        assert [r["job"] for r in sink.events("job_start")] == ["a", "b"][:workers]
 
-        def stop_after_first():
-            return len(calls) >= 1
 
-        def worker(item, attempt):
-            calls.append(item.key)
-            return item.key
+def test_one_retrying_cell_emits_the_same_events_in_process_and_pooled():
+    def events(workers):
+        guard = JobGuard(retries=2, backoff=FAST)
+        executor, sink = watched(fail_until_attempt_3, workers=workers, guard=guard)
+        list(executor.run([Item("a")]))
+        return [
+            {k: v for k, v in record.items() if k not in ("ts", "run_id", "wall_s")}
+            for record in sink
+        ]
 
-        executor = ResilientExecutor(worker, workers=1)
-        done = list(executor.run([Item("a"), Item("b"), Item("c")], should_stop=stop_after_first))
-        assert len(done) == 1
-        assert calls == ["a"]
+    serial = events(1)
+    assert [r["event"] for r in serial] == [
+        "job_start", "job_retry", "job_start", "job_retry", "job_start", "job_done"
+    ]
+    assert events(2) == serial
+
+
+def test_one_supervision_loop():
+    """The executor submits from one method (no serial twin), and the
+    engine leaves the in-process-or-pool choice to it (no deadline read)."""
+    def tree(module):
+        return ast.parse(Path(module.__file__).read_text())
+
+    functions = [
+        node for node in ast.walk(tree(repro.runtime.executor))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert "_run_serial" not in {f.name for f in functions}
+    submitting = {
+        f.name
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "submit"
+    }
+    assert submitting == {"run"}
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "timeout_s"
+        for node in ast.walk(tree(repro.experiments.engine))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +393,12 @@ class TestPoolExecutor:
 
     def test_timeout_charges_only_the_hung_job(self):
         guard = JobGuard(timeout_s=1.0, retries=2, backoff=FAST)
-        executor = ResilientExecutor(hang_once, workers=2, guard=guard)
+        executor, sink = watched(hang_once, workers=2, guard=guard)
         items = [Item("sleeper"), Item("quick")]
         results = dict((i.key, o) for i, o in executor.run(items))
         assert results["quick"] == "quick:done@1"
         assert results["sleeper"] == "sleeper:done@2"
-        assert executor.timeouts == 1
+        assert len(sink.events("job_timeout")) == 1
         assert executor.pool_rebuilds >= 1
 
     def test_timeout_without_budget_fails_structurally(self):
@@ -326,6 +408,17 @@ class TestPoolExecutor:
         outcome = results["sleeper"]
         assert isinstance(outcome, JobFailure)
         assert outcome.kind == "timeout"
+
+    def test_deadline_at_one_worker_kills_a_hang(self):
+        # A deadline needs a process to kill, so one worker means a
+        # one-process pool, not an in-process run that ignores it.
+        guard = JobGuard(timeout_s=0.5, retries=0)
+        executor = ResilientExecutor(hang_once, workers=1, guard=guard)
+        started = time.monotonic()
+        [(item, outcome)] = list(executor.run([Item("sleeper")]))
+        assert isinstance(outcome, JobFailure)
+        assert outcome.kind == "timeout"
+        assert time.monotonic() - started < 15.0
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +485,7 @@ class TestGracefulShutdown:
 
         def use_in_thread():
             with GracefulShutdown() as stop:
-                results["installed"] = stop._installed
+                results["installed"] = signal.getsignal(signal.SIGINT) == stop._handler
                 results["triggered"] = stop.triggered()
 
         thread = threading.Thread(target=use_in_thread)
