@@ -171,9 +171,11 @@ stream-smoke:
 ## Service smoke: boot the streaming scheduler server in-process, drive
 ## one full session lifecycle over HTTP on both client transports (create,
 ## stream submissions, advance, occupancy/quota/what-if queries,
-## snapshot/restore, /metrics scrape, shutdown).
+## snapshot/restore, /metrics scrape, shutdown), plus the durable store:
+## restart recovery (in-process and a real `cli serve` killed with -9),
+## quarantine, a failed persist, idempotent retries and deadlines.
 serve-smoke:
-	$(PYTHON) -m pytest tests/test_service.py -q
+	$(PYTHON) -m pytest tests/test_service.py tests/test_service_durability.py -q
 
 ## Lint: ruff when available, otherwise a byte-compile syntax sweep.
 lint:

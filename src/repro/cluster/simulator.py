@@ -465,14 +465,12 @@ class ClusterSimulator:
         return self.finalize()
 
     def finalize(self) -> SimulationMetrics:
-        """Close the capacity integral and collect metrics.
+        """Collect the metrics of the run so far.
 
-        Safe to call mid-run for live queries: the paid-capacity integral
-        is accumulated incrementally, so folding it forward early never
-        changes the final value (capacity only changes at dynamics
-        events, which fold it themselves).
+        A read: it changes no simulator attribute, so a mid-run call for
+        a live query leaves the run's final metrics bit-identical to an
+        unqueried run's.
         """
-        self._accrue_capacity()
         if self.obs.enabled:
             with self.obs.span("sim.metric_accrual_s"):
                 return self.collect_metrics()
@@ -730,9 +728,10 @@ class ClusterSimulator:
     def _accrue_capacity(self) -> None:
         """Fold the online-capacity integral forward to the current time.
 
-        Called before every fleet-size change and once at run end, so
-        ``paid_gpu_hours`` integrates the capacity that was actually
-        online over each interval.
+        Called before every fleet-size change (``collect_metrics`` adds
+        the open span since the last one), so ``paid_gpu_hours``
+        integrates the capacity that was actually online over each
+        interval.
         """
         if self._capacity_accrued_until is None:
             return
@@ -872,13 +871,20 @@ class ClusterSimulator:
     # Results
     # ------------------------------------------------------------------
     def collect_metrics(self) -> SimulationMetrics:
+        # The paid-capacity integral is folded only at fleet-size changes
+        # (``_accrue_capacity``); the open span since the last one is added
+        # here to a local, so reading metrics never writes the fold.
+        paid_gpu_seconds = self._paid_gpu_seconds
+        open_since = self._capacity_accrued_until
+        if open_since is not None and self.now > open_since:
+            paid_gpu_seconds += self.cluster.total_gpus() * (self.now - open_since)
         return compute_metrics(
             self.all_tasks,
             allocation_series=self.allocation_samples,
             allocation_times=self.allocation_sample_times,
             makespan=self.now - (min(t.submit_time for t in self.all_tasks) if self.all_tasks else 0.0),
             dynamics_counts=self.dynamics_counts,
-            paid_gpu_hours=self._paid_gpu_seconds / 3600.0,
+            paid_gpu_hours=paid_gpu_seconds / 3600.0,
         )
 
 

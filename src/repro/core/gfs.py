@@ -166,7 +166,6 @@ class GFSScheduler(Scheduler):
                 guarantee_rate=self.config.guarantee_rate,
                 guarantee_hours=self.config.guarantee_hours,
                 queue_threshold=self.config.queue_threshold,
-                update_interval=self.config.quota_update_interval,
             ),
         )
         self._update_quota(cluster, now, pending=[], adapt=False)

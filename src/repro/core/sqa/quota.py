@@ -37,8 +37,6 @@ class SQAConfig:
     #: that evicted tasks can never be re-admitted
     min_eta: float = 0.5
     max_eta: float = 4.0
-    #: quota update interval in seconds
-    update_interval: float = 300.0
 
 
 class SpotQuotaAllocator:

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..cluster import ReliabilityMetrics, SimulationMetrics, TaskClassMetrics
-from ..runtime import atomic_write_text
+from ..runtime import atomic_write_text, quarantine
 
 _LOG = logging.getLogger("repro.experiments.artifacts")
 
@@ -123,10 +123,10 @@ class ArtifactCache:
         """Return the cached metrics for ``key``, or ``None`` on a miss.
 
         A corrupt or stale-format entry counts as a miss, but the file is
-        *quarantined* (renamed to ``<name>.json.quarantined``) with a
-        warning rather than silently deleted — the evidence survives for
-        debugging (a truncated entry usually means a crashed writer or a
-        bad disk) and the cell simply re-runs.
+        *quarantined* by :func:`repro.runtime.quarantine` (renamed to
+        ``<name>.json.quarantined``, never deleted) with a warning — the
+        evidence survives for debugging (a truncated entry usually means a
+        crashed writer or a bad disk) and the cell simply re-runs.
         """
         path = self._path(key)
         if not path.exists():
@@ -135,27 +135,16 @@ class ArtifactCache:
             record = json.loads(path.read_text())
             metrics = metrics_from_payload(record["metrics"])
         except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(path, exc)
+            quarantine(path)
+            self.quarantined += 1
+            _LOG.warning(
+                "corrupt cache entry %s treated as a miss and quarantined (%s: %s)",
+                path.name,
+                type(exc).__name__,
+                exc,
+            )
             return None
         return metrics
-
-    def _quarantine(self, path: Path, exc: Exception) -> None:
-        target = path.with_name(path.name + ".quarantined")
-        try:
-            path.replace(target)
-        except OSError:
-            # Fall back to deleting: an unreadable entry must not be
-            # served again either way.
-            path.unlink(missing_ok=True)
-            target = None
-        self.quarantined += 1
-        _LOG.warning(
-            "corrupt cache entry %s treated as a miss (%s: %s)%s",
-            path.name,
-            type(exc).__name__,
-            exc,
-            f"; moved to {target.name}" if target is not None else "; deleted",
-        )
 
     def store(self, key: str, metrics: SimulationMetrics, payload: object = None) -> Path:
         """Persist one result; returns the file it was written to.

@@ -7,7 +7,9 @@ so the experiment engine, the service and the benchmark recorders all
 share one vocabulary of durability primitives:
 
 * :mod:`.atomic` — crash-safe file writes (unique temp + fsync + rename)
-  behind every durable artifact in the repository;
+  behind every durable artifact in the repository, and the one
+  quarantine rule (rename aside, never delete) for files that fail to
+  read back;
 * :mod:`.guards` — per-job execution guards: timeouts, bounded retries
   with deterministic exponential backoff, and structured
   :class:`JobFailure` results instead of sweep-aborting exceptions;
@@ -27,7 +29,7 @@ See ``docs/fault_tolerance.md`` for the journal format, the recovery
 semantics and the chaos-harness acceptance suite.
 """
 
-from .atomic import atomic_write_bytes, atomic_write_text, fsync_dir
+from .atomic import atomic_write_bytes, atomic_write_text, fsync_dir, quarantine
 from .chaos import CHAOS_ACTIONS, ChaosPlan, ChaosPoison, ChaosWorker
 from .executor import ResilientExecutor
 from .guards import (
@@ -61,4 +63,5 @@ __all__ = [
     "atomic_write_text",
     "deterministic_fraction",
     "fsync_dir",
+    "quarantine",
 ]

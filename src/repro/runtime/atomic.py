@@ -38,12 +38,12 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes, durable: bool = True) -> Path:
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     """Write ``data`` to ``path`` atomically; returns the final path.
 
     The bytes land in a uniquely-named temp file in the same directory
-    (same filesystem, so the rename is atomic), are flushed and — when
-    ``durable`` — fsync'd, then renamed over the target.
+    (same filesystem, so the rename is atomic), are flushed and fsync'd,
+    then renamed over the target.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -54,8 +54,7 @@ def atomic_write_bytes(path: str | Path, data: bytes, durable: bool = True) -> P
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
             handle.flush()
-            if durable:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -63,11 +62,23 @@ def atomic_write_bytes(path: str | Path, data: bytes, durable: bool = True) -> P
         except OSError:
             pass
         raise
-    if durable:
-        fsync_dir(path.parent)
+    fsync_dir(path.parent)
     return path
 
 
-def atomic_write_text(path: str | Path, text: str, durable: bool = True) -> Path:
+def atomic_write_text(path: str | Path, text: str) -> Path:
     """:func:`atomic_write_bytes` for UTF-8 text."""
-    return atomic_write_bytes(path, text.encode("utf-8"), durable=durable)
+    return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def quarantine(path: Path) -> None:
+    """Move an unusable file aside as ``<name>.quarantined``.
+
+    The one quarantine rule for every durable store: the file is renamed,
+    never deleted, so the evidence survives for debugging.  A failed
+    rename leaves the file where it is.
+    """
+    try:
+        path.replace(path.with_name(path.name + ".quarantined"))
+    except OSError:
+        pass

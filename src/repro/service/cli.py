@@ -54,14 +54,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="per-request deadline; past it the client gets 504 while the "
         "operation finishes server-side (default: unbounded)",
     )
-    parser.add_argument(
-        "--persist-interval",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="with --state-dir, also flush every session periodically "
-        "(default: %(default)ss; 0 disables the periodic flush)",
-    )
     args = parser.parse_args(argv)
     configure_json_logging(args.log_level)
     try:
@@ -71,7 +63,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.port,
                 state_dir=args.state_dir,
                 request_timeout_s=args.request_timeout,
-                persist_interval_s=args.persist_interval or None,
             )
         )
     except KeyboardInterrupt:

@@ -27,12 +27,16 @@ executor.  That gives:
 
 Durability (see ``docs/fault_tolerance.md``)
 --------------------------------------------
-With a ``state_dir`` the server is restart-safe: every mutating
-operation persists the session afterwards — parameters plus the same
-versioned, checksummed snapshot envelope clients export — via atomic
-temp-and-rename writes, and boot recovery rebuilds every stored session
-before ``GET /readyz`` flips to ready (corrupt files are quarantined,
-never fatal).  ``POST`` requests may carry an ``Idempotency-Key``
+With a ``state_dir`` the server is restart-safe: session creation and
+every mutating operation persist the session under its lock — parameters
+plus the same versioned, checksummed snapshot envelope clients export —
+via atomic temp-and-rename writes, and nothing else writes it.  The disk
+holds the state after the last mutation whose persist succeeded; a
+failed persist is a 500 plus a ``persist_failed`` event, and the next
+successful one catches up.  Boot recovery rebuilds every stored session
+before ``GET /readyz`` flips to ready; a file that fails to parse,
+verify or rebuild is quarantined (one ``session_quarantined`` event
+each), never fatal.  ``POST`` requests may carry an ``Idempotency-Key``
 header: duplicate deliveries of the same key (client retries after a
 lost connection) coalesce onto the *same* in-flight operation and
 receive its one result, so a retried submit never double-submits.  A
@@ -145,7 +149,6 @@ class SchedulerServer:
         self,
         state_dir: str | Path | None = None,
         request_timeout_s: Optional[float] = None,
-        persist_interval_s: Optional[float] = None,
     ) -> None:
         self._sessions: Dict[str, SimulationSession] = {}
         self._locks: Dict[str, asyncio.Lock] = {}
@@ -166,13 +169,11 @@ class SchedulerServer:
         #: per-request deadline; past it the client gets 504 while the
         #: operation runs to completion server-side
         self.request_timeout_s = request_timeout_s
-        self.persist_interval_s = persist_interval_s
         #: what boot recovery found (None until it has run)
         self.recovery: Optional[RecoveryReport] = None
         self._ready = asyncio.Event()
         #: scoped Idempotency-Key -> in-flight/completed dispatch task
         self._idempotent: "OrderedDict[str, asyncio.Task]" = OrderedDict()
-        self._persist_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -185,8 +186,6 @@ class SchedulerServer:
         # 503) but session routes stay gated until recovery finishes.
         await self._recover_sessions()
         self._ready.set()
-        if self.store is not None and self.persist_interval_s:
-            self._persist_task = asyncio.ensure_future(self._persist_loop())
 
     async def wait_closed(self) -> None:
         """Block until a shutdown is requested, then close the listener."""
@@ -195,13 +194,6 @@ class SchedulerServer:
 
     async def stop(self) -> None:
         self._shutdown.set()
-        if self._persist_task is not None:
-            self._persist_task.cancel()
-            try:
-                await self._persist_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            self._persist_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -213,32 +205,18 @@ class SchedulerServer:
     async def _recover_sessions(self) -> None:
         """Rebuild every stored session before the server reports ready.
 
-        Corrupt files were already quarantined by the store scan; a
-        session that fails to *rebuild* (e.g. its scenario was removed
-        from the registry) is quarantined the same way — one lost
+        A file that fails to parse, verify or rebuild (e.g. its scenario
+        was removed from the registry) is quarantined by the store and
+        reported here as one ``session_quarantined`` event — one lost
         session must never take the boot down.
         """
         if self.store is None:
             return
         loop = asyncio.get_running_loop()
-        report = await loop.run_in_executor(None, self.store.recover)
-        for stored in list(report.recovered):
-            try:
-                session = await loop.run_in_executor(
-                    None,
-                    SimulationSession.from_stored,
-                    stored.params,
-                    stored.session_id,
-                    stored.snapshot,
-                )
-            except Exception as exc:  # noqa: BLE001 - quarantine, don't crash the boot
-                self.telemetry.emit(
-                    "session_quarantined", session_id=stored.session_id, error=str(exc)
-                )
-                self.store.quarantine(self.store._path(stored.session_id))
-                report.recovered.remove(stored)
-                report.quarantined.append(f"{stored.session_id}.json")
-                continue
+        report = await loop.run_in_executor(None, self.store.recover, SimulationSession.from_stored)
+        for session_id, error in report.quarantined.items():
+            self.telemetry.emit("session_quarantined", session_id=session_id, error=error)
+        for session in report.recovered:
             self._sessions[session.session_id] = session
             self._locks[session.session_id] = asyncio.Lock()
         # Never re-issue a recovered id to a newly-created session.
@@ -246,29 +224,19 @@ class SchedulerServer:
         self.recovery = report
 
     def _persist(self, session: SimulationSession) -> None:
-        """Durably save one session (called off-loop, under its lock)."""
-        if self.store is not None:
-            self.store.save(session.session_id, dict(session.params), session.snapshot_bytes())
+        """Durably save one session (called off-loop, under its lock).
 
-    async def _persist_loop(self) -> None:
-        """Periodic belt-and-braces flush of every live session."""
-        while not self._shutdown.is_set():
-            try:
-                await asyncio.wait_for(self._shutdown.wait(), self.persist_interval_s)
-                return
-            except asyncio.TimeoutError:
-                pass
-            for session_id in list(self._sessions):
-                session = self._sessions.get(session_id)
-                lock = self._locks.get(session_id)
-                if session is None or lock is None:
-                    continue
-                try:
-                    await self._run(lock, lambda s=session: self._persist(s))
-                except Exception as exc:  # noqa: BLE001 - a failed flush must not kill the loop
-                    self.telemetry.emit(
-                        "persist_failed", session_id=session_id, error=str(exc)
-                    )
+        The only writer of a session's file: a failure is reported as
+        ``persist_failed`` here and then propagates, so the request that
+        mutated the session answers 500.
+        """
+        if self.store is None:
+            return
+        try:
+            self.store.save(session.session_id, dict(session.params), session.snapshot_bytes())
+        except Exception as exc:
+            self.telemetry.emit("persist_failed", session_id=session.session_id, error=str(exc))
+            raise
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -599,7 +567,7 @@ class SchedulerServer:
         handler = routes.get((method, verb))
         if handler is None:
             raise _HttpError(404, f"no route for {method} /sessions/{{id}}/{verb}")
-        if self.store is not None and verb in _MUTATING_VERBS:
+        if verb in _MUTATING_VERBS:
             # Apply-then-persist as one unit under the session lock, so
             # the stored state can never skip a mutation.
             def apply_and_persist():
@@ -692,14 +660,9 @@ async def serve(
     port: int = 8151,
     state_dir: str | Path | None = None,
     request_timeout_s: Optional[float] = None,
-    persist_interval_s: Optional[float] = None,
 ) -> None:
     """Start a server and run until ``POST /shutdown`` (CLI entry point)."""
-    server = SchedulerServer(
-        state_dir=state_dir,
-        request_timeout_s=request_timeout_s,
-        persist_interval_s=persist_interval_s,
-    )
+    server = SchedulerServer(state_dir=state_dir, request_timeout_s=request_timeout_s)
     await server.start(host, port)
     banner = f"scheduler service listening on http://{server.host}:{server.port}"
     if server.store is not None:

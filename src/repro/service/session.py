@@ -67,6 +67,17 @@ class SessionError(ValueError):
     """A request payload is invalid for this session or the service."""
 
 
+def _finite(name: str, value: object) -> float:
+    """``value`` as a finite float, else a :class:`SessionError` naming ``name``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise SessionError(f"{name}={value!r} must be a finite number")
+    return number
+
+
 # ----------------------------------------------------------------------
 # Task payloads (the ``Task.to_record`` vocabulary, checked at the door)
 # ----------------------------------------------------------------------
@@ -214,9 +225,9 @@ class SimulationSession:
     ) -> Dict[str, object]:
         """Step the simulator; returns processed-event count plus status."""
         if until is not None:
-            until = float(until)
+            until = _finite("until", until)
         if max_events is not None:
-            max_events = int(max_events)
+            max_events = int(_finite("max_events", max_events))
             if max_events < 0:
                 raise SessionError("max_events must be non-negative")
         processed = self.sim.advance(until=until, max_events=max_events)
@@ -254,7 +265,7 @@ class SimulationSession:
                 f"unknown dynamics kind {kind_name!r} (accepted: {', '.join(sorted(_KIND_NAMES))})"
             )
         time = payload.get("time")
-        self.sim.inject(action, time=float(time) if time is not None else None, kind=kind)
+        self.sim.inject(action, time=None if time is None else _finite("time", time), kind=kind)
         if self.stream is not None:
             self.stream.emit(
                 "inject", {"t": self.sim.now, "node": action.node_id, "kind": kind.name}
@@ -365,9 +376,9 @@ class SimulationSession:
     def metrics(self) -> Dict[str, object]:
         """Full simulation metrics of the run so far.
 
-        :meth:`~ClusterSimulator.finalize` is safe mid-run (the capacity
-        integral is incremental and idempotent), so live metric queries
-        never change what the session will eventually report.
+        :meth:`~ClusterSimulator.finalize` is a read — it changes no
+        simulator attribute — so live metric queries never change what
+        the session will eventually report, nor what it persists.
         """
         return self.sim.finalize().as_dict()
 
@@ -387,7 +398,7 @@ class SimulationSession:
         under the assumption of no further external submissions.
         """
         candidate = task_from_payload(payload)
-        horizon_hours = float(horizon_hours)
+        horizon_hours = _finite("horizon_hours", horizon_hours)
         if horizon_hours <= 0:
             raise SessionError("horizon_hours must be positive")
         # Validate against the live simulator first: a rejected request

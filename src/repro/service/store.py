@@ -14,56 +14,49 @@ instead of resurrecting a corrupt simulator.  Files are written via
 :func:`repro.runtime.atomic_write_text` (unique temp + fsync + rename):
 a crash mid-save leaves the previous good file, never a torn one.
 
-Boot recovery (:meth:`SessionStore.recover`) scans the directory and
-returns every loadable record; unreadable or checksum-failing files are
-**quarantined** — renamed to ``<name>.quarantined`` and reported, never
-deleted and never allowed to crash the boot — so one bad file costs one
-session, not the server.
+Boot recovery (:meth:`SessionStore.recover`) parses, verifies and
+rebuilds each file in one step; a file that fails anywhere in that step
+— torn, corrupt, failing its checksum or failing to rebuild — is
+**quarantined** by :func:`repro.runtime.quarantine` (renamed to
+``<name>.quarantined``, never deleted) and reported with its error, so
+one bad file costs one session, not the boot.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List
 
-from ..runtime import atomic_write_text
-from .snapshot import (
-    SnapshotError,
-    decode_snapshot,
-    snapshot_from_text,
-    snapshot_to_text,
-)
+from ..runtime import atomic_write_text, quarantine
+from .snapshot import snapshot_from_text, snapshot_to_text
 
 #: store record format version
 STORE_VERSION = 1
-
-_LOG = logging.getLogger("repro.service.store")
 
 _SESSION_NUM = re.compile(r"session-(\d+)$")
 
 
 @dataclass
 class StoredSession:
-    """One recoverable session record read back from disk."""
+    """One session record as read back from disk (the default rebuild)."""
 
     session_id: str
     params: Dict[str, object]
     snapshot: bytes
-    saved_at: float = 0.0
 
 
 @dataclass
 class RecoveryReport:
-    """What a boot-time scan of the state directory found."""
+    """What a boot-time recovery of the state directory found."""
 
-    recovered: List[StoredSession] = field(default_factory=list)
-    #: file names that failed to parse/verify and were quarantined
-    quarantined: List[str] = field(default_factory=list)
+    #: what ``rebuild`` returned for each good file, in file-name order
+    recovered: List[object] = field(default_factory=list)
+    #: session id (the file's stem) -> error, for every quarantined file
+    quarantined: Dict[str, str] = field(default_factory=dict)
 
     def max_session_number(self) -> int:
         """Highest ``session-NNNN`` ordinal among recovered sessions."""
@@ -88,9 +81,6 @@ class SessionStore:
             raise ValueError(f"invalid session id for storage: {session_id!r}")
         return self.root / f"{session_id}.json"
 
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     def save(self, session_id: str, params: Dict[str, object], snapshot: bytes) -> Path:
         """Durably persist one session's parameters and state envelope."""
         record = {
@@ -112,53 +102,34 @@ class SessionStore:
         except OSError:
             pass  # a leftover file only costs one spurious recovery
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def _read_one(self, path: Path) -> Optional[StoredSession]:
-        record = json.loads(path.read_text())
-        if not isinstance(record, dict):
-            raise ValueError("store record is not an object")
-        version = record.get("store_version")
-        if version != STORE_VERSION:
-            raise ValueError(f"unsupported store_version {version!r}")
-        session_id = record.get("session_id")
-        params = record.get("params")
-        text = record.get("snapshot")
-        if not isinstance(session_id, str) or not isinstance(params, dict) or not isinstance(text, str):
-            raise ValueError("store record is missing required fields")
-        snapshot = snapshot_from_text(text)
-        # Verify the envelope (magic, version, SHA-256 digest) at scan
-        # time: a flipped bit quarantines the file here, instead of
-        # surfacing as a rebuild failure at session-recovery time.
-        decode_snapshot(snapshot)
-        return StoredSession(
-            session_id=session_id,
-            params=params,
-            snapshot=snapshot,
-            saved_at=float(record.get("saved_at", 0.0)),
-        )
+    def recover(self, rebuild: Callable[..., object] = StoredSession) -> RecoveryReport:
+        """Read every stored session back, quarantining each file that fails.
 
-    def quarantine(self, path: Path) -> None:
-        """Move an unusable file aside (never delete, never re-scan)."""
-        target = path.with_name(path.name + ".quarantined")
-        try:
-            path.replace(target)
-        except OSError:
-            pass
-
-    def recover(self) -> RecoveryReport:
-        """Scan the state directory; quarantine anything unreadable."""
+        ``rebuild(session_id=, params=, snapshot=)`` turns a parsed record
+        into what the caller keeps — the server passes
+        ``SimulationSession.from_stored``, which decodes and verifies the
+        envelope as it restores.  Parsing, verifying and rebuilding are one
+        step: any exception in it quarantines that file once and records
+        its error under the file's session id.
+        """
         report = RecoveryReport()
-        if not self.root.exists():
-            return report
         for path in sorted(self.root.glob("*.json")):
             try:
-                stored = self._read_one(path)
-            except (ValueError, KeyError, TypeError, OSError, SnapshotError) as exc:
-                _LOG.warning("quarantining corrupt session file %s: %s", path, exc)
-                self.quarantine(path)
-                report.quarantined.append(path.name)
-                continue
-            report.recovered.append(stored)
+                record = json.loads(path.read_text())
+                if not isinstance(record, dict):
+                    raise ValueError("store record is not an object")
+                version = record.get("store_version")
+                if version != STORE_VERSION:
+                    raise ValueError(f"unsupported store_version {version!r}")
+                session_id = record.get("session_id")
+                params = record.get("params")
+                text = record.get("snapshot")
+                if not (isinstance(session_id, str) and isinstance(params, dict) and isinstance(text, str)):
+                    raise ValueError("store record is missing required fields")
+                report.recovered.append(
+                    rebuild(session_id=session_id, params=params, snapshot=snapshot_from_text(text))
+                )
+            except Exception as exc:  # noqa: BLE001 - one bad file costs one session
+                quarantine(path)
+                report.quarantined[path.stem] = f"{type(exc).__name__}: {exc}"
         return report

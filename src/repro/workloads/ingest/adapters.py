@@ -1,6 +1,6 @@
 """Format adapters: external cluster logs -> normalized record streams.
 
-Each adapter streams its source file in bounded-memory chunks and yields
+Each adapter streams its source file row by row and yields
 :class:`~.schema.TraceRecord` objects.  Three families are supported:
 
 * **Philly-style CSV** (`philly`) — Microsoft Philly DNN trace exports:
@@ -27,13 +27,9 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Type
 
 from .schema import TraceRecord, record_from_mapping
-
-#: Rows parsed per chunk; bounds peak memory while amortising dispatch.
-DEFAULT_CHUNK_SIZE = 4096
-
 
 def parse_timestamp(value: object) -> float:
     """Parse a source timestamp into float seconds.
@@ -55,17 +51,6 @@ def parse_timestamp(value: object) -> float:
     return parsed.timestamp()
 
 
-def _chunked(rows: Iterable[Mapping[str, object]], size: int) -> Iterator[List[Mapping[str, object]]]:
-    chunk: List[Mapping[str, object]] = []
-    for row in rows:
-        chunk.append(row)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 @dataclass
 class TraceAdapter:
     """Base class: stream a source file into normalized records.
@@ -75,25 +60,23 @@ class TraceAdapter:
     pass; ``skip_reasons`` breaks the count down for diagnostics.
     """
 
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     skipped: int = 0
     skip_reasons: Dict[str, int] = field(default_factory=dict)
 
     format_name = ""
 
     def iter_records(self, path: str | Path) -> Iterator[TraceRecord]:
-        """Yield normalized records, streaming the file chunk by chunk."""
+        """Yield normalized records, streaming the file row by row."""
         self.skipped = 0
         self.skip_reasons = {}
-        for chunk in _chunked(self._iter_rows(Path(path)), self.chunk_size):
-            for row in chunk:
-                try:
-                    record = self._convert_row(row)
-                except (KeyError, ValueError, TypeError) as exc:
-                    self._skip(type(exc).__name__)
-                    continue
-                if record is not None:
-                    yield record
+        for row in self._iter_rows(Path(path)):
+            try:
+                record = self._convert_row(row)
+            except (KeyError, ValueError, TypeError) as exc:
+                self._skip(type(exc).__name__)
+                continue
+            if record is not None:
+                yield record
 
     def read_records(self, path: str | Path) -> List[TraceRecord]:
         """Materialise the whole record stream (what the builder uses)."""

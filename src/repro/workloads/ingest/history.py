@@ -18,9 +18,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ...cluster import Task
-from ..trace import fluid_org_usage  # noqa: F401  (re-exported: ingest API)
-
-HOURS_PER_DAY = 24
+from ..organizations import HOURS_PER_DAY
+from ..trace import fluid_org_usage, tile_history
 
 #: Default history length: two weeks, matching the synthetic generator.
 DEFAULT_HISTORY_HOURS = 14 * HOURS_PER_DAY
@@ -34,31 +33,10 @@ def reconstruct_org_history(
 ) -> Dict[str, np.ndarray]:
     """Build the multi-week per-org demand history a trace needs for GDE.
 
-    The fluid usage profile of the trace window is averaged into one
-    hour-of-day day profile per organization, then tiled over
-    ``history_hours`` (rounded down to whole days, minimum one day) with
-    5% multiplicative Gaussian noise from a generator seeded with
-    ``seed`` — deterministic, and aligned so hour-of-day phase agrees
-    between history and replay.
+    The fluid usage profile of the trace window is tiled over
+    ``history_hours`` by :func:`~repro.workloads.trace.tile_history`,
+    organizations in sorted order — deterministic in ``seed``, and
+    aligned so hour-of-day phase agrees between history and replay.
     """
     profile = fluid_org_usage(tasks, cluster_gpus=cluster_gpus)
-    if not profile:
-        return {}
-    history_hours = max(HOURS_PER_DAY, (int(history_hours) // HOURS_PER_DAY) * HOURS_PER_DAY)
-    days = history_hours // HOURS_PER_DAY
-    rng = np.random.default_rng(seed + 43)
-    history: Dict[str, np.ndarray] = {}
-    for org in sorted(profile):
-        series = profile[org]
-        day_profile = np.zeros(HOURS_PER_DAY)
-        counts = np.zeros(HOURS_PER_DAY)
-        for hour, value in enumerate(series):
-            day_profile[hour % HOURS_PER_DAY] += value
-            counts[hour % HOURS_PER_DAY] += 1
-        day_profile = day_profile / np.maximum(counts, 1.0)
-        blocks = []
-        for _ in range(days):
-            noise = rng.normal(1.0, 0.05, size=HOURS_PER_DAY)
-            blocks.append(np.maximum(0.0, day_profile * noise))
-        history[org] = np.concatenate(blocks)
-    return history
+    return tile_history({org: profile[org] for org in sorted(profile)}, history_hours, seed)

@@ -32,7 +32,7 @@ from .organizations import (
     default_organizations,
     generate_org_demand_matrix,
 )
-from .trace import Trace, fluid_org_usage
+from .trace import Trace, fluid_org_usage, tile_history
 
 
 def choice_cdf(probabilities: Sequence[float]) -> Tuple[float, ...]:
@@ -282,26 +282,7 @@ class SyntheticTraceGenerator:
         historical weeks the model was trained on.
         """
         cfg = self.config
-        profile = self._fluid_usage_profile(hp_tasks)
-        rng = np.random.default_rng(cfg.seed + 43)
-        # Keep the history an exact number of days so hour-of-day alignment
-        # between history and simulation time is preserved.
-        history_hours = max(24, (cfg.history_hours // 24) * 24)
-        history: Dict[str, np.ndarray] = {}
-        for org, series in profile.items():
-            day_profile = np.zeros(HOURS_PER_DAY)
-            counts = np.zeros(HOURS_PER_DAY)
-            for hour, value in enumerate(series):
-                day_profile[hour % HOURS_PER_DAY] += value
-                counts[hour % HOURS_PER_DAY] += 1
-            day_profile = day_profile / np.maximum(counts, 1.0)
-            days = history_hours // HOURS_PER_DAY
-            blocks = []
-            for _ in range(days):
-                noise = rng.normal(1.0, 0.05, size=HOURS_PER_DAY)
-                blocks.append(np.maximum(0.0, day_profile * noise))
-            history[org] = np.concatenate(blocks)
-        return history
+        return tile_history(self._fluid_usage_profile(hp_tasks), cfg.history_hours, cfg.seed)
 
     def generate(self) -> Trace:
         """Generate a complete trace (HP + spot tasks + org demand history)."""

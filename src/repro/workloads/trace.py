@@ -22,6 +22,7 @@ import numpy as np
 
 from ..cluster import Task
 from ..runtime import atomic_write_bytes
+from .organizations import HOURS_PER_DAY
 
 
 def fluid_org_usage(
@@ -63,6 +64,34 @@ def fluid_org_usage(
         scale = np.minimum(1.0, cluster_gpus / np.maximum(total, 1e-9))
         usage = {org: series * scale for org, series in usage.items()}
     return usage
+
+
+def tile_history(
+    profile: Dict[str, np.ndarray], history_hours: int, seed: int
+) -> Dict[str, np.ndarray]:
+    """Tile each org's usage profile backwards into a multi-day history.
+
+    Each series is averaged into one hour-of-day day profile, then
+    repeated over ``history_hours`` (rounded down to whole days, minimum
+    one day, so hour-of-day phase agrees between history and replay) with
+    5% multiplicative Gaussian noise.  The noise is drawn org by org in
+    ``profile``'s order from one generator seeded with ``seed + 43``, so
+    the caller's org order fixes the draws.  Shared by the synthetic
+    generator and the ingest subsystem, like :func:`fluid_org_usage`.
+    """
+    days = max(1, int(history_hours) // HOURS_PER_DAY)
+    rng = np.random.default_rng(seed + 43)
+    history: Dict[str, np.ndarray] = {}
+    for org, series in profile.items():
+        day_profile = np.zeros(HOURS_PER_DAY)
+        counts = np.zeros(HOURS_PER_DAY)
+        for hour, value in enumerate(series):
+            day_profile[hour % HOURS_PER_DAY] += value
+            counts[hour % HOURS_PER_DAY] += 1
+        day_profile /= np.maximum(counts, 1.0)
+        noise = rng.normal(1.0, 0.05, size=(days, HOURS_PER_DAY))
+        history[org] = np.maximum(0.0, day_profile * noise).ravel()
+    return history
 
 
 @dataclass

@@ -262,6 +262,38 @@ def test_non_finite_or_unbounded_task_is_a_400_naming_the_field(field, value):
     asyncio.run(body())
 
 
+@pytest.mark.parametrize(
+    "field, verb, body",
+    [
+        # NaN `until` ran the session to its end and answered 200
+        ("until", "advance", {"until": float("nan")}),
+        ("until", "advance", {"until": float("inf")}),
+        ("until", "advance", {"until": "soon"}),
+        ("max_events", "advance", {"max_events": float("nan")}),  # were 500s
+        ("max_events", "advance", {"max_events": float("inf")}),
+        # a NaN time was pushed into the event heap
+        ("time", "inject", {"node_id": "a100-sim-0000", "kind": "NODE_FAIL", "time": float("nan")}),
+        # a NaN horizon answered 200 with a bare NaN in its body
+        ("horizon_hours", "whatif", {"task": _payload("wi-001", 0.0), "horizon_hours": float("nan")}),
+        ("horizon_hours", "whatif", {"task": _payload("wi-001", 0.0), "horizon_hours": float("inf")}),
+    ],
+)
+def test_non_finite_request_number_is_a_400_naming_the_field(field, verb, body):
+    async def run():
+        async with service_server() as (server, client):
+            sid = (await client.create_session(**PARAMS))["session_id"]
+            await client.submit(sid, [_payload("ok-001", 0.0)])
+            await client.advance(sid, until=300.0)
+            before = await client.status(sid)
+            with pytest.raises(ServiceError) as err:
+                await client._request("POST", f"/sessions/{sid}/{verb}", body)
+            assert err.value.status == 400 and field in err.value.message
+            assert await client.status(sid) == before  # the rejected request changed nothing
+            assert (await client.advance(sid, until=600.0))["session_id"] == sid
+
+    asyncio.run(run())
+
+
 @pytest.mark.parametrize("length", ["abc", "-5"])
 def test_malformed_content_length_is_a_400_and_a_clean_close(length):
     async def body():

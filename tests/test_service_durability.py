@@ -3,12 +3,17 @@ retries and per-request deadlines.
 
 The guarantees under test (``docs/fault_tolerance.md``):
 
-* with a ``state_dir`` every mutation persists the session (atomic,
-  checksummed envelope), and a **new server over the same directory
-  recovers it** — continuing the recovered session is bit-identical to
-  never having restarted;
-* corrupt or unrecoverable store files are **quarantined** at boot, never
-  fatal, and ``/readyz`` reports the counts;
+* with a ``state_dir`` creation and every mutation persist the session
+  (atomic, checksummed envelope) and nothing else does; the disk holds
+  the state after the last mutation whose persist succeeded, a failed
+  persist is a 500 plus a ``persist_failed`` event, and the next mutation
+  catches up;
+* a **new server over the same directory recovers it** — in-process or
+  after ``kill -9`` of a real ``cli serve`` process — and continuing the
+  recovered session is bit-identical to never having restarted;
+* torn, corrupt or unrebuildable store files are **quarantined** at boot
+  (renamed, never deleted), never fatal, each reported as one
+  ``session_quarantined`` event, and ``/readyz`` reports the counts;
 * recovered session ids are never re-issued to new sessions;
 * a ``POST`` delivered twice under one ``Idempotency-Key`` executes
   **once** (a retried submit never double-submits); a different key is a
@@ -22,16 +27,24 @@ via ``asyncio.run``, like ``tests/test_service.py``.
 
 from __future__ import annotations
 
+import ast
 import asyncio
+import concurrent.futures
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.service import AsyncServiceClient, ServiceClient, ServiceError
+from repro.service import AsyncServiceClient, SchedulerServer, ServiceClient, ServiceError
+from repro.service import server as server_module
 from repro.service.session import SimulationSession
 from repro.service.store import STORE_VERSION, SessionStore
 from repro.service.snapshot import snapshot_to_text
-from tests.conftest import service_server, task_payload as _payload
+from tests.conftest import EventSink, service_server, task_payload as _payload
 
 PARAMS = {"scheduler": "gfs", "num_nodes": 6, "duration_hours": 4.0, "seed": 11}
 
@@ -56,7 +69,7 @@ class TestSessionStore:
         blob = self._snapshot_bytes()
         store.save("session-0007", dict(PARAMS), blob)
         report = store.recover()
-        assert report.quarantined == []
+        assert report.quarantined == {}
         [stored] = report.recovered
         assert stored.session_id == "session-0007"
         assert stored.params == PARAMS
@@ -104,13 +117,13 @@ class TestSessionStore:
         path = store.save("session-0001", dict(PARAMS), self._snapshot_bytes())
         store.save("session-0002", dict(PARAMS), self._snapshot_bytes())
         path.write_text(mangle(path.read_text()))
-        report = store.recover()
-        assert report.quarantined == ["session-0001.json"]
+        report = store.recover(SimulationSession.from_stored)
+        assert list(report.quarantined) == ["session-0001"]
         assert [s.session_id for s in report.recovered] == ["session-0002"]
         # Evidence preserved, file no longer scanned.
         assert (tmp_path / "session-0001.json.quarantined").exists()
-        again = store.recover()
-        assert again.quarantined == []
+        again = store.recover(SimulationSession.from_stored)
+        assert again.quarantined == {}
         assert len(again.recovered) == 1
 
     def test_flipped_snapshot_bit_fails_checksum(self, tmp_path):
@@ -125,9 +138,11 @@ class TestSessionStore:
             "snapshot": snapshot_to_text(bytes(blob)),
         }
         (tmp_path / "session-0001.json").write_text(json.dumps(record))
-        report = store.recover()
+        report = store.recover(SimulationSession.from_stored)
         assert report.recovered == []
-        assert report.quarantined == ["session-0001.json"]
+        assert list(report.quarantined) == ["session-0001"]
+        assert "checksum" in report.quarantined["session-0001"]
+        assert (tmp_path / "session-0001.json.quarantined").exists()
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +169,10 @@ class TestRestartRecovery:
                 advance_to, wave = waves[0]
                 await client.submit(sid, wave)
                 await client.advance(sid, until=advance_to)
+                # Reads after the last mutation: a fork and a metrics fold
+                # must leave nothing for the next life to inherit.
+                await client.what_if(sid, _payload("probe-000", advance_to), horizon_hours=2.0)
+                await client.metrics(sid)
                 return sid
 
         async def second_life(sid):
@@ -248,6 +267,34 @@ class TestRestartRecovery:
                 assert (state / "session-0009.json.quarantined").exists()
 
         asyncio.run(body())
+
+    def test_every_quarantined_file_is_one_event(self, tmp_path):
+        # One torn file (fails to parse) and one unrebuildable file (parses,
+        # verifies, fails to rebuild): two renames, two events, no session.
+        state = tmp_path / "state"
+        SessionStore(state).save(
+            "session-0009", {"schedulr": "typo"}, SimulationSession(PARAMS).snapshot_bytes()
+        )
+        (state / "session-0042.json").write_text("{torn mid-write")
+
+        async def body():
+            server = SchedulerServer(state_dir=state)
+            sink = EventSink()
+            server.telemetry.add_sink(sink)
+            await server.start(port=0)
+            try:
+                events = sink.events("session_quarantined")
+                assert sorted(e["session_id"] for e in events) == ["session-0009", "session-0042"]
+                assert all(e["error"] for e in events)
+                assert server.recovery.recovered == [] and len(server.recovery.quarantined) == 2
+            finally:
+                await server.stop()
+
+        asyncio.run(body())
+        assert sorted(p.name for p in state.iterdir()) == [
+            "session-0009.json.quarantined",
+            "session-0042.json.quarantined",
+        ]
 
     def test_health_probes_report_durability(self, tmp_path):
         async def durable():
@@ -422,3 +469,139 @@ class TestRequestDeadline:
                 assert (await client.status(sid))["session_id"] == sid
 
         asyncio.run(body())
+
+
+# ----------------------------------------------------------------------
+# The one write point
+# ----------------------------------------------------------------------
+class TestPersist:
+    def test_failed_persist_is_a_500_and_an_event_and_the_next_mutation_catches_up(self, tmp_path):
+        state = tmp_path / "state"
+
+        async def body():
+            async with service_server(state_dir=state) as (server, client):
+                sink = EventSink()
+                server.telemetry.add_sink(sink)
+                sid = (await client.create_session(**PARAMS))["session_id"]
+                real_save, failures = server.store.save, []
+
+                def save_failing_once(*args):
+                    if not failures:
+                        failures.append(args[0])
+                        raise OSError("disk full")
+                    return real_save(*args)
+
+                server.store.save = save_failing_once
+                with pytest.raises(ServiceError) as err:
+                    await client.submit(sid, _wave("pf", 3))
+                assert err.value.status == 500 and "disk full" in err.value.message
+                [event] = sink.events("persist_failed")
+                assert event["session_id"] == sid and "disk full" in event["error"]
+                # The mutation applied; the disk still holds the state after
+                # the last mutation whose persist succeeded (creation).
+                assert (await client.status(sid))["submitted_tasks"] == 3
+                [stored] = SessionStore(state).recover(SimulationSession.from_stored).recovered
+                assert stored.status()["submitted_tasks"] == 0
+                # The next mutation persists and catches the disk up.
+                live = await client.advance(sid, until=600.0)
+                [stored] = SessionStore(state).recover(SimulationSession.from_stored).recovered
+                assert {**stored.status(), "processed_events": live["processed_events"]} == live
+                assert len(sink.events("persist_failed")) == 1
+
+        asyncio.run(body())
+
+    def test_persist_has_exactly_two_call_sites(self):
+        """``_persist`` runs on creation and after a mutating verb, nowhere
+        else: no periodic flush, no persist interval."""
+        source = Path(server_module.__file__).read_text()
+        assert "persist_interval" not in source
+        [cls] = [
+            node for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name == "SchedulerServer"
+        ]
+
+        def persist_calls(tree):
+            return [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_persist"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "self"
+            ]
+
+        methods = {
+            node.name: node for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        callers = {name: len(persist_calls(fn)) for name, fn in methods.items() if persist_calls(fn)}
+        assert callers == {"_create_session": 1, "_session_route": 1}
+        mutating = [
+            node for node in ast.walk(methods["_session_route"])
+            if isinstance(node, ast.If)
+            and any(isinstance(n, ast.Name) and n.id == "_MUTATING_VERBS" for n in ast.walk(node.test))
+        ]
+        assert [len(persist_calls(branch)) for branch in mutating] == [1]
+
+
+# ----------------------------------------------------------------------
+# A real `cli serve` process, killed and booted again
+# ----------------------------------------------------------------------
+class TestServeProcess:
+    @staticmethod
+    def _boot(state):
+        """Start ``cli serve`` on an ephemeral port; returns (process, port)."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.experiments.cli", "serve", "--port", "0",
+             "--state-dir", str(state)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+        )
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            banner = pool.submit(proc.stdout.readline).result(timeout=120)
+        match = re.search(r"listening on http://[^:]+:(\d+)", banner)
+        assert match, f"no banner from cli serve: {banner!r}"
+        return proc, int(match.group(1))
+
+    def test_kill_9_then_reboot_recovers_and_continues_bit_identically(self, tmp_path):
+        state = tmp_path / "state"
+        waves = [(900.0, _wave("kill", 6)), (2700.0, _wave("kill2", 6, start=900.0))]
+        reference = SimulationSession(PARAMS)
+        for advance_to, wave in waves:
+            reference.submit(wave)
+            reference.advance(until=advance_to)
+        reference.advance()
+        expected = _fingerprint({"metrics": reference.metrics(), "status": reference.status()})
+
+        proc, port = self._boot(state)
+        try:
+            with ServiceClient("127.0.0.1", port) as client:
+                sid = client.create_session(**PARAMS)["session_id"]
+                advance_to, wave = waves[0]
+                client.submit(sid, wave)
+                client.advance(sid, until=advance_to)
+        finally:
+            proc.kill()  # SIGKILL: no shutdown path runs
+            proc.wait()
+            proc.stdout.close()
+
+        proc, port = self._boot(state)
+        try:
+            with ServiceClient("127.0.0.1", port) as client:
+                ready = client.readyz()
+                assert ready["recovered"] == 1 and ready["quarantined"] == 0
+                advance_to, wave = waves[1]
+                client.submit(sid, wave)
+                client.advance(sid, until=advance_to)
+                client.advance(sid)
+                status = {**client.status(sid), "session_id": reference.session_id}
+                resumed = _fingerprint({"metrics": client.metrics(sid), "status": status})
+                client.shutdown()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert resumed == expected

@@ -132,6 +132,26 @@ def test_mid_run_finalize_does_not_perturb_final_metrics():
     assert_metrics_identical(sim.finalize(), batch, "mid-run finalize")
 
 
+@pytest.mark.parametrize("step_s", (333.3, 1234.567))
+def test_mid_run_finalize_is_a_read(step_s):
+    """``finalize()`` changes no simulator attribute, so a run queried every
+    third step ends bit-identical to an unqueried one — under fleet-size
+    changes too, where folding the paid-capacity integral at each query
+    once moved ``paid_gpu_hours`` and ``goodput_fraction`` in the last bits."""
+    quiet, queried = build_sim("yarn-cs", "node_churn"), build_sim("yarn-cs", "node_churn")
+    until, steps = 0.0, 0
+    while not queried.done:
+        until += step_s
+        steps += 1
+        quiet.advance(until=until)
+        queried.advance(until=until)
+        if steps % 3 == 0:
+            before = queried.snapshot()
+            queried.finalize()
+            assert queried.snapshot() == before, f"finalize() wrote state at t={until}"
+    assert_metrics_identical(queried.finalize(), quiet.finalize(), f"queried every 3rd {step_s} s step")
+
+
 def test_run_still_rejects_empty_simulator():
     with pytest.raises(SimulationError):
         build_sim("gfs", submit=False).run()
