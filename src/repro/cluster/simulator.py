@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs.recorder import NULL_RECORDER, EventLoopCounters, PassRecord, TickSample
+from ..obs.recorder import NULL_RECORDER, EventLoopCounters
 from .cluster import Cluster
 from .events import DYNAMICS_EVENT_KINDS, DynamicsAction, Event, EventKind, SchedulingDecision
 from .metrics import DynamicsCounts, SimulationMetrics, compute_metrics
@@ -471,10 +471,8 @@ class ClusterSimulator:
         a live query leaves the run's final metrics bit-identical to an
         unqueried run's.
         """
-        if self.obs.enabled:
-            with self.obs.span("sim.metric_accrual_s"):
-                return self.collect_metrics()
-        return self.collect_metrics()
+        with self.obs.span("sim.metric_accrual_s"):
+            return self.collect_metrics()
 
     # ------------------------------------------------------------------
     # Snapshot / fork (streaming service mode)
@@ -566,30 +564,21 @@ class ClusterSimulator:
 
     def _handle_tick(self) -> None:
         rec = self.obs
-        if rec.enabled:
-            with rec.span("sim.metric_accrual_s"):
-                self.allocation_samples.append(self.cluster.allocation_rate())
-                self.allocation_sample_times.append(self.now)
-        else:
+        with rec.span("sim.metric_accrual_s"):
             self.allocation_samples.append(self.cluster.allocation_rate())
             self.allocation_sample_times.append(self.now)
         if hasattr(self.scheduler, "on_tick"):
-            if rec.enabled:
-                with rec.span("sim.scheduler_tick_s"):
-                    self.scheduler.on_tick(self.cluster, self.now, self.pending.snapshot())
-            else:
+            with rec.span("sim.scheduler_tick_s"):
                 self.scheduler.on_tick(self.cluster, self.now, self.pending.snapshot())
         pending_before = len(self.pending)
         self._schedule_pending(trigger="tick")
         if rec.enabled:
-            rec.sample_tick(
-                TickSample(
-                    sim_time=self.now,
-                    pending_depth=len(self.pending),
-                    running_tasks=len(self.cluster.running_tasks),
-                    allocation_rate=self.cluster.allocation_rate(),
-                )
-            )
+            rec.sample_tick({
+                "t": self.now,
+                "pending": len(self.pending),
+                "running": len(self.cluster.running_tasks),
+                "alloc": self.cluster.allocation_rate(),
+            })
         # Keep ticking while there is still work anywhere in the system, but
         # stop once the only remaining work is pending tasks that can never
         # be scheduled (nothing running, no future arrivals/finishes, and the
@@ -750,7 +739,7 @@ class ClusterSimulator:
         All queue membership checks and removals are O(1) against the
         indexed :class:`~repro.cluster.pending.PendingQueue`.  ``trigger``
         names the event that prompted the pass (arrival / finish / tick /
-        dynamics) and only feeds the observability pass record.
+        dynamics) and only feeds the observability ``pass`` event.
         """
         if not self.pending:
             return
@@ -797,16 +786,16 @@ class ClusterSimulator:
         if rec.enabled:
             ctx = self.placement_ctx
             rec.record_pass(
-                PassRecord(
-                    sim_time=self.now,
-                    trigger=trigger,
-                    examined=examined,
-                    scheduled=len(scheduled),
-                    memo_hits=ctx.pass_memo_hits,
-                    index_rejects=ctx.pass_index_rejects,
-                    searches=ctx.pass_searches,
-                    pending_depth=len(self.pending),
-                ),
+                {
+                    "t": self.now,
+                    "trigger": trigger,
+                    "examined": examined,
+                    "scheduled": len(scheduled),
+                    "memo_hits": ctx.pass_memo_hits,
+                    "index_rejects": ctx.pass_index_rejects,
+                    "searches": ctx.pass_searches,
+                    "pending": len(self.pending),
+                },
                 perf_counter() - pass_start,
             )
 

@@ -65,7 +65,7 @@ from ..workloads import get_scenario, iter_scenarios
 from .artifacts import ArtifactCache, export_grid_csv, export_grid_json
 from .config import ExperimentScale, scale_by_name
 from ..runtime import JobGuard, JournalError, SweepError
-from .engine import ExperimentEngine, SchedulerSpec, WorkloadSpec, comparison_specs
+from .engine import ExperimentEngine, JobSpecError, SchedulerSpec, WorkloadSpec, comparison_specs
 from .forecasting import run_forecasting_experiment
 from .observations import run_observations
 from .tables import (
@@ -120,7 +120,10 @@ def _list_scenarios() -> str:
 
 def _run_scenario_sweep(scale: ExperimentScale, args, engine: ExperimentEngine) -> str:
     """Run the scheduler line-up over one named scenario."""
-    scenario = get_scenario(args.scenario)
+    try:
+        scenario = get_scenario(args.scenario)
+    except (KeyError, FileNotFoundError) as exc:
+        raise JobSpecError("scenario", exc.args[0]) from exc
     dynamics = get_dynamics(args.dynamics) if args.dynamics else scenario.dynamics
     # The sweep line-up adds the standalone PTS family to the paper's
     # Table 5 set (the tables themselves keep the paper's line-up).
@@ -295,6 +298,8 @@ def main(argv: List[str] | None = None) -> int:
         "lines; validate with 'python -m repro.obs.telemetry validate'",
     )
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds {args.seeds}: must be at least 1")
     if args.resume and not Path(args.resume).exists():
         # A typo must not silently start an empty journal and redo the grid.
         parser.error(f"--resume {args.resume}: no such journal (use --journal to start one)")
@@ -363,6 +368,10 @@ def main(argv: List[str] | None = None) -> int:
         # The rest of the grid completed (and was journaled/cached)
         # before this was raised; report and exit non-zero.
         sweep_failures = err.failures
+    except JobSpecError as err:
+        # A bad run parameter, refused before any cell ran: exit 2 naming
+        # the flag, never a retried cell.
+        parser.error(f"{err.flag}: {err}")
     except JournalError as err:
         # A journal this build cannot read (a newer format version):
         # exit 2 naming it, like a --resume path that does not exist.

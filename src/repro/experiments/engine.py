@@ -33,6 +33,7 @@ Typical use::
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +55,7 @@ from ..runtime import (
     SweepError,
     SweepJournal,
 )
-from ..schedulers.registry import create_scheduler, display_name
+from ..schedulers.registry import available_schedulers, create_scheduler, display_name
 from ..workloads import Scenario, Trace, get_scenario
 from .artifacts import (
     ArtifactCache,
@@ -176,6 +177,49 @@ class SimulationJob:
             "seed": self.seed,
             "dynamics": dynamics.name if dynamics is not None else "",
         }
+
+
+class JobSpecError(ValueError):
+    """A run description no simulation can run; ``flag`` names the bad
+    field as the command-line option that sets it."""
+
+    #: fields whose option is not simply ``--<field>``
+    FLAGS = {"num_nodes": "--nodes", "duration_hours": "--hours", "spot_scale": "--spot-scale"}
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.flag = self.FLAGS.get(field, f"--{field}")
+
+
+def check_job(job: SimulationJob) -> SimulationJob:
+    """The one input check of a run description, before anything is built.
+
+    Service sessions (a 400), engine stage 1 (before any executor runs a
+    cell), ``cli profile``/``trace-viz`` and the observation runs call it.  Returns the job with
+    its scenario resolved; raises :class:`JobSpecError` naming the first
+    bad field.
+    """
+    scale, workload = job.scale, job.workload
+    kinds = available_schedulers()
+    for name, value, ok, want in (
+        ("num_nodes", scale.num_nodes, scale.num_nodes >= 1, "at least 1"),
+        ("gpus_per_node", scale.gpus_per_node, scale.gpus_per_node >= 1, "at least 1"),
+        ("duration_hours", scale.duration_hours, 0.0 < scale.duration_hours < math.inf,
+         "positive and finite"),
+        ("spot_scale", workload.spot_scale, 0.0 <= workload.spot_scale < math.inf,
+         "non-negative and finite"),
+        ("scheduler", job.scheduler.kind, job.scheduler.kind.lower() in kinds, f"one of {kinds}"),
+    ):
+        if not ok:
+            raise JobSpecError(name, f"{name}={value!r} must be {want}")
+    name = "scenario"
+    try:
+        job = dataclasses.replace(job, scenario=job.resolved_scenario())
+        name = "dynamics"
+        job.resolved_dynamics()
+    except (KeyError, FileNotFoundError) as exc:  # unknown name, missing ``trace:`` file
+        raise JobSpecError(name, exc.args[0]) from exc
+    return job
 
 
 def build_scheduler(spec: SchedulerSpec, trace: Trace) -> object:
@@ -480,12 +524,13 @@ class ExperimentEngine:
         return {job.key: metrics for job, metrics in done}
 
     def _resolve(self, jobs: Sequence[SimulationJob]) -> List[_Cell]:
-        """Stage 1: refuse duplicate keys, resolve scenarios, key each cell.
+        """Stage 1: refuse duplicate keys, check each job, key each cell.
 
-        Scenario names resolve against the registry here, in the parent:
-        the resolved object rides inside the (picklable) job, so custom
-        scenarios survive spawn-based worker processes, and unknown names
-        fail before anything is simulated.  A cell's cache payload (for a
+        :func:`check_job` runs here, in the parent, so a bad input fails
+        once, naming its field, before any cell is simulated or retried.
+        It resolves scenario names against the registry: the resolved
+        object rides inside the (picklable) job, so custom scenarios
+        survive spawn-based worker processes.  A cell's cache payload (for a
         ``trace:`` scenario it hashes the trace file) is derived once,
         and only when a cache or a journal will use it.
         """
@@ -496,8 +541,7 @@ class ExperimentEngine:
         keyed = self.cache is not None or self.journal is not None
         cells: List[_Cell] = []
         for job in jobs:
-            if job.scenario is None:
-                job = dataclasses.replace(job, scenario=get_scenario(job.workload.scenario))
+            job = check_job(job)
             payload = cache_payload(job) if keyed else None
             cells.append((job, content_key(payload) if keyed else None, payload))
         return cells

@@ -31,7 +31,7 @@ from ..workloads import (
     generate_modern_2024_requests,
 )
 from .config import ExperimentScale, MEDIUM_SCALE
-from .engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
+from .engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation, check_job
 
 
 @dataclass
@@ -113,7 +113,7 @@ def _legacy_run(
         scheduler=SchedulerSpec(kind="yarn-cs"),
         workload=WorkloadSpec(spot_scale=spot_scale, seed_offset=seed_offset),
     )
-    simulator, trace = build_simulation(job)
+    simulator, trace = build_simulation(check_job(job))
     simulator.submit_all(trace.sorted_tasks())
     return simulator.run(), trace.tasks
 

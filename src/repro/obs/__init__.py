@@ -4,9 +4,10 @@ The package splits into a dependency-free core — imported by the hot
 path — and consumers imported only where used:
 
 * :mod:`repro.obs.recorder` — :class:`Recorder` / :class:`NullRecorder`
-  (counters, gauges, histograms, spans; sim-time vs wall-clock channels)
-  and :class:`EventLoopCounters`, the simulator's per-kind heaped-event
-  accounting.
+  (counters, gauges, histograms, spans; sim-time vs wall-clock channels),
+  :class:`SimEventLog`, the listener that keeps the sim channel's
+  records, and :class:`EventLoopCounters`, the simulator's per-kind
+  heaped-event accounting.
 * :mod:`repro.obs.prometheus` — exposition-format rendering for the
   service's ``GET /metrics``, the project's one Prometheus page.
 * :mod:`repro.obs.trace_export` — Chrome-trace/Perfetto JSON export of
@@ -37,9 +38,8 @@ from .recorder import (
     EventLoopCounters,
     Histogram,
     NullRecorder,
-    PassRecord,
     Recorder,
-    TickSample,
+    SimEventLog,
 )
 from .telemetry import JsonlSink, TelemetryBus, TTYProgressSink, validate_telemetry_line
 
@@ -49,12 +49,11 @@ __all__ = [
     "Histogram",
     "JsonlSink",
     "NullRecorder",
-    "PassRecord",
     "PROMETHEUS_CONTENT_TYPE",
     "Recorder",
+    "SimEventLog",
     "TTYProgressSink",
     "TelemetryBus",
-    "TickSample",
     "configure_json_logging",
     "new_run_id",
     "parse_prometheus_text",

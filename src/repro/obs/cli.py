@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from ..dynamics import dynamics_names
 from ..experiments.config import ExperimentScale
-from ..experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec
+from ..experiments.engine import JobSpecError, SchedulerSpec, SimulationJob, WorkloadSpec, check_job
 from .profiler import run_profile
 from .trace_export import write_chrome_trace
 
@@ -73,16 +73,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv[1:])
 
-    job = SimulationJob(
-        key=command,
-        scale=ExperimentScale(
-            name=command, num_nodes=args.nodes, duration_hours=args.hours, seed=args.seed
-        ),
-        scheduler=SchedulerSpec(kind=args.scheduler),
-        workload=WorkloadSpec(
-            scenario=args.scenario, spot_scale=args.spot_scale, dynamics=args.dynamics or ""
-        ),
-    )
+    try:
+        job = check_job(SimulationJob(
+            key=command,
+            scale=ExperimentScale(
+                name=command, num_nodes=args.nodes, duration_hours=args.hours, seed=args.seed
+            ),
+            scheduler=SchedulerSpec(kind=args.scheduler),
+            workload=WorkloadSpec(
+                scenario=args.scenario, spot_scale=args.spot_scale, dynamics=args.dynamics or ""
+            ),
+        ))
+    except JobSpecError as err:
+        parser.error(f"{err.flag}: {err}")
     scenario = job.resolved_scenario()
     spec = job.resolved_dynamics()
     report, recorder, sim = run_profile(job, check_overhead=args.check_overhead)
@@ -96,7 +99,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         unfinished = sum(1 for task in sim.all_tasks if task.finish_time is None)
         print(
             f"[trace-viz] scenario={scenario.name} scheduler={args.scheduler} "
-            f"tasks={report.num_tasks} passes={len(recorder.pass_records)} "
+            f"tasks={report.num_tasks} passes={report.passes} "
             f"unfinished={unfinished}"
         )
     if report.metrics_identical is False:
@@ -107,7 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         out = write_chrome_trace(
             trace_out,
             tasks=sim.all_tasks,
-            recorder=recorder,
+            sim_events=recorder.sim_listener,
             final_time=sim.now,
             metadata={
                 "command": command,

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .recorder import Recorder
+from .recorder import Recorder, SimEventLog
 
 
 @dataclass
@@ -182,11 +182,13 @@ def _timed_run(job, recorder) -> Tuple[object, float, int, object]:
 def run_profile(job, check_overhead: bool = False) -> Tuple[ProfileReport, Recorder, object]:
     """Profile one :class:`~repro.experiments.engine.SimulationJob`.
 
-    Returns ``(report, recorder, simulator)``.  ``check_overhead`` also
-    runs the job with the NullRecorder, comparing metrics and measuring
-    the overhead ratio.
+    Returns ``(report, recorder, simulator)``; the recorder's
+    ``sim_listener`` is a :class:`SimEventLog` of the run's sim channel,
+    which trace export reads.  ``check_overhead`` also runs the job with
+    the NullRecorder, comparing metrics and measuring the overhead ratio.
     """
     rec = Recorder()
+    rec.sim_listener = SimEventLog()
     metrics, elapsed, num_tasks, sim = _timed_run(job, rec)
     scale = job.scale
     report = ProfileReport(

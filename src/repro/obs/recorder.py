@@ -11,13 +11,15 @@ is allocated, formatted or timed unless a real :class:`Recorder` was
 attached explicitly.
 
 **Sim-time and wall-clock never mix.**  Deterministic simulation data
-(scheduling-pass records, tick samples — pure functions of the seed)
-lives in the *sim channel* (:attr:`Recorder.pass_records`,
-:attr:`Recorder.tick_samples`) and is what the Chrome-trace exporter
-serialises; wall-clock data (dispatch timings, pass durations) lives in
-wall histograms and only ever feeds the self-profiler and Prometheus
-output.  Exported traces of two runs of the same seed are therefore
-byte-identical even though their wall timings differ.
+(one ``pass`` or ``tick`` record of ``(event, fields)`` per scheduling
+pass or quota tick — pure functions of the seed) is the *sim channel*:
+it feeds the ``sim.*`` counters and gauges and is pushed to the
+recorder's ``sim_listener`` (the service's event stream, or the
+:class:`SimEventLog` the Chrome-trace exporter serialises); wall-clock
+data (dispatch timings, pass durations) lives in wall histograms and
+only ever feeds the self-profiler and Prometheus output.  Exported
+traces of two runs of the same seed are therefore byte-identical even
+though their wall timings differ.
 
 The recorder deliberately never *reads* simulation state — hook points
 push values in — so attaching one cannot perturb a run: the parity suite
@@ -92,42 +94,6 @@ class Histogram:
         }
 
 
-@dataclass(frozen=True)
-class PassRecord:
-    """One ``_schedule_pending`` pass, in deterministic sim-time terms.
-
-    Every field is a pure function of the simulation seed — no wall
-    clock — so the sequence of pass records (and anything exported from
-    it) is bit-identical across repeat runs and across machines.
-    """
-
-    sim_time: float
-    #: what triggered the pass: arrival / finish / tick / dynamics
-    trigger: str
-    #: tasks offered to the scheduler this pass
-    examined: int
-    #: tasks that received a placement this pass
-    scheduled: int
-    #: searches skipped by the failed-shape memo
-    memo_hits: int
-    #: searches rejected by the capacity index before any node was touched
-    index_rejects: int
-    #: greedy placement searches actually run
-    searches: int
-    #: queue depth when the pass ended
-    pending_depth: int
-
-
-@dataclass(frozen=True)
-class TickSample:
-    """Deterministic gauge sample taken at one quota tick."""
-
-    sim_time: float
-    pending_depth: int
-    running_tasks: int
-    allocation_rate: float
-
-
 @dataclass
 class EventLoopCounters:
     """Per-kind counts of *outstanding* heaped events.
@@ -194,10 +160,10 @@ class NullRecorder:
     def record_dispatch(self, kind_name: str, seconds: float) -> None:
         pass
 
-    def record_pass(self, record: PassRecord, wall_seconds: float) -> None:
+    def record_pass(self, fields: Dict[str, object], wall_seconds: float) -> None:
         pass
 
-    def sample_tick(self, sample: TickSample) -> None:
+    def sample_tick(self, fields: Dict[str, object]) -> None:
         pass
 
     def snapshot(self) -> Dict[str, object]:
@@ -247,37 +213,25 @@ class Recorder:
     >>> with rec.span("my.phase"):
     ...     do_work()
 
-    ``pass_record_limit`` bounds both sim-channel rings (pass records
-    and tick samples) for long-running service sessions: once a ring is
-    full, its *oldest* entries are dropped (deterministically), while
-    counters and histograms keep aggregating forever.
-
     ``sim_listener`` is an optional observer of the sim channel: when
-    set, its ``on_pass(record)`` / ``on_tick(sample)`` methods are
-    called with each deterministic record as it lands (after ring
-    trimming).  This is how the service's event stream taps the sim
-    channel without reading any simulator state — the listener receives
-    exactly the pushed values, so attaching one cannot perturb a run.
+    set, its ``emit(event, fields)`` is called with each ``pass`` and
+    ``tick`` record as it lands.  The recorder itself keeps no record,
+    only the aggregates.  This is how the service's event stream taps
+    the sim channel without reading any simulator state — the listener
+    receives exactly the pushed values, so attaching one cannot perturb
+    a run; :class:`SimEventLog` is the listener that keeps them all.
     """
 
     enabled = True
 
-    def __init__(self, pass_record_limit: Optional[int] = None):
+    def __init__(self):
         #: (name, label pairs) -> running total
         self.counters: Dict[Tuple[str, LabelPairs], float] = {}
         #: (name, label pairs) -> last value
         self.gauges: Dict[Tuple[str, LabelPairs], float] = {}
         #: name -> wall-clock histogram
         self.histograms: Dict[str, Histogram] = {}
-        #: sim channel: deterministic scheduling-pass records
-        self.pass_records: List[PassRecord] = []
-        #: sim channel: deterministic per-tick gauge samples
-        self.tick_samples: List[TickSample] = []
-        self.pass_record_limit = pass_record_limit
-        #: pass records / tick samples dropped to honour ``pass_record_limit``
-        self.dropped_pass_records = 0
-        self.dropped_tick_samples = 0
-        #: optional sim-channel observer (``on_pass`` / ``on_tick``)
+        #: optional sim-channel observer (``emit(event, fields)``)
         self.sim_listener: Optional[object] = None
 
     # ------------------------------------------------------------------
@@ -308,37 +262,22 @@ class Recorder:
         self.count("sim.events", 1.0, {"kind": kind_name})
         self.observe(f"sim.dispatch_s.{kind_name}", seconds)
 
-    def _trim(self, ring: List) -> int:
-        """Drop a sim-channel ring's oldest entries beyond the limit; how many went."""
-        overflow = 0 if self.pass_record_limit is None else len(ring) - self.pass_record_limit
-        if overflow <= 0:
-            return 0
-        del ring[:overflow]
-        return overflow
-
-    def record_pass(self, record: PassRecord, wall_seconds: float) -> None:
-        """One scheduling pass: sim-time record + wall-clock histogram."""
-        self.pass_records.append(record)
-        self.dropped_pass_records += self._trim(self.pass_records)
+    def record_pass(self, fields: Dict[str, object], wall_seconds: float) -> None:
+        """One scheduling pass: ``pass`` counters + wall-clock histogram."""
         self.count("sim.passes")
-        self.count("sim.pass.examined", record.examined)
-        self.count("sim.pass.scheduled", record.scheduled)
-        self.count("sim.pass.memo_hits", record.memo_hits)
-        self.count("sim.pass.index_rejects", record.index_rejects)
-        self.count("sim.pass.searches", record.searches)
+        for name in ("examined", "scheduled", "memo_hits", "index_rejects", "searches"):
+            self.count(f"sim.pass.{name}", fields[name])
         self.observe("sim.pass_wall_s", wall_seconds)
         if self.sim_listener is not None:
-            self.sim_listener.on_pass(record)
+            self.sim_listener.emit("pass", fields)
 
-    def sample_tick(self, sample: TickSample) -> None:
-        """Gauges sampled at a quota tick (plus the sim-channel record)."""
-        self.tick_samples.append(sample)
-        self.dropped_tick_samples += self._trim(self.tick_samples)
-        self.gauge("sim.pending_depth", sample.pending_depth)
-        self.gauge("sim.running_tasks", sample.running_tasks)
-        self.gauge("sim.allocation_rate", sample.allocation_rate)
+    def sample_tick(self, fields: Dict[str, object]) -> None:
+        """Gauges sampled at a quota tick from its ``tick`` record."""
+        self.gauge("sim.pending_depth", fields["pending"])
+        self.gauge("sim.running_tasks", fields["running"])
+        self.gauge("sim.allocation_rate", fields["alloc"])
         if self.sim_listener is not None:
-            self.sim_listener.on_tick(sample)
+            self.sim_listener.emit("tick", fields)
 
     # ------------------------------------------------------------------
     # Export
@@ -363,8 +302,11 @@ class Recorder:
             "histograms": {
                 name: hist.as_dict() for name, hist in sorted(self.histograms.items())
             },
-            "pass_records": len(self.pass_records),
-            "dropped_pass_records": self.dropped_pass_records,
-            "tick_samples": len(self.tick_samples),
-            "dropped_tick_samples": self.dropped_tick_samples,
         }
+
+
+class SimEventLog(list):
+    """The plain sim-channel listener: every ``(event, fields)`` record, in order."""
+
+    def emit(self, event: str, fields: Dict[str, object]) -> None:
+        self.append((event, fields))

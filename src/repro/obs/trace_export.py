@@ -7,10 +7,10 @@ trace-event format — loadable in ``chrome://tracing``, Perfetto UI or
 * **pid 1 "tasks"** — one thread per task, carrying its full lifecycle:
   ``queue`` and ``run`` complete events (phase ``"X"``) and ``finish`` /
   ``evict`` / ``kill`` instants (phase ``"i"``).
-* **pid 2 "scheduler"** — one instant per scheduling pass (trigger,
-  tasks examined/scheduled, memo hits, index rejects, searches) from the
-  recorder's sim channel, plus ``"C"`` counter events (pending depth,
-  running tasks, allocation rate) from the per-tick samples.
+* **pid 2 "scheduler"** — one instant per ``pass`` record of the sim
+  channel (trigger, tasks examined/scheduled, memo hits, index rejects,
+  searches), plus ``"C"`` counter events (pending depth, running tasks,
+  allocation rate) from its ``tick`` records.
 
 Timestamps are **simulated** microseconds, never wall clock, so the
 export is a pure function of the run: two runs of the same seed produce
@@ -21,9 +21,10 @@ self-profiler's business (:mod:`repro.obs.profiler`).
 Typical use::
 
     rec = Recorder()
+    rec.sim_listener = events = SimEventLog()
     sim = ClusterSimulator(cluster, scheduler, recorder=rec)
     sim.submit_all(tasks); sim.run()
-    write_chrome_trace("trace.json", sim.all_tasks, recorder=rec)
+    write_chrome_trace("trace.json", sim.all_tasks, sim_events=events)
 
 or from the command line: ``python -m repro.experiments.cli trace-viz
 --scenario node_churn --trace-out trace.json``.
@@ -33,9 +34,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .recorder import Recorder
+#: the sim channel's records, as a :class:`~repro.obs.recorder.SimEventLog` keeps them
+SimEvents = Sequence[Tuple[str, Dict[str, object]]]
 
 #: pid of the task-lifecycle track.
 TASKS_PID = 1
@@ -44,6 +46,10 @@ SCHEDULER_PID = 2
 
 #: Scale from simulated seconds to trace-event microseconds.
 _US = 1_000_000.0
+
+
+#: trace arg name of each sim-channel field the trace renames
+_ARG_NAMES = {"pending": "pending_depth", "running": "running_tasks", "alloc": "allocation_rate"}
 
 
 def _us(sim_seconds: float) -> int:
@@ -135,68 +141,46 @@ def task_lifecycle_events(tasks: Sequence, final_time: Optional[float] = None) -
     return events
 
 
-def scheduler_events(recorder: Recorder) -> List[Dict[str, object]]:
-    """Trace events for the scheduler track from the recorder's sim channel."""
+def scheduler_events(sim_events: SimEvents) -> List[Dict[str, object]]:
+    """Trace events for the scheduler track: every pass, then every tick."""
     events: List[Dict[str, object]] = [
         _meta(SCHEDULER_PID, "scheduler"),
         _meta(SCHEDULER_PID, "scheduling passes", tid=1),
     ]
-    for record in recorder.pass_records:
-        events.append(
-            _instant(
-                SCHEDULER_PID,
-                1,
-                f"pass:{record.trigger}",
-                record.sim_time,
-                {
-                    "trigger": record.trigger,
-                    "examined": record.examined,
-                    "scheduled": record.scheduled,
-                    "memo_hits": record.memo_hits,
-                    "index_rejects": record.index_rejects,
-                    "searches": record.searches,
-                    "pending_depth": record.pending_depth,
-                },
-                "scheduler",
-            )
-        )
-    for sample in recorder.tick_samples:
-        ts = _us(sample.sim_time)
-        for name, value in (
-            ("pending_depth", sample.pending_depth),
-            ("running_tasks", sample.running_tasks),
-            ("allocation_rate", sample.allocation_rate),
-        ):
-            events.append(
-                {
-                    "ph": "C",
-                    "pid": SCHEDULER_PID,
-                    "tid": 0,
-                    "name": name,
-                    "ts": ts,
-                    "args": {name: value},
-                }
-            )
+    for event, fields in sim_events:
+        if event == "pass":
+            args = {_ARG_NAMES.get(key, key): value for key, value in fields.items() if key != "t"}
+            name = f"pass:{fields['trigger']}"
+            events.append(_instant(SCHEDULER_PID, 1, name, fields["t"], args, "scheduler"))
+    for event, fields in sim_events:
+        if event == "tick":
+            ts = _us(fields["t"])
+            for key in ("pending", "running", "alloc"):
+                name = _ARG_NAMES[key]
+                args = {name: fields[key]}
+                events.append({"ph": "C", "pid": SCHEDULER_PID, "tid": 0, "name": name, "ts": ts,
+                               "args": args})
     return events
 
 
 def build_chrome_trace(
     tasks: Optional[Iterable] = None,
-    recorder: Optional[Recorder] = None,
+    sim_events: Optional[SimEvents] = None,
     final_time: Optional[float] = None,
     metadata: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Assemble the complete trace document (JSON object format).
 
-    ``tasks`` yields the task-lifecycle track, ``recorder`` the
-    scheduler track; either may be omitted.  ``metadata`` lands in the
+    ``tasks`` yields the task-lifecycle track, ``sim_events`` (the sim
+    channel's ``(event, fields)`` records) the scheduler track; either
+    may be omitted.  ``metadata`` lands in the
     Chrome ``otherData`` field (scenario name, scheduler, seed, ...).
     """
     events: List[Dict[str, object]] = []
     if tasks is not None:
         events.extend(task_lifecycle_events(list(tasks), final_time=final_time))
-    if recorder is not None and recorder.enabled:
-        events.extend(scheduler_events(recorder))
+    if sim_events is not None:
+        events.extend(scheduler_events(sim_events))
     trace: Dict[str, object] = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -213,13 +197,13 @@ def trace_to_json(trace: Dict[str, object]) -> str:
 def write_chrome_trace(
     path,
     tasks: Optional[Iterable] = None,
-    recorder: Optional[Recorder] = None,
+    sim_events: Optional[SimEvents] = None,
     final_time: Optional[float] = None,
     metadata: Optional[Dict[str, object]] = None,
 ) -> Path:
     """Build and write a trace; returns the written path."""
     trace = build_chrome_trace(
-        tasks=tasks, recorder=recorder, final_time=final_time, metadata=metadata
+        tasks=tasks, sim_events=sim_events, final_time=final_time, metadata=metadata
     )
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -25,20 +25,19 @@ from ..cluster.gpu import GPUModel
 from ..cluster.simulator import ClusterSimulator, SimulatorConfig
 from ..cluster.task import Task, TaskType
 from ..experiments.config import ExperimentScale
-from ..experiments.engine import SchedulerSpec, SimulationJob, WorkloadSpec, build_simulation
+from ..experiments.engine import (
+    SchedulerSpec,
+    SimulationJob,
+    WorkloadSpec,
+    build_simulation,
+    check_job,
+)
 from ..obs import Recorder, render_recorder
-from ..schedulers.registry import available_schedulers
-from ..workloads.scenarios import get_scenario
 from .stream import SessionStream
 
-#: sim-channel records (pass records *and* tick samples) kept per
-#: session before the oldest drop — bounds live-session memory;
-#: counters/histograms aggregate forever.  Overridable per session via
-#: the ``pass_record_limit`` create parameter.
-PASS_RECORD_LIMIT = 4096
-
 #: event-stream ring size (and the lossless ``Last-Event-ID`` resume
-#: window) per session; ``stream_backlog=0`` disables streaming
+#: window) per session, the session's one bounded buffer;
+#: ``stream_backlog=0`` disables streaming
 STREAM_BACKLOG = 4096
 
 #: session-creation parameters the service accepts, with their defaults —
@@ -56,9 +55,12 @@ SESSION_DEFAULTS: Dict[str, object] = {
     "tick_interval": 300.0,
     "max_time": None,
     "preload": False,
-    "pass_record_limit": PASS_RECORD_LIMIT,
     "stream_backlog": STREAM_BACKLOG,
 }
+
+#: retired create parameters: boot recovery drops them from a stored session,
+#: a create request naming one gets the unknown-parameter 400 like a typo
+RETIRED_SESSION_PARAMS = frozenset({"pass_record_limit"})
 
 _session_counter = itertools.count(1)
 
@@ -145,7 +147,7 @@ class SimulationSession:
         self.session_id = session_id or f"session-{next(_session_counter):04d}"
         self.params = merged
         try:
-            job = SimulationJob(
+            job = check_job(SimulationJob(
                 key=self.session_id,
                 scale=ExperimentScale(
                     name="session",
@@ -161,26 +163,13 @@ class SimulationSession:
                     spot_scale=float(merged["spot_scale"]),
                     dynamics=str(merged["dynamics"] or ""),
                 ),
-                scenario=get_scenario(str(merged["scenario"])),
-            )
-            record_limit = merged["pass_record_limit"]
-            record_limit = None if record_limit in (None, 0) else int(record_limit)
+            ))
             stream_backlog = int(merged["stream_backlog"])
-            scale = job.scale  # refused by name here, not by build_simulation
-            for name, ok, want in (
-                ("num_nodes", scale.num_nodes >= 1, "at least 1"),
-                ("gpus_per_node", scale.gpus_per_node >= 1, "at least 1"),
-                ("duration_hours", 0.0 < scale.duration_hours < math.inf, "positive and finite"),
-                ("spot_scale", 0.0 <= job.workload.spot_scale < math.inf, "non-negative and finite"),
-                ("scheduler", job.scheduler.kind.lower() in available_schedulers(),
-                 f"one of {available_schedulers()}"),
-                ("pass_record_limit", record_limit is None or record_limit >= 1,
-                 "at least 1 (or 0/null for unbounded)"),
-                ("stream_backlog", stream_backlog >= 0, "at least 0 (0 disables streaming)"),
-            ):
-                if not ok:
-                    raise ValueError(f"{name}={merged[name]!r} must be {want}")
-            job.resolved_dynamics()  # KeyError naming an unknown dynamics preset
+            if stream_backlog < 0:
+                raise ValueError(
+                    f"stream_backlog={merged['stream_backlog']!r} must be at least 0 "
+                    "(0 disables streaming)"
+                )
         except (KeyError, ValueError) as exc:
             raise SessionError(f"invalid session parameters: {exc}") from exc
 
@@ -189,7 +178,7 @@ class SimulationSession:
             tick_interval=float(merged["tick_interval"]),
             max_time=float(max_time) if max_time is not None else None,
         )
-        self.recorder = Recorder(pass_record_limit=record_limit)
+        self.recorder = Recorder()
         #: live SSE event channel (``None`` when ``stream_backlog=0``);
         #: taps the recorder's deterministic sim channel, so attaching it
         #: cannot perturb the run (zero-observer-effect, tests/test_stream.py)
@@ -452,8 +441,10 @@ class SimulationSession:
         state is replaced wholesale from the checksummed snapshot — so a
         recovered session advances bit-identically to one that never
         went down (guarded by ``tests/test_service_durability.py``).
+        A stored parameter this version has retired is dropped first.
         """
-        session = cls(params, session_id=session_id)
+        kept = {k: v for k, v in params.items() if k not in RETIRED_SESSION_PARAMS}
+        session = cls(kept, session_id=session_id)
         session.restore_bytes(snapshot)
         return session
 

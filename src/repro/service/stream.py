@@ -2,8 +2,8 @@
 
 :class:`SessionStream` is the service plane's live telemetry channel.
 Each session owns one; the session emits small structured events into
-it — deterministic sim-channel records (scheduling passes, tick
-samples, via the recorder's ``sim_listener`` hook) plus explicit
+it — the deterministic sim channel's ``pass`` and ``tick`` records
+(the recorder's ``sim_listener`` hook pushes them as-is) plus explicit
 operations (submit, inject, restore) — and any number of HTTP
 subscribers consume them as Server-Sent Events from
 ``GET /sessions/{id}/stream``.
@@ -43,8 +43,6 @@ import json
 import threading
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
-
-from ..obs.recorder import PassRecord, TickSample
 
 __all__ = [
     "HEARTBEAT_FRAME",
@@ -155,8 +153,9 @@ class SessionStream:
     Frames are rendered once at emit time, so fan-out to N subscribers
     costs N socket writes and zero re-serialisation.
 
-    Implements the recorder's ``sim_listener`` protocol (:meth:`on_pass`,
-    :meth:`on_tick`) — attach with ``recorder.sim_listener = stream``.
+    :meth:`emit` is also the recorder's ``sim_listener`` protocol, so the
+    sim channel's ``pass``/``tick`` records land as-is — attach with
+    ``recorder.sim_listener = stream``.
     """
 
     def __init__(self, session_id: str, backlog: int = 4096):
@@ -197,33 +196,6 @@ class SessionStream:
             except RuntimeError:
                 pass  # loop already closed; its subscriber is gone anyway
         return seq
-
-    # Recorder ``sim_listener`` protocol — deterministic sim channel.
-    def on_pass(self, record: PassRecord) -> None:
-        self.emit(
-            "pass",
-            {
-                "t": record.sim_time,
-                "trigger": record.trigger,
-                "examined": record.examined,
-                "scheduled": record.scheduled,
-                "memo_hits": record.memo_hits,
-                "index_rejects": record.index_rejects,
-                "searches": record.searches,
-                "pending": record.pending_depth,
-            },
-        )
-
-    def on_tick(self, sample: TickSample) -> None:
-        self.emit(
-            "tick",
-            {
-                "t": sample.sim_time,
-                "pending": sample.pending_depth,
-                "running": sample.running_tasks,
-                "alloc": sample.allocation_rate,
-            },
-        )
 
     # ------------------------------------------------------------------
     # Subscribe side (server stream handler)

@@ -172,6 +172,40 @@ def test_sweep_resume_of_an_unreadable_journal_exits_2(capsys, tmp_path):
     assert str(journal) in err and "version 99" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["profile", "--nodes", "0"], "--nodes"),
+        (["trace-viz", "--hours", "-1"], "--hours"),
+        (["profile", "--spot-scale", "nan"], "--spot-scale"),
+        (["trace-viz", "--scheduler", "nosuch"], "--scheduler"),
+        (["profile", "--scenario", "nosuch"], "--scenario"),
+        (["trace-viz", "--scenario", "trace:missing.json"], "--scenario"),
+        (["sweep", "--scale", "small", "--schedulers", "YARN-CS", "--nodes", "0"], "--nodes"),
+        (["sweep", "--schedulers", "YARN-CS", "--nodes", "4", "--hours", "-1"], "--hours"),
+        (["sweep", "--scenario", "nosuch"], "--scenario"),
+        (["sweep", "--scenario", "trace:missing.json"], "--scenario"),
+        (["sweep", "--seeds", "0"], "--seeds"),
+        (["observations", "--nodes", "0"], "--nodes"),
+    ],
+)
+def test_invalid_run_parameter_exits_2_naming_its_flag(argv, flag, capsys, monkeypatch, tmp_path):
+    # A deterministic input error is refused at the front door: no cell
+    # runs, none is retried, and no trace file is written.
+    monkeypatch.chdir(tmp_path)
+    telemetry = tmp_path / "events.jsonl"
+    if argv[0] == "sweep":
+        argv = argv + ["--telemetry", str(telemetry)]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "Traceback" not in captured.err
+    assert "exhausted their retry budget" not in captured.out
+    assert not telemetry.exists() or "job_" not in telemetry.read_text()
+    assert not (tmp_path / "trace.json").exists()
+
+
 def test_sweep_failure_footer_names_where_tracebacks_go(capsys, tmp_path):
     sweep = ["sweep", "--nodes", "2", "--hours", "0.001", "--retries", "0",
              "--schedulers", "YARN-CS"]

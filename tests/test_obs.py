@@ -21,9 +21,8 @@ from repro.obs import (
     EventLoopCounters,
     Histogram,
     NullRecorder,
-    PassRecord,
     Recorder,
-    TickSample,
+    SimEventLog,
     parse_prometheus_text,
     render_recorder,
 )
@@ -120,29 +119,61 @@ def test_job_profile_summary_wall_columns_are_the_phase_totals():
     assert job_profile_summary(Recorder(), wall_s=1.0)["obs_tick_wall_s"] == 0.0
 
 
-def test_pass_record_limit_drops_oldest_deterministically():
-    rec = Recorder(pass_record_limit=3)
-    for i in range(5):
-        rec.record_pass(
-            PassRecord(
-                sim_time=float(i), trigger="tick", examined=1, scheduled=0,
-                memo_hits=0, index_rejects=0, searches=1, pending_depth=i,
-            ),
-            wall_seconds=0.0,
-        )
-    assert [r.sim_time for r in rec.pass_records] == [2.0, 3.0, 4.0]
-    assert rec.dropped_pass_records == 2
-    # Aggregates keep counting past the window.
-    assert rec.counter_value("sim.passes") == 5.0
-    # The one limit bounds the other sim-channel ring too.
-    for i in range(4):
-        rec.sample_tick(TickSample(float(i), i, 0, 0.0))
-    assert [s.sim_time for s in rec.tick_samples] == [1.0, 2.0, 3.0]
-    assert rec.dropped_tick_samples == 1
-    unbounded = Recorder()
-    for i in range(4):
-        unbounded.sample_tick(TickSample(float(i), i, 0, 0.0))
-    assert len(unbounded.tick_samples) == 4 and unbounded.dropped_tick_samples == 0
+#: one ``pass`` and one ``tick`` record, in the sim channel's field vocabulary
+PASS = {"t": 1.0, "trigger": "tick", "examined": 3, "scheduled": 1, "memo_hits": 1,
+        "index_rejects": 0, "searches": 2, "pending": 2}
+TICK = {"t": 1.0, "pending": 2, "running": 1, "alloc": 0.5}
+
+
+def test_sim_channel_records_fold_into_aggregates_and_reach_the_listener():
+    rec = Recorder()
+    rec.record_pass(PASS, wall_seconds=0.0)  # no listener: aggregates only
+    rec.sim_listener = log = SimEventLog()
+    rec.record_pass(PASS, wall_seconds=0.0)
+    rec.sample_tick(TICK)
+    assert log == [("pass", PASS), ("tick", TICK)]
+    assert rec.counter_value("sim.passes") == 2.0
+    assert rec.counter_value("sim.pass.searches") == 4.0
+    assert rec.gauges[("sim.allocation_rate", ())] == 0.5
+    # The recorder keeps aggregates only; the listener owns the records.
+    assert set(rec.snapshot()) == {"enabled", "counters", "gauges", "histograms"}
+
+
+def test_src_has_no_second_sim_channel_ring():
+    """One envelope: a pass or tick is an ``(event, fields)`` record, kept
+    by whichever listener wants it and by nothing else."""
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    banned = {"PassRecord", "TickSample", "pass_record_limit", "_trim", "on_pass"}
+    found, retired = [], None
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text())
+        # The one sanctioned mention: the retired-parameter set boot
+        # recovery uses to read session files an older version wrote.
+        skip = set()
+        for node in ast.walk(tree):
+            targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+            if rel == "service/session.py" and targets == ["RETIRED_SESSION_PARAMS"]:
+                retired = {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+                skip = {id(c) for c in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "arg")}
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            # ``on_tick`` is also the scheduler's tick hook; only obs/ and
+            # service/ must not grow a listener method of that name.
+            if rel.split("/")[0] in ("obs", "service"):
+                names.discard(None)
+                found += [(rel, name) for name in names & (banned | {"on_tick"})]
+            else:
+                found += [(rel, name) for name in names & banned]
+    assert found == []
+    assert retired == {"pass_record_limit"}
 
 
 def test_recorder_snapshot_is_json_shaped():
@@ -150,7 +181,7 @@ def test_recorder_snapshot_is_json_shaped():
 
     rec = Recorder()
     rec.record_dispatch("TASK_ARRIVAL", 0.001)
-    rec.sample_tick(TickSample(0.0, 2, 1, 0.5))
+    rec.sample_tick(TICK)
     snap = rec.snapshot()
     assert snap["enabled"] is True
     assert snap["counters"]["sim.events{kind=TASK_ARRIVAL}"] == 1.0
@@ -167,10 +198,8 @@ def test_null_recorder_is_inert_and_pickles_to_singleton():
     NULL_RECORDER.gauge("x", 1.0)
     NULL_RECORDER.observe("x", 1.0)
     NULL_RECORDER.record_dispatch("TASK_ARRIVAL", 0.0)
-    NULL_RECORDER.record_pass(
-        PassRecord(0.0, "tick", 0, 0, 0, 0, 0, 0), 0.0
-    )
-    NULL_RECORDER.sample_tick(TickSample(0.0, 0, 0, 0.0))
+    NULL_RECORDER.record_pass(PASS, 0.0)
+    NULL_RECORDER.sample_tick(TICK)
     with NULL_RECORDER.span("x"):
         pass
     assert NULL_RECORDER.snapshot() == {"enabled": False}

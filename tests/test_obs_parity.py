@@ -25,7 +25,7 @@ import pytest
 from tests.conftest import assert_metrics_identical
 from tests.test_stepping_determinism import DURATION_HOURS, SCHEDULERS, build_sim
 from repro.cluster.simulator import ClusterSimulator
-from repro.obs import NULL_RECORDER, Recorder
+from repro.obs import NULL_RECORDER, Recorder, SimEventLog
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +48,7 @@ def _run(scheduler_kind: str, scenario: str, recorder=None):
 def test_instrumented_run_is_bit_identical(scheduler_kind):
     baseline = _run(scheduler_kind, "default")
     recorder = Recorder()
+    recorder.sim_listener = log = SimEventLog()
     observed = _run(scheduler_kind, "default", recorder)
     assert_metrics_identical(observed, baseline, f"obs-parity/{scheduler_kind}")
     # The recorder must actually have observed the run, or this test
@@ -56,7 +57,11 @@ def test_instrumented_run_is_bit_identical(scheduler_kind):
     assert sum(
         v for (name, _), v in recorder.counters.items() if name == "sim.events"
     ) > 0
-    assert recorder.pass_records and recorder.tick_samples
+    # The listener saw every pass and tick the aggregates counted.
+    passes = [fields for event, fields in log if event == "pass"]
+    assert len(passes) == recorder.counter_value("sim.passes")
+    assert sum(f["searches"] for f in passes) == recorder.counter_value("sim.pass.searches")
+    assert any(event == "tick" for event, _ in log)
     # The scheduler's tick hook (GDE forecast + SQA quota under GFS) is
     # timed once per quota tick, so the profiler can attribute it.
     ticks = recorder.counter_value("sim.events", {"kind": "QUOTA_TICK"})
@@ -71,12 +76,6 @@ def test_instrumented_chaos_run_is_bit_identical(scheduler_kind):
     observed = _run(scheduler_kind, "node_churn", recorder)
     assert_metrics_identical(observed, baseline, f"obs-parity-chaos/{scheduler_kind}")
     assert recorder.counter_value("sim.events", {"kind": "NODE_FAIL"}) > 0
-
-
-def test_pass_record_limit_does_not_perturb_the_run():
-    baseline = _run("gfs", "default")
-    observed = _run("gfs", "default", Recorder(pass_record_limit=4))
-    assert_metrics_identical(observed, baseline, "obs-parity/pass-limit")
 
 
 # ----------------------------------------------------------------------

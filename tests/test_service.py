@@ -217,6 +217,7 @@ def test_http_session_lifecycle_and_errors():
     [
         ("scheduler", "nope"),  # was a KeyError out of build_simulation: 500
         ("dynamics", "nope"),  # likewise
+        ("scenario", "trace:missing.json"),  # was a FileNotFoundError: 500
         ("num_nodes", -3),  # was "a cluster needs at least one node": 500
         ("duration_hours", -2.0),  # was numpy's "negative dimensions": 500
         ("duration_hours", 0.0),  # was accepted: a NaN arrival profile, an empty trace

@@ -251,6 +251,39 @@ class TestRestartRecovery:
         (state / "session-0042.json").write_text("{torn mid-write")
         asyncio.run(second_life())
 
+    def test_session_stored_with_a_retired_parameter_recovers(self, tmp_path):
+        # Files written before the pass-record ring went carry its size in
+        # their params; recovery drops the retired key instead of
+        # quarantining every live session after an upgrade.
+        state = tmp_path / "state"
+        witness = SimulationSession(PARAMS)
+        witness.submit(_wave("old", 4))
+        witness.advance(until=900.0)
+        stored = dict(witness.params, pass_record_limit=4096)
+        SessionStore(state).save("session-0005", stored, witness.snapshot_bytes())
+        witness.advance()
+        reference = _fingerprint({"metrics": witness.metrics()})
+
+        async def body():
+            server = SchedulerServer(state_dir=state)
+            sink = EventSink()
+            server.telemetry.add_sink(sink)
+            await server.start(port=0)
+            client = AsyncServiceClient(server.host, server.port)
+            try:
+                ready = await client.readyz()
+                assert ready["recovered"] == 1 and ready["quarantined"] == 0
+                assert sink.events("session_quarantined") == []
+                await client.advance("session-0005")
+                return _fingerprint({"metrics": await client.metrics("session-0005")})
+            finally:
+                await client.close()
+                await server.stop()
+
+        assert asyncio.run(body()) == reference
+        [record] = SessionStore(state).recover().recovered
+        assert "pass_record_limit" not in record.params
+
     def test_unrebuildable_session_quarantined_not_fatal(self, tmp_path):
         # A file that parses and passes its checksum but cannot rebuild a
         # session (bogus params) must cost one session, not the boot.

@@ -23,13 +23,14 @@ loop via ``asyncio.run`` (same convention as ``tests/test_service.py``).
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import pickle
 
 import pytest
 
 from repro.service import ServiceError
-from repro.service.session import SessionError, SimulationSession
+from repro.service.session import SimulationSession
 from repro.service.stream import (
     HEARTBEAT_FRAME,
     SessionStream,
@@ -153,6 +154,20 @@ def test_sse_bytes_identical_across_advance_chunkings():
         assert event["data"] == json.dumps(decoded, sort_keys=True, separators=(",", ":"))
 
 
+#: SHA-256 of the one-shot stream of ``_stream_session([])``: 2,648
+#: bytes of 12 ``pass``, 11 ``tick`` and 1 ``submit`` event
+SSE_GOLDEN_SHA256 = "b58533d6d98de96c67c0e5f1f29191d8f34de544f6e1785490ce455e3123a4d7"
+
+
+def test_sse_bytes_are_pinned():
+    """The stream's wire bytes are a pinned function of the session."""
+    _, raw = _stream_session([])
+    kinds = [e["event"] for e in parse_sse_stream(raw)]
+    assert (kinds.count("pass"), kinds.count("tick"), kinds.count("submit")) == (12, 11, 1)
+    assert len(raw.encode()) == 2648
+    assert hashlib.sha256(raw.encode()).hexdigest() == SSE_GOLDEN_SHA256
+
+
 def test_submit_and_inject_emit_operation_events():
     session = SimulationSession(PARAMS)
     sub = session.stream.subscribe()
@@ -234,27 +249,17 @@ def test_restore_reattaches_stream_and_emits_restore_event():
 # Satellite: bounded recorder memory in long-lived sessions
 # ----------------------------------------------------------------------
 def test_long_lived_session_memory_stays_bounded():
-    session = SimulationSession({**PARAMS, "pass_record_limit": 64})
-    recorder = session.recorder
-    high_water = 0
+    backlog = 64
+    session = SimulationSession({**PARAMS, "stream_backlog": backlog})
     for wave in range(6):
         session.submit(_wave(f"mem{wave}", 8, start=wave * 1200.0))
         session.advance(until=(wave + 1) * 1200.0)
-        high_water = max(
-            high_water, len(recorder.pass_records), len(recorder.tick_samples)
-        )
-    assert high_water <= 64  # steady state, not linear growth
-    assert recorder.dropped_pass_records + recorder.dropped_tick_samples > 0
-    snap = recorder.snapshot()
-    assert snap["dropped_pass_records"] == recorder.dropped_pass_records
-    assert snap["dropped_tick_samples"] == recorder.dropped_tick_samples
-
-
-def test_pass_record_limit_validation():
-    with pytest.raises(SessionError):
-        SimulationSession({**PARAMS, "pass_record_limit": -1})
-    unbounded = SimulationSession({**PARAMS, "pass_record_limit": 0})
-    assert unbounded.recorder.pass_record_limit is None
+    # The recorder keeps aggregates only; the stream ring is the one buffer.
+    assert set(vars(session.recorder)) == {"counters", "gauges", "histograms", "sim_listener"}
+    stream = session.stats()["stream"]
+    assert stream["buffered"] <= backlog  # steady state, not linear growth
+    assert stream["expired"] > 0
+    assert stream["last_seq"] == stream["buffered"] + stream["expired"]
 
 
 # ----------------------------------------------------------------------
@@ -330,17 +335,13 @@ def test_http_stream_disabled_session_returns_409():
     asyncio.run(body())
 
 
-def test_http_pass_record_limit_knob():
+def test_http_retired_pass_record_limit_is_an_unknown_parameter():
     async def body():
         async with service_server() as (server, client):
-            sid = (await client.create_session(**PARAMS, pass_record_limit=16))[
-                "session_id"
-            ]
-            await client.submit(sid, _wave("knob", 10))
-            await client.advance(sid)
-            session = server._sessions[sid]
-            assert len(session.recorder.pass_records) <= 16
-            assert len(session.recorder.tick_samples) <= 16
+            with pytest.raises(ServiceError) as err:
+                await client.create_session(**PARAMS, pass_record_limit=16)
+            assert err.value.status == 400
+            assert "unknown session parameters" in err.value.message
 
     asyncio.run(body())
 

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from tests.test_stepping_determinism import build_sim
-from repro.obs import Recorder
+from repro.obs import Recorder, SimEventLog
 from repro.obs.trace_export import (
     SCHEDULER_PID,
     TASKS_PID,
@@ -34,12 +34,13 @@ ALLOWED_PHASES = {"M", "X", "i", "C"}
 def _chaos_trace():
     """One instrumented node_churn run serialised to a trace document."""
     rec = Recorder()
+    rec.sim_listener = events = SimEventLog()
     sim = build_sim("gfs", "node_churn")
     sim.obs = rec
     sim.run()
     return build_chrome_trace(
         tasks=sim.all_tasks,
-        recorder=rec,
+        sim_events=events,
         final_time=sim.now,
         metadata={"scenario": "node_churn", "scheduler": "gfs"},
     )
@@ -147,11 +148,12 @@ def test_open_segments_clamp_to_final_time():
 
 def test_write_chrome_trace_round_trips(tmp_path):
     rec = Recorder()
+    rec.sim_listener = events = SimEventLog()
     sim = build_sim("chronus")
     sim.obs = rec
     sim.run()
     out = write_chrome_trace(
-        tmp_path / "trace.json", tasks=sim.all_tasks, recorder=rec, final_time=sim.now
+        tmp_path / "trace.json", tasks=sim.all_tasks, sim_events=events, final_time=sim.now
     )
     loaded = json.loads(out.read_text())
     assert loaded["traceEvents"]
