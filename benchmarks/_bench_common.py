@@ -2,17 +2,18 @@
 
 Lives beside the benchmark tests (the benchmarks directory is on
 ``sys.path`` during collection, like ``legacy/``) so every harness uses
-one definition of metric bit-identity instead of drifting copies.
+one definition of metric bit-identity and one rule for wall-clock gates
+instead of drifting copies.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
+import os
+import warnings
+from typing import Sequence
 
 from repro.cluster import SimulationMetrics
-from repro.runtime import atomic_write_text
 
 
 def values_equal(a, b) -> bool:
@@ -45,18 +46,18 @@ def assert_metrics_identical(new: SimulationMetrics, old: SimulationMetrics, lab
         )
 
 
-#: Version stamp written into every ``BENCH_*.json`` perf record.
-#: Version 2 adds the ``schema_version`` field itself plus the BENCH_7
-#: observability-overhead record; bump it whenever a record's fields
-#: change shape so downstream tooling can branch on it.
-BENCH_SCHEMA_VERSION = 2
+def gate(label: str, failures: Sequence[str]) -> None:
+    """Assert a wall-clock check found nothing wrong; warn instead under
+    ``REPRO_BENCH_STRICT=0``.
 
-
-def write_bench_record(out: Path, record: dict) -> Path:
-    """Write a ``BENCH_*.json`` perf record atomically (temp + fsync + rename).
-
-    The records live at the repo root and are read by CI and by the next
-    benchmark run (as the regression reference), so a crash or ^C mid-write
-    must never leave a torn file behind.
+    Shared CI runners are too noisy for a hard timing bound, so tier-1 CI
+    sets that knob; every other run (``make verify``, ``make perf-smoke``)
+    asserts.  Correctness checks (metric identity, conservation) never go
+    through here: they always assert.
     """
-    return atomic_write_text(out, json.dumps(record, indent=2) + "\n")
+    message = f"{label}: " + "; ".join(failures)
+    if os.environ.get("REPRO_BENCH_STRICT", "1").strip().lower() in ("", "0", "false", "no", "off"):
+        if failures:
+            warnings.warn(message)
+    else:
+        assert not failures, message

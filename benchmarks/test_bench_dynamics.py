@@ -9,43 +9,26 @@ under ``node_churn`` (2%/h per-node failure rate, ~2h repairs) — and
 reporting the wall-clock ratio plus the reliability metrics of the churn
 run.
 
-Tiers (select with ``REPRO_BENCH_DYNAMICS_TIER``):
-
-* ``smoke`` (default) — 64 nodes / 12h, fast enough for every suite run;
-  also asserts the churn run is deterministic (two runs, identical
-  metrics) and conserves tasks.
-* ``full`` — 256 nodes / 48h, the recorded tier: ``make bench-record``
-  writes the machine-readable ``BENCH_5.json`` perf record at the repo
-  root (dynamics overhead vs the BENCH_4 static placement baseline).
-
-``REPRO_BENCH_ENFORCE=1`` turns the overhead ceiling into a hard assert
-(the CI perf gates); otherwise ``REPRO_BENCH_STRICT=0`` downgrades it to
-a warning for noisy shared runners.  Metric conservation is always
-enforced.
+The fleet is 64 nodes / 12h, fast enough for every suite run.  Besides
+the ratio, the test asserts the churn run conserves tasks and is
+deterministic (two runs, identical metrics); those always assert, while
+the overhead ceiling goes through :func:`_bench_common.gate`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 from typing import Dict
 
-from _bench_common import (
-    BENCH_SCHEMA_VERSION,
-    assert_metrics_identical,
-    write_bench_record,
-)
+from _bench_common import assert_metrics_identical, gate
 from repro.cluster import Cluster, ClusterSimulator, GPUModel, SimulatorConfig, reset_task_counter
 from repro.dynamics import FaultInjector, get_dynamics
 from repro.schedulers import ChronusScheduler
 from repro.workloads import generate_trace
 
-DYNAMICS_CONFIGS: Dict[str, Dict[str, float]] = {
-    "smoke": dict(num_nodes=64, duration_hours=12.0, spot_scale=2.0, seed=19),
-    "full": dict(num_nodes=256, duration_hours=48.0, spot_scale=2.0, seed=19),
-}
+DYNAMICS_CONFIG: Dict[str, float] = dict(
+    num_nodes=64, duration_hours=12.0, spot_scale=2.0, seed=19
+)
 
 #: Ceiling on churn wall time relative to the static run.  Dynamics add
 #: events, kills and extra scheduling passes; anything beyond this factor
@@ -54,8 +37,8 @@ DYNAMICS_CONFIGS: Dict[str, Dict[str, float]] = {
 OVERHEAD_CEILING = 2.5
 
 
-def _run(tier: str, churn: bool):
-    cfg = DYNAMICS_CONFIGS[tier]
+def _run(churn: bool):
+    cfg = DYNAMICS_CONFIG
     reset_task_counter()
     cluster = Cluster.homogeneous(int(cfg["num_nodes"]), 8, GPUModel.A100)
     trace = generate_trace(
@@ -76,72 +59,29 @@ def _run(tier: str, churn: bool):
     return metrics, elapsed, len(tasks)
 
 
-def _record_bench5(tier: str, num_tasks: int, static_time: float, churn_time: float, rel) -> None:
-    """Write the machine-readable perf record for the bench trajectory."""
-    cfg = DYNAMICS_CONFIGS[tier]
-    record = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": "dynamics-churn",
-        "pr": 5,
-        "tier": tier,
-        "scenario": "node_churn(chronus)",
-        "node_count": int(cfg["num_nodes"]),
-        "duration_hours": cfg["duration_hours"],
-        "num_tasks": num_tasks,
-        "static_wall_time_s": round(static_time, 3),
-        "churn_wall_time_s": round(churn_time, 3),
-        "dynamics_overhead": round(churn_time / static_time, 3),
-        "tasks_per_sec_under_churn": round(num_tasks / churn_time, 1),
-        "node_failures": rel.node_failures,
-        "node_repairs": rel.node_repairs,
-        "tasks_killed": rel.tasks_killed,
-        "hp_tasks_killed": rel.hp_tasks_killed,
-        "lost_gpu_hours": round(rel.lost_gpu_hours, 2),
-        "goodput_fraction": round(rel.goodput_fraction, 4),
-        "bench4_static_baseline": "BENCH_4.json (placement-scaling, static fleet)",
-    }
-    out = Path(__file__).resolve().parent.parent / "BENCH_5.json"
-    write_bench_record(out, record)
-    print(f"\n[dynamics {tier}] wrote {out}")
-
-
 def test_bench_dynamics_churn():
-    tier = os.environ.get("REPRO_BENCH_DYNAMICS_TIER", "smoke").strip().lower()
-    assert tier in DYNAMICS_CONFIGS, f"unknown dynamics tier {tier!r}"
-    static_metrics, static_time, num_tasks = _run(tier, churn=False)
-    churn_metrics, churn_time, _ = _run(tier, churn=True)
+    static_metrics, static_time, num_tasks = _run(churn=False)
+    churn_metrics, churn_time, _ = _run(churn=True)
 
     # Conservation under churn: every submitted task terminated.
     assert static_metrics.unfinished_tasks == 0
     assert churn_metrics.unfinished_tasks == 0
     rel = churn_metrics.reliability
-    assert rel.node_failures > 0, "churn tier produced no failures"
+    assert rel.node_failures > 0, "churn run produced no failures"
     finished = churn_metrics.hp.count + churn_metrics.spot.count
     assert finished == num_tasks
 
-    if tier == "smoke":
-        # Determinism: replaying the same churn run is bit-identical.
-        replay, _, _ = _run(tier, churn=True)
-        assert_metrics_identical(replay, churn_metrics, "dynamics-smoke-replay")
+    # Determinism: replaying the same churn run is bit-identical.
+    replay, _, _ = _run(churn=True)
+    assert_metrics_identical(replay, churn_metrics, "dynamics-replay")
 
     overhead = churn_time / static_time
     print(
-        f"\n[dynamics {tier}] tasks={num_tasks} static={static_time:.2f}s "
+        f"\n[dynamics] tasks={num_tasks} static={static_time:.2f}s "
         f"churn={churn_time:.2f}s overhead={overhead:.2f}x "
         f"failures={rel.node_failures} kills={rel.tasks_killed} "
         f"lost={rel.lost_gpu_hours:.1f}GPUh goodput={rel.goodput_fraction * 100:.1f}%"
     )
-    if os.environ.get("REPRO_BENCH_RECORD", "").strip().lower() not in ("", "0", "false", "no", "off"):
-        _record_bench5(tier, num_tasks, static_time, churn_time, rel)
-
-    enforce = os.environ.get("REPRO_BENCH_ENFORCE", "").strip().lower() not in ("", "0", "false", "no", "off")
-    strict = os.environ.get("REPRO_BENCH_STRICT", "1").strip().lower() not in ("", "0", "false", "no", "off")
-    if enforce or strict:
-        assert overhead <= OVERHEAD_CEILING, (
-            f"dynamics overhead regressed on the {tier} tier: {overhead:.2f}x "
-            f"(ceiling {OVERHEAD_CEILING:.1f}x)"
-        )
-    elif overhead > OVERHEAD_CEILING:
-        import warnings
-
-        warnings.warn(f"dynamics {tier} overhead above ceiling on this runner: {overhead:.2f}x")
+    gate("dynamics", [] if overhead <= OVERHEAD_CEILING else [
+        f"overhead {overhead:.2f}x above ceiling {OVERHEAD_CEILING:.1f}x"
+    ])

@@ -11,13 +11,12 @@ behaviour: a plain-list pending queue with O(P) membership scans,
 full-node-scan cluster queries, a whole-heap scan per tick and the
 pre-PR-4 linear placement search (``benchmarks/legacy``).
 
-**Placement scaling (PR 4).**  The placement-bound tier: a 512-node
-fleet replaying >= 20k tasks under Chronus, whose FCFS queue re-offers
+**Placement scaling (PR 4).**  The placement-bound tier: a 256-node
+fleet replaying ~4.4k tasks under Chronus, whose FCFS queue re-offers
 every waiting task each pass, making the placement search itself the
 hot path.  The capacity-indexed search (candidate buckets, shared
 per-pass views, failed-shape memo) runs against the frozen legacy
-search; the run is summarised into the machine-readable perf record
-``BENCH_4.json`` via ``make bench-record``.
+search.
 
 Both families assert:
 
@@ -25,36 +24,27 @@ Both families assert:
    hard-coded reference values recorded from the pre-refactor trees —
    must produce exactly the same :class:`SimulationMetrics`.  Every
    refactor is a pure performance change.
-2. **Wall-clock speedup floors**: >= 3x on the 10k-task engine tier and
-   >= 3x on the full placement tier; the reduced (smoke) placement tier
-   enforces no worse than 20% below its recorded reference ratio when
-   ``REPRO_BENCH_ENFORCE=1`` (the CI perf-smoke job).
+2. **Wall-clock speedup floors**: >= 3x on the 10k-task engine tier, and
+   no worse than ``REPRO_BENCH_PLACEMENT_TOLERANCE`` (default 20%) below
+   the recorded reference ratio on the placement tier.  Both go through
+   :func:`_bench_common.gate`, so ``REPRO_BENCH_STRICT=0`` downgrades
+   them to warnings on noisy shared runners.
 
-Run only this file with ``make bench`` or::
+The 50k tier runs the optimized engine only, against its seed reference.
+
+Run only this file with ``make bench-scaling`` or::
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_scaling.py -q -s
-
-Environment knobs: ``REPRO_BENCH_FULL=1`` also runs the slow legacy
-engine on the 50k tier; ``REPRO_BENCH_PLACEMENT_TIER=full|smoke``
-selects the placement tier (default smoke); ``REPRO_BENCH_RECORD=1``
-writes ``BENCH_4.json`` at the repo root; ``REPRO_BENCH_STRICT=0``
-downgrades wall-clock asserts to warnings on noisy shared runners.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
 
-from _bench_common import (
-    BENCH_SCHEMA_VERSION,
-    assert_metrics_identical,
-    write_bench_record,
-)
+from _bench_common import assert_metrics_identical, gate
 from legacy import create_legacy_scheduler
 from repro.cluster import Cluster, ClusterSimulator, EventKind, GPUModel, SimulatorConfig
 from repro.cluster.metrics import SimulationMetrics
@@ -342,53 +332,40 @@ def test_bench_scaling_10k():
           f"legacy={leg_time:.2f}s speedup={speedup:.1f}x")
     # Acceptance: the indexed scheduling core must be at least 3x faster
     # than the seed engine on the 10k-task trace (observed 3.8-5.9x
-    # depending on machine load).  REPRO_BENCH_STRICT=0 downgrades the
-    # wall-clock ratio to a warning for noisy shared CI runners, where
-    # load spikes can sink any timing assertion; metric identity above is
-    # always enforced.
-    if os.environ.get("REPRO_BENCH_STRICT", "1").strip().lower() in ("", "0", "false", "no", "off"):
-        if speedup < 3.0:
-            import warnings
-
-            warnings.warn(f"10k speedup below 3x on this runner: {speedup:.2f}x")
-    else:
-        assert speedup >= 3.0, f"expected >= 3x speedup on the 10k trace, measured {speedup:.2f}x"
+    # depending on machine load); metric identity above is always enforced.
+    gate("scaling 10k", [] if speedup >= 3.0 else [
+        f"expected >= 3x speedup on the 10k trace, measured {speedup:.2f}x"
+    ])
 
 
 # ----------------------------------------------------------------------
 # Placement-bound tier (PR 4): capacity-indexed search vs legacy scan
 # ----------------------------------------------------------------------
 #: Chronus drives this tier: it never preempts and re-offers the whole
-#: FCFS queue every pass, so at 512 nodes the placement search dominates
-#: wall-clock — exactly the path PR 4 indexes.
-PLACEMENT_CONFIGS: Dict[str, Dict[str, float]] = {
-    "smoke": dict(num_nodes=256, duration_hours=24.0, spot_scale=2.0, seed=11),
-    "full": dict(num_nodes=512, duration_hours=56.0, spot_scale=2.0, seed=11),
-}
+#: FCFS queue every pass, so the placement search dominates wall-clock —
+#: exactly the path PR 4 indexes.
+PLACEMENT_CONFIG: Dict[str, float] = dict(
+    num_nodes=256, duration_hours=24.0, spot_scale=2.0, seed=11
+)
+PLACEMENT_NUM_TASKS = 4443
 
-#: Reference numbers captured on the machine that recorded BENCH_4.json
-#: (see that file for the full record).  ``speedup`` is the in-process
-#: legacy/optimized wall-clock ratio — machine-relative, so it transfers
-#: across hosts far better than absolute times; ``pr1_wall_time_s`` is
-#: the pre-refactor (PR-1 tree) wall time on the capture machine.
-PLACEMENT_REFERENCE: Dict[str, Dict[str, float]] = {
-    "smoke": {"num_tasks": 4443, "speedup": 3.75},
-    "full": {"num_tasks": 20992, "speedup": 26.8, "pr1_wall_time_s": 180.1,
-             "pr1_tasks_per_sec": 116.5},
-}
+#: The in-process legacy/optimized wall-clock ratio recorded when the
+#: capacity index landed — machine-relative, so it transfers across hosts
+#: far better than absolute times.
+PLACEMENT_REFERENCE_SPEEDUP = 3.75
 
 #: Allowed regression of the measured speedup ratio vs the recorded
-#: reference before the perf-smoke gate fails (">20% fails").  The CI
-#: obs-smoke overhead gate tightens this to 0.05 via the environment
-#: variable: with the observability layer in the hot path, the default
-#: NullRecorder run must stay within 5% of the recorded ratio.
+#: reference (">20% fails").  The CI obs-smoke overhead gate tightens this
+#: to 0.05 via the environment variable: with the observability layer in
+#: the hot path, the default NullRecorder run must stay within 5% of the
+#: recorded ratio.
 PLACEMENT_REGRESSION_TOLERANCE = float(
     os.environ.get("REPRO_BENCH_PLACEMENT_TOLERANCE", "0.20")
 )
 
 
-def _run_placement(tier: str, legacy: bool):
-    cfg = PLACEMENT_CONFIGS[tier]
+def _run_placement(legacy: bool):
+    cfg = PLACEMENT_CONFIG
     cluster = Cluster.homogeneous(int(cfg["num_nodes"]), 8, GPUModel.A100)
     trace = generate_trace(
         cluster_gpus=cluster.total_gpus(),
@@ -406,89 +383,31 @@ def _run_placement(tier: str, legacy: bool):
     return metrics, elapsed, len(tasks)
 
 
-def _record_bench4(tier: str, num_tasks: int, opt_time: float, leg_time: float) -> None:
-    """Write the machine-readable perf record for the bench trajectory."""
-    reference = PLACEMENT_REFERENCE[tier]
-    cfg = PLACEMENT_CONFIGS[tier]
-    record = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": "placement-scaling",
-        "pr": 4,
-        "tier": tier,
-        "scenario": "default(chronus)",
-        "node_count": int(cfg["num_nodes"]),
-        "duration_hours": cfg["duration_hours"],
-        "num_tasks": num_tasks,
-        "wall_time_s": round(opt_time, 3),
-        "tasks_per_sec": round(num_tasks / opt_time, 1),
-        "legacy_wall_time_s": round(leg_time, 3),
-        "legacy_tasks_per_sec": round(num_tasks / leg_time, 1),
-        "speedup_vs_legacy": round(leg_time / opt_time, 2),
-        "pr1_reference": {
-            "wall_time_s": reference.get("pr1_wall_time_s"),
-            "tasks_per_sec": reference.get("pr1_tasks_per_sec"),
-            "speedup_vs_reference": (
-                round(reference["pr1_wall_time_s"] / opt_time, 2)
-                if reference.get("pr1_wall_time_s")
-                else None
-            ),
-        },
-    }
-    out = Path(__file__).resolve().parent.parent / "BENCH_4.json"
-    write_bench_record(out, record)
-    print(f"\n[placement {tier}] wrote {out}")
-
-
 def test_bench_placement_scaling():
-    tier = os.environ.get("REPRO_BENCH_PLACEMENT_TIER", "smoke").strip().lower()
-    assert tier in PLACEMENT_CONFIGS, f"unknown placement tier {tier!r}"
-    opt_metrics, opt_time, num_tasks = _run_placement(tier, legacy=False)
-    leg_metrics, leg_time, _ = _run_placement(tier, legacy=True)
-    assert num_tasks == PLACEMENT_REFERENCE[tier]["num_tasks"]
-    _assert_engines_identical(opt_metrics, leg_metrics, f"placement-{tier}")
+    opt_metrics, opt_time, num_tasks = _run_placement(legacy=False)
+    leg_metrics, leg_time, _ = _run_placement(legacy=True)
+    assert num_tasks == PLACEMENT_NUM_TASKS
+    _assert_engines_identical(opt_metrics, leg_metrics, "placement")
     speedup = leg_time / opt_time
-    floor = (
-        3.0
-        if tier == "full"
-        else PLACEMENT_REFERENCE[tier]["speedup"] * (1.0 - PLACEMENT_REGRESSION_TOLERANCE)
-    )
+    floor = PLACEMENT_REFERENCE_SPEEDUP * (1.0 - PLACEMENT_REGRESSION_TOLERANCE)
     if speedup < floor:
         # One retry absorbs load spikes on shared runners before a verdict.
-        opt2, opt_time2, _ = _run_placement(tier, legacy=False)
-        leg2, leg_time2, _ = _run_placement(tier, legacy=True)
-        _assert_engines_identical(opt2, leg2, f"placement-{tier}-retry")
+        opt2, opt_time2, _ = _run_placement(legacy=False)
+        leg2, leg_time2, _ = _run_placement(legacy=True)
+        _assert_engines_identical(opt2, leg2, "placement-retry")
         speedup = max(speedup, leg_time2 / min(opt_time, opt_time2))
     print(
-        f"\n[placement {tier}] tasks={num_tasks} optimized={opt_time:.2f}s "
+        f"\n[placement] tasks={num_tasks} optimized={opt_time:.2f}s "
         f"legacy={leg_time:.2f}s speedup={speedup:.1f}x (floor {floor:.1f}x)"
     )
-    if os.environ.get("REPRO_BENCH_RECORD", "").strip().lower() not in ("", "0", "false", "no", "off"):
-        _record_bench4(tier, num_tasks, opt_time, leg_time)
-    # Enforcement policy: the dedicated perf gate (REPRO_BENCH_ENFORCE=1,
-    # the CI perf-smoke job and `make bench-record`) always fails on a
-    # regression; ordinary suite runs follow REPRO_BENCH_STRICT like the
-    # engine tiers, so the tier-1 job stays robust to noisy runners while
-    # metric identity above is always enforced.
-    enforce = os.environ.get("REPRO_BENCH_ENFORCE", "").strip().lower() not in ("", "0", "false", "no", "off")
-    strict = os.environ.get("REPRO_BENCH_STRICT", "1").strip().lower() not in ("", "0", "false", "no", "off")
-    if enforce or strict:
-        assert speedup >= floor, (
-            f"placement speedup regressed on the {tier} tier: measured {speedup:.2f}x, "
-            f"floor {floor:.2f}x (reference {PLACEMENT_REFERENCE[tier]['speedup']:.2f}x)"
-        )
-    elif speedup < floor:
-        import warnings
-
-        warnings.warn(f"placement {tier} speedup below floor on this runner: {speedup:.2f}x")
+    gate("placement", [] if speedup >= floor else [
+        f"speedup regressed: measured {speedup:.2f}x, floor {floor:.2f}x "
+        f"(reference {PLACEMENT_REFERENCE_SPEEDUP:.2f}x)"
+    ])
 
 
 def test_bench_scaling_50k():
     opt_metrics, opt_time, num_tasks = _run("50k", legacy=False)
     assert num_tasks == SEED_REFERENCE["50k"]["num_tasks"]
     _assert_matches_reference(opt_metrics, "50k", "optimized")
-    line = f"\n[scaling 50k] tasks={num_tasks} optimized={opt_time:.2f}s"
-    if os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0"):
-        leg_metrics, leg_time, _ = _run("50k", legacy=True)
-        _assert_matches_reference(leg_metrics, "50k", "legacy")
-        line += f" legacy={leg_time:.2f}s speedup={leg_time / opt_time:.1f}x"
-    print(line)
+    print(f"\n[scaling 50k] tasks={num_tasks} optimized={opt_time:.2f}s")

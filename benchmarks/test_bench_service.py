@@ -12,37 +12,27 @@ usable as an operational tool:
   task finishes; the p99 is the number a dashboard integration would
   care about.
 
-Tiers (select with ``REPRO_BENCH_SERVICE_TIER``):
-
-* ``smoke`` (default) — small session, enough load to catch wiring or
-  order-of-magnitude regressions on every suite run;
-* ``full`` — the recorded tier: ``make bench-record`` writes the
-  machine-readable ``BENCH_6.json`` perf record at the repo root.
-
-``REPRO_BENCH_ENFORCE=1`` turns the throughput/latency floors into hard
-asserts (CI perf gates); otherwise ``REPRO_BENCH_STRICT=0`` downgrades
-them to warnings for noisy shared runners.
+The session is small (8 nodes, 4 waves of 25 submissions, 15 what-if
+queries): enough load to catch wiring or order-of-magnitude regressions
+on every suite run.  The floor and ceiling go through
+:func:`_bench_common.gate`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import time
-from pathlib import Path
 from typing import Dict
 
-from _bench_common import BENCH_SCHEMA_VERSION, write_bench_record
+from _bench_common import gate
 from repro.cluster.metrics import percentile
 from repro.service import AsyncServiceClient, SchedulerServer
 
-SERVICE_CONFIGS: Dict[str, Dict[str, float]] = {
-    "smoke": dict(num_nodes=8, duration_hours=6.0, waves=4, wave_size=25, whatif_queries=15),
-    "full": dict(num_nodes=32, duration_hours=24.0, waves=10, wave_size=100, whatif_queries=100),
-}
+SERVICE_CONFIG: Dict[str, float] = dict(
+    num_nodes=8, duration_hours=6.0, waves=4, wave_size=25, whatif_queries=15
+)
 
-#: floors/ceilings the perf gates enforce; deliberately loose (~5x slack
+#: floor/ceiling the gate enforces; deliberately loose (~5x slack
 #: against a dev laptop) so only real regressions trip them
 SUBMISSIONS_PER_SEC_FLOOR = 200.0
 WHATIF_P99_CEILING_S = 5.0
@@ -118,42 +108,14 @@ async def _drive(cfg: Dict[str, float]) -> Dict[str, float]:
         await server.stop()
 
 
-def _record_bench6(tier: str, cfg: Dict[str, float], result: Dict[str, float]) -> None:
-    record = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": "service-streaming",
-        "pr": 6,
-        "tier": tier,
-        "scenario": "streaming gfs session over HTTP (in-process server)",
-        "node_count": int(cfg["num_nodes"]),
-        "duration_hours": cfg["duration_hours"],
-        "submitted_tasks": int(result["submitted"]),
-        "submissions_per_sec": round(result["submissions_per_sec"], 1),
-        "whatif_queries": int(result["whatif_queries"]),
-        "whatif_p50_ms": round(result["whatif_p50_ms"], 1),
-        "whatif_p99_ms": round(result["whatif_p99_ms"], 1),
-    }
-    out = Path(__file__).resolve().parent.parent / "BENCH_6.json"
-    write_bench_record(out, record)
-    print(f"\n[service {tier}] wrote {out}")
-
-
 def test_bench_service_streaming():
-    tier = os.environ.get("REPRO_BENCH_SERVICE_TIER", "smoke").strip().lower()
-    assert tier in SERVICE_CONFIGS, f"unknown service tier {tier!r}"
-    cfg = SERVICE_CONFIGS[tier]
-    result = asyncio.run(_drive(cfg))
+    result = asyncio.run(_drive(SERVICE_CONFIG))
 
     print(
-        f"\n[service {tier}] submitted={result['submitted']} "
+        f"\n[service] submitted={result['submitted']} "
         f"rate={result['submissions_per_sec']:.0f}/s "
         f"whatif p50={result['whatif_p50_ms']:.0f}ms p99={result['whatif_p99_ms']:.0f}ms"
     )
-    if os.environ.get("REPRO_BENCH_RECORD", "").strip().lower() not in ("", "0", "false", "no", "off"):
-        _record_bench6(tier, cfg, result)
-
-    enforce = os.environ.get("REPRO_BENCH_ENFORCE", "").strip().lower() not in ("", "0", "false", "no", "off")
-    strict = os.environ.get("REPRO_BENCH_STRICT", "1").strip().lower() not in ("", "0", "false", "no", "off")
     failures = []
     if result["submissions_per_sec"] < SUBMISSIONS_PER_SEC_FLOOR:
         failures.append(
@@ -165,9 +127,4 @@ def test_bench_service_streaming():
             f"what-if p99 above ceiling: {result['whatif_p99_ms']:.0f}ms "
             f"(ceiling {WHATIF_P99_CEILING_S * 1000:.0f}ms)"
         )
-    if enforce or strict:
-        assert not failures, f"service perf regressed on the {tier} tier: " + "; ".join(failures)
-    elif failures:
-        import warnings
-
-        warnings.warn(f"service {tier} perf below target on this runner: " + "; ".join(failures))
+    gate("service", failures)

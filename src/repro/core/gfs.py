@@ -36,6 +36,9 @@ from .gde import (
 from .pts import PTSConfig, PreemptiveTaskScheduler, ScoringConfig
 from .sqa import GPUInventoryEstimator, SQAConfig, SpotQuotaAllocator
 
+#: spot quota update interval, seconds
+QUOTA_UPDATE_INTERVAL = 300.0
+
 
 @dataclass
 class GFSConfig:
@@ -64,8 +67,6 @@ class GFSConfig:
     gamma: float = 0.8
     #: eviction penalty intensity m (Eq. 16)
     penalty: float = 3.0
-    #: spot quota update interval, seconds
-    quota_update_interval: float = 300.0
     #: which online forecaster the GDE uses:
     #: "seasonal" (default), "prev-week-peak" (GFS-e) or "orglinear"
     forecaster: str = "seasonal"
@@ -172,7 +173,7 @@ class GFSScheduler(Scheduler):
 
     def on_tick(self, cluster: Cluster, now: float, pending: List[Task]) -> None:
         self._observe_demand(cluster, now, pending)
-        if now - self._last_quota_update + 1e-9 >= self.config.quota_update_interval:
+        if now - self._last_quota_update + 1e-9 >= QUOTA_UPDATE_INTERVAL:
             self._update_quota(cluster, now, pending, adapt=self.config.adapt_eta)
 
     def on_task_start(self, task: Task, cluster: Cluster, now: float) -> None:

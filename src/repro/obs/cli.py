@@ -68,8 +68,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="print profile's report as JSON (phase_breakdown rows in the "
-        "BENCH_7.json shape) instead of the text table",
+        help="print profile's report as JSON instead of the text table",
     )
     args = parser.parse_args(argv[1:])
 

@@ -16,7 +16,7 @@ engine's ``obs_*_wall_s`` sweep columns); the deterministic sim channel
 is untouched, so profiling a run never changes its metrics (``--check-overhead`` re-runs with the
 :class:`~repro.obs.recorder.NullRecorder` and verifies bit-identical
 ``SimulationMetrics`` while measuring the instrumentation overhead
-ratio — the number ``make bench-record`` stamps into ``BENCH_7.json``).
+ratio).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ProfileReport:
         return self.wall_time_s / self.baseline_wall_time_s
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready report; ``phase_breakdown`` rows match BENCH_7.json."""
+        """JSON-ready report (``cli profile --json``)."""
         out: Dict[str, object] = {
             "label": self.label,
             "wall_time_s": round(self.wall_time_s, 6),

@@ -170,14 +170,18 @@ class SimulationSession:
                     f"stream_backlog={merged['stream_backlog']!r} must be at least 0 "
                     "(0 disables streaming)"
                 )
+            tick_interval = _finite("tick_interval", merged["tick_interval"])
+            max_time = merged["max_time"]
+            max_time = None if max_time is None else _finite("max_time", max_time)
+            for name, value in (("tick_interval", tick_interval), ("max_time", max_time)):
+                if value is not None and value <= 0:
+                    raise ValueError(f"{name}={value!r} must be positive")
+            if not isinstance(merged["preload"], bool):
+                raise ValueError(f"preload={merged['preload']!r} must be true or false")
         except (KeyError, ValueError) as exc:
             raise SessionError(f"invalid session parameters: {exc}") from exc
 
-        max_time = merged["max_time"]
-        config = SimulatorConfig(
-            tick_interval=float(merged["tick_interval"]),
-            max_time=float(max_time) if max_time is not None else None,
-        )
+        config = SimulatorConfig(tick_interval=tick_interval, max_time=max_time)
         self.recorder = Recorder()
         #: live SSE event channel (``None`` when ``stream_backlog=0``);
         #: taps the recorder's deterministic sim channel, so attaching it

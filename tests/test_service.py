@@ -222,6 +222,12 @@ def test_http_session_lifecycle_and_errors():
         ("duration_hours", -2.0),  # was numpy's "negative dimensions": 500
         ("duration_hours", 0.0),  # was accepted: a NaN arrival profile, an empty trace
         ("spot_scale", -1.0),  # was accepted
+        ("tick_interval", "abc"),  # was a ValueError outside the check: 500
+        ("tick_interval", -5.0),  # these two were accepted: the session never ticked
+        ("tick_interval", float("nan")),
+        ("max_time", "x"),  # was a 500 like "abc" above
+        ("max_time", -1.0),  # was accepted
+        ("preload", "no"),  # was truthy: the trace was preloaded
     ],
 )
 def test_invalid_session_parameter_is_a_400_naming_it(name, value):
