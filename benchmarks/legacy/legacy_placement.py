@@ -14,7 +14,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from repro.cluster import Cluster, Node, PodPlacement, Task
 from repro.cluster.gpu import EPSILON
-from repro.core.pts.scoring import ScoringConfig, circuit_breaker_active, score_tuple
+from repro.core.config import GFSConfig
+from repro.core.pts.scoring import circuit_breaker_active, score_tuple
 
 NodeScore = Callable[[Node, "LegacyNodeView", Task], float]
 
@@ -157,7 +158,7 @@ def legacy_non_preemptive_placement(
     task: Task,
     nodes: Sequence[Node],
     now: float,
-    config: ScoringConfig,
+    config: GFSConfig,
     use_colocation: bool = True,
     use_eviction_awareness: bool = True,
     views: Optional[Dict[str, LegacyNodeView]] = None,

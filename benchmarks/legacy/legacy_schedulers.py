@@ -210,10 +210,11 @@ class LegacyGFSScheduler(GFSScheduler):
     """GFS with the frozen PTS placement algorithms (quota plumbing intact)."""
 
     def try_schedule(self, task: Task, cluster: Cluster, now: float) -> Optional[SchedulingDecision]:
-        if task.is_spot and not self._quota_admits(task, cluster):
-            return None
+        if task.is_spot and self.sqa is not None:
+            if not self.sqa.admits(task.total_gpus, cluster.spot_gpus()):
+                return None
         decision = self._legacy_pts_schedule(
-            task, cluster, now, self._total_gpu_seconds(cluster, now)
+            task, cluster, now, cluster.total_gpus() * max(1.0, now - self._start_time)
         )
         if decision is not None and task.is_spot:
             task.guaranteed_hours = self.config.guarantee_hours
@@ -222,7 +223,7 @@ class LegacyGFSScheduler(GFSScheduler):
     def _legacy_pts_schedule(
         self, task: Task, cluster: Cluster, now: float, total_gpu_seconds: float
     ) -> Optional[SchedulingDecision]:
-        cfg = self.pts.config
+        cfg = self.config
         placements = None
         nodes: Optional[List] = None
         if task.total_gpus <= cluster.idle_gpus(task.gpu_model) + 1e-6:
@@ -231,7 +232,7 @@ class LegacyGFSScheduler(GFSScheduler):
                 task,
                 nodes,
                 now,
-                cfg.scoring,
+                cfg,
                 use_colocation=cfg.use_colocation,
                 use_eviction_awareness=cfg.use_eviction_awareness,
             )
@@ -249,7 +250,7 @@ class LegacyGFSScheduler(GFSScheduler):
             beta=cfg.beta,
             total_gpu_seconds=total_gpu_seconds,
             random_selection=cfg.random_preemption,
-            rng=self.pts._rng,
+            rng=self._rng,
         )
         if result is None:
             return None

@@ -20,7 +20,8 @@ from repro.core.gde import (
     evaluate_forecast,
     train_test_split_dataset,
 )
-from repro.core.sqa import GPUInventoryEstimator, SpotQuotaAllocator, SQAConfig
+from repro.core import GFSConfig
+from repro.core.sqa import SpotQuotaAllocator
 from repro.workloads import DEFAULT_HOLIDAYS, default_organizations, generate_org_demand_matrix
 
 
@@ -57,11 +58,12 @@ def main() -> None:
     # 4. Turn the probabilistic forecast into a spot quota (Eqs. 9-10).
     estimator = GPUDemandEstimator(SeasonalQuantileForecaster()).fit(history)
     capacity = 512.0
-    inventory = GPUInventoryEstimator(estimator, capacity=capacity)
-    sqa = SpotQuotaAllocator(inventory, SQAConfig(guarantee_rate=0.9, guarantee_hours=1.0))
+    sqa = SpotQuotaAllocator(
+        estimator, capacity, GFSConfig(guarantee_rate=0.9, guarantee_hours=1.0)
+    )
 
     now_hour = 8 * 168  # "now" = right after the history ends
-    estimate = inventory.estimate(now_hour, horizon_hours=1.0, p=0.9)
+    available, peaks = sqa.inventory(now_hour, p=0.9, horizon_hours=1.0)
     quota = sqa.compute_quota(
         now=0.0,
         start_hour=now_hour,
@@ -72,7 +74,7 @@ def main() -> None:
     )
     print(
         f"\nCluster capacity {capacity:.0f} GPUs; predicted aggregated HP peak "
-        f"(next hour, p=0.9) = {estimate.aggregated_peak_demand:.0f} GPUs"
+        f"(next hour, p=0.9) = {sum(peaks.values()):.0f} GPUs, leaving f(p, H) = {available:.0f}"
     )
     print(f"Spot quota with 1-hour guarantee: {quota:.0f} GPUs (eta = {sqa.eta:.2f})")
 

@@ -11,7 +11,7 @@ Public API overview
     The paper's contribution: GDE forecasting, SQA quota control, the PTS
     preemption-aware scheduler and the assembled ``GFSScheduler``.
 ``repro.schedulers``
-    Baseline schedulers (YARN-CS, Chronus, Lyra, FGD) and standalone PTS.
+    Baseline schedulers (YARN-CS, Chronus, Lyra, FGD) and the registry.
 ``repro.dynamics``
     Cluster dynamics: deterministic fault injection (node failures,
     maintenance drains, elastic capacity) for the simulator.
@@ -43,7 +43,6 @@ from .schedulers import (
     ChronusScheduler,
     FGDScheduler,
     LyraScheduler,
-    PTSScheduler,
     Scheduler,
     YarnCSScheduler,
     create_scheduler,
@@ -61,7 +60,6 @@ __all__ = [
     "GFSScheduler",
     "GPUModel",
     "LyraScheduler",
-    "PTSScheduler",
     "ReliabilityMetrics",
     "Scheduler",
     "SimulationMetrics",

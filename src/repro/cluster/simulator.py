@@ -249,28 +249,6 @@ class ClusterSimulator:
         state["obs"] = NULL_RECORDER
         return state
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        """Restore from pickle, migrating older snapshots.
-
-        Snapshots taken before the observability layer carry plain
-        ``_task_events`` / ``_dynamics_events`` / ``_tick_events`` ints
-        and no ``obs`` attribute; fold the ints into an
-        :class:`~repro.obs.EventLoopCounters` and attach the null recorder.
-        A heap of bare ``Event`` objects (snapshots before the tuple keys)
-        is wrapped entry by entry in place: same order, still a heap.
-        """
-        if "_event_counts" not in state:
-            state["_event_counts"] = EventLoopCounters(
-                task_events=int(state.pop("_task_events", 0)),
-                dynamics_events=int(state.pop("_dynamics_events", 0)),
-                tick_events=int(state.pop("_tick_events", 0)),
-            )
-        events = state.get("_events")
-        if events and isinstance(events[0], Event):
-            state["_events"] = [(e.time, e.kind, e.tiebreak, e.seq, e) for e in events]
-        state.setdefault("obs", NULL_RECORDER)
-        self.__dict__.update(state)
-
     def _push(
         self,
         time: float,

@@ -1,7 +1,8 @@
 """The paper's primary contribution: GDE + SQA + PTS assembled into GFS."""
 
 from . import gde, pts, sqa
-from .gfs import ABLATION_OVERRIDES, GFSConfig, GFSScheduler, make_ablation
+from .config import GFSConfig
+from .gfs import ABLATION_OVERRIDES, GFSScheduler, make_ablation
 
 __all__ = [
     "ABLATION_OVERRIDES",

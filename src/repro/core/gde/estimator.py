@@ -98,8 +98,3 @@ class GPUDemandEstimator:
                 for org in self.organizations()
             }
         return dict(peaks)
-
-    def aggregate_peak_demand(self, start_hour: int, horizon: int, p: float) -> float:
-        """Spatial aggregation: sum of per-organization peak demands."""
-        peaks = self.peak_demand(start_hour, horizon, p)
-        return float(sum(peaks.values()))

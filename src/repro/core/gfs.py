@@ -1,7 +1,9 @@
 """GFS: the assembled preemption-aware scheduling framework.
 
-``GFSScheduler`` wires the three modules of the paper together behind the
-common :class:`repro.schedulers.base.Scheduler` interface:
+``GFSScheduler`` is the PTS scheduler
+(:class:`repro.core.pts.PreemptiveTaskScheduler`) with the other two
+modules of the paper wired in, all three reading one
+:class:`~repro.core.config.GFSConfig`:
 
 * the **GDE** forecasts per-organization HP demand distributions from the
   trace's demand history plus online observations,
@@ -18,14 +20,13 @@ by name.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..cluster import Cluster, SchedulingDecision, Task, TaskType
-from ..schedulers.base import Scheduler
 from ..schedulers.placement import PlacementContext
+from .config import GFSConfig
 from .gde import (
     GPUDemandEstimator,
     OnlineForecaster,
@@ -33,62 +34,26 @@ from .gde import (
     PreviousWeekPeakForecaster,
     SeasonalQuantileForecaster,
 )
-from .pts import PTSConfig, PreemptiveTaskScheduler, ScoringConfig
-from .sqa import GPUInventoryEstimator, SQAConfig, SpotQuotaAllocator
+from .pts import PreemptiveTaskScheduler
+from .sqa import SpotQuotaAllocator
 
 #: spot quota update interval, seconds
 QUOTA_UPDATE_INTERVAL = 300.0
+#: weight of the newest windowed eviction rate in the smoothed rate the
+#: Eq. (11) feedback reads; raw windowed rates are far too noisy at
+#: simulation scale
+EVICTION_SMOOTHING = 0.3
 
 
-@dataclass
-class GFSConfig:
-    """End-to-end configuration of GFS (defaults follow Table 4).
-
-    Groups every knob of the three modules: the SQA guarantee targets
-    (``guarantee_rate``/``guarantee_hours``/``queue_threshold``), the PTS
-    scoring weights (``beta``/``gamma``/``penalty``), the GDE forecaster
-    choice, and the ablation switches used by :func:`make_ablation`.
-
-    Example
-    -------
-    >>> config = GFSConfig(guarantee_hours=2.0, forecaster="seasonal")
-    >>> scheduler = GFSScheduler(config, org_history=trace.org_history)
-    """
-
-    #: preemption-cost weight beta (Eq. 19)
-    beta: float = 0.5
-    #: target guarantee rate p (Eq. 9)
-    guarantee_rate: float = 0.9
-    #: guaranteed duration H in hours (Eq. 9 / Table 6)
-    guarantee_hours: float = 1.0
-    #: maximum spot queuing-time threshold theta, seconds (Eq. 11)
-    queue_threshold: float = 3600.0
-    #: eviction-history weight gamma (Eq. 15)
-    gamma: float = 0.8
-    #: eviction penalty intensity m (Eq. 16)
-    penalty: float = 3.0
-    #: which online forecaster the GDE uses:
-    #: "seasonal" (default), "prev-week-peak" (GFS-e) or "orglinear"
-    forecaster: str = "seasonal"
-    #: disable the eta feedback loop (GFS-d keeps eta = 1.0)
-    adapt_eta: bool = True
-    #: disable Score2/Score3 in non-preemptive scheduling (GFS-s)
-    use_colocation: bool = True
-    use_eviction_awareness: bool = True
-    #: replace cost-aware preemption by random selection (GFS-p)
-    random_preemption: bool = False
-    seed: int = 0
-
-
-class GFSScheduler(Scheduler):
+class GFSScheduler(PreemptiveTaskScheduler):
     """The full GFS scheduler: GDE forecasting + SQA quota + PTS placement.
 
     The paper's contribution assembled behind the common
     :class:`~repro.schedulers.base.Scheduler` interface: per-organization
     HP demand forecasts bound a dynamic spot quota with eviction-aware
     feedback, and quota-admitted tasks are placed by the preemption-aware
-    task scheduler.  Pass the trace's ``org_history`` so the demand
-    estimator has training data.
+    task scheduler this class extends.  Pass the trace's ``org_history``
+    so the demand estimator has training data.
 
     Example
     -------
@@ -108,47 +73,34 @@ class GFSScheduler(Scheduler):
         org_history: Optional[Mapping[str, np.ndarray]] = None,
         org_attributes: Optional[Mapping[str, Mapping[str, str]]] = None,
     ):
-        self.config = config or GFSConfig()
+        super().__init__(config)
         self.org_history = {k: np.asarray(v, dtype=float) for k, v in (org_history or {}).items()}
         self.org_attributes = dict(org_attributes or {})
 
         self.gde = GPUDemandEstimator(self._build_forecaster())
-        self.pts = PreemptiveTaskScheduler(
-            PTSConfig(
-                beta=self.config.beta,
-                scoring=ScoringConfig(gamma=self.config.gamma, penalty=self.config.penalty),
-                use_colocation=self.config.use_colocation,
-                use_eviction_awareness=self.config.use_eviction_awareness,
-                random_preemption=self.config.random_preemption,
-                seed=self.config.seed,
-            )
-        )
         self.sqa: Optional[SpotQuotaAllocator] = None
         #: set with ``sqa`` at simulation start; ``sort_queue`` is not handed it
         self._cluster: Optional[Cluster] = None
 
         # Online bookkeeping for the feedback loop.
-        self._start_time: float = 0.0
         self._history_offset: int = max((len(v) for v in self.org_history.values()), default=0)
         self._last_observed_hour: int = -1
         self._last_quota_update: float = -float("inf")
         self._spot_starts: Deque[Tuple[float, Task]] = deque()
         self._spot_evictions: Deque[float] = deque()
-        #: exponentially smoothed eviction rate used by the feedback rule;
-        #: raw windowed rates are far too noisy at simulation scale.
+        #: exponentially smoothed eviction rate used by the feedback rule
         self._smoothed_eviction_rate: float = 0.0
-        self._eviction_smoothing: float = 0.3
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     def _build_forecaster(self) -> OnlineForecaster:
-        kind = self.config.forecaster.lower()
-        if kind in ("seasonal", "seasonal-quantile"):
+        kind = self.config.forecaster
+        if kind == "seasonal":
             return SeasonalQuantileForecaster()
-        if kind in ("prev-week-peak", "previous-week-peak", "naive-peak"):
+        if kind == "prev-week-peak":
             return PreviousWeekPeakForecaster()
-        if kind in ("orglinear", "org-linear"):
+        if kind == "orglinear":
             return OrgLinearOnlineForecaster(attributes=self.org_attributes)
         raise ValueError(f"unknown forecaster kind {self.config.forecaster!r}")
 
@@ -156,19 +108,11 @@ class GFSScheduler(Scheduler):
     # Simulator hooks
     # ------------------------------------------------------------------
     def on_simulation_start(self, cluster: Cluster, now: float) -> None:
-        self._start_time = now
+        super().on_simulation_start(cluster, now)
         self._cluster = cluster
         history = self.org_history or {"default": np.zeros(1)}
         self.gde.fit(history)
-        inventory = GPUInventoryEstimator(self.gde, capacity=cluster.total_gpus())
-        self.sqa = SpotQuotaAllocator(
-            inventory,
-            SQAConfig(
-                guarantee_rate=self.config.guarantee_rate,
-                guarantee_hours=self.config.guarantee_hours,
-                queue_threshold=self.config.queue_threshold,
-            ),
-        )
+        self.sqa = SpotQuotaAllocator(self.gde, cluster.total_gpus(), self.config)
         self._update_quota(cluster, now, pending=[], adapt=False)
 
     def on_tick(self, cluster: Cluster, now: float, pending: List[Task]) -> None:
@@ -200,7 +144,7 @@ class GFSScheduler(Scheduler):
         if self.sqa is not None and all(t.task_type is TaskType.SPOT for t in pending):
             admits, in_use = self.sqa.admits, self._cluster.spot_gpus()
             pending = [t for t in pending if admits(t.num_pods * t.gpus_per_pod, in_use)]
-        return self.pts.sort_queue(pending, now)
+        return super().sort_queue(pending, now)
 
     def try_schedule(
         self,
@@ -209,11 +153,10 @@ class GFSScheduler(Scheduler):
         now: float,
         ctx: Optional[PlacementContext] = None,
     ) -> Optional[SchedulingDecision]:
-        if task.is_spot and not self._quota_admits(task, cluster):
-            return None
-        decision = self.pts.schedule(
-            task, cluster, now, self._total_gpu_seconds(cluster, now), ctx=ctx
-        )
+        if task.is_spot and self.sqa is not None:
+            if not self.sqa.admits(task.total_gpus, cluster.spot_gpus()):
+                return None
+        decision = self.schedule(task, cluster, now, ctx)
         if decision is not None and task.is_spot:
             task.guaranteed_hours = self.config.guarantee_hours
         return decision
@@ -221,11 +164,6 @@ class GFSScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Quota plumbing
     # ------------------------------------------------------------------
-    def _quota_admits(self, task: Task, cluster: Cluster) -> bool:
-        if self.sqa is None:
-            return True
-        return self.sqa.admits(task.total_gpus, cluster.spot_gpus())
-
     def current_quota(self) -> float:
         """The spot quota currently in force (GPUs)."""
         return self.sqa.current_quota if self.sqa is not None else float("inf")
@@ -262,9 +200,9 @@ class GFSScheduler(Scheduler):
         # Damp the small-sample noise of the feedback signal: a single
         # eviction among a handful of runs should not collapse the quota.
         window_rate = evictions / max(runs, 10) if (runs or evictions) else 0.0
-        alpha = self._eviction_smoothing
         self._smoothed_eviction_rate = (
-            (1.0 - alpha) * self._smoothed_eviction_rate + alpha * window_rate
+            (1.0 - EVICTION_SMOOTHING) * self._smoothed_eviction_rate
+            + EVICTION_SMOOTHING * window_rate
         )
         max_queue = 0.0
         for _, task in self._spot_starts:
@@ -290,10 +228,6 @@ class GFSScheduler(Scheduler):
             adapt=adapt,
         )
         self._last_quota_update = now
-
-    def _total_gpu_seconds(self, cluster: Cluster, now: float) -> float:
-        elapsed = max(1.0, now - self._start_time)
-        return cluster.total_gpus() * elapsed
 
 
 #: Mapping of ablation names (Section 4.6) to configuration overrides.

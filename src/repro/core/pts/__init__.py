@@ -7,9 +7,8 @@ from .preemptive import (
     preemption_cost,
     preemptive_placement,
 )
-from .scheduler import PTSConfig, PreemptiveTaskScheduler
+from .scheduler import PreemptiveTaskScheduler
 from .scoring import (
-    ScoringConfig,
     circuit_breaker_active,
     colocation_score,
     eviction_awareness_score,
@@ -19,10 +18,8 @@ from .scoring import (
 )
 
 __all__ = [
-    "PTSConfig",
     "PreemptionCandidate",
     "PreemptiveTaskScheduler",
-    "ScoringConfig",
     "circuit_breaker_active",
     "colocation_score",
     "eviction_awareness_score",

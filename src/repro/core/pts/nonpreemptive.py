@@ -21,14 +21,15 @@ from typing import List, Optional
 
 from ...cluster import PodPlacement, Task
 from ...schedulers.placement import PlacementContext, pod_demand
-from .scoring import ScoringConfig, eviction_penalty, eviction_terms
+from ..config import GFSConfig
+from .scoring import eviction_penalty, eviction_terms
 
 
 def non_preemptive_placement(
     task: Task,
     ctx: PlacementContext,
     now: float,
-    config: ScoringConfig,
+    config: GFSConfig,
     use_colocation: bool = True,
     use_eviction_awareness: bool = True,
 ) -> Optional[List[PodPlacement]]:

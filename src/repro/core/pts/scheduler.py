@@ -3,41 +3,56 @@
 The PTS converts quota-level decisions into concrete placements: it first
 attempts non-preemptive scheduling (Algorithm 1) for any task and, for HP
 tasks only, falls back to preemptive scheduling (Algorithm 2).
+
+On its own it is the registry's ``"pts"`` family: every spot task is
+admitted and only placement decides, which isolates placement behaviour
+from admission control (under node churn the quota loop reacts to
+capacity loss; PTS without quota shows how much of the resilience comes
+from placement alone).  :class:`~repro.core.gfs.GFSScheduler` extends it
+with the GDE/SQA hooks and the quota gate.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ...cluster import Cluster, SchedulingDecision, Task
+from ...schedulers.base import Scheduler
 from ...schedulers.placement import PlacementContext
+from ..config import GFSConfig
 from .nonpreemptive import non_preemptive_placement
 from .preemptive import preemptive_placement
-from .scoring import ScoringConfig
 
 
-@dataclass
-class PTSConfig:
-    """Parameters of the preemptive task scheduler (Table 4)."""
+class PreemptiveTaskScheduler(Scheduler):
+    """The preemption-aware task scheduler with admission wide open.
 
-    #: weighting factor beta of the preemption cost (Eq. 19)
-    beta: float = 0.5
-    scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    #: ablation switches
-    use_colocation: bool = True
-    use_eviction_awareness: bool = True
-    random_preemption: bool = False
-    seed: int = 0
+    Example
+    -------
+    >>> from repro import create_scheduler
+    >>> metrics = run_simulation(cluster, create_scheduler("pts"), trace.sorted_tasks())
+    """
 
+    name = "PTS"
 
-class PreemptiveTaskScheduler:
-    """Placement engine used by :class:`repro.core.gfs.GFSScheduler`."""
-
-    def __init__(self, config: Optional[PTSConfig] = None):
-        self.config = config or PTSConfig()
+    def __init__(self, config: Optional[GFSConfig] = None):
+        self.config = config or GFSConfig()
         self._rng = random.Random(self.config.seed)
+        #: the origin of the total GPU-seconds Eq. (19) divides waste by
+        self._start_time: float = 0.0
+
+    def on_simulation_start(self, cluster: Cluster, now: float) -> None:
+        self._start_time = now
+
+    def try_schedule(
+        self,
+        task: Task,
+        cluster: Cluster,
+        now: float,
+        ctx: Optional[PlacementContext] = None,
+    ) -> Optional[SchedulingDecision]:
+        return self.schedule(task, cluster, now, ctx)
 
     # ------------------------------------------------------------------
     def schedule(
@@ -45,7 +60,6 @@ class PreemptiveTaskScheduler:
         task: Task,
         cluster: Cluster,
         now: float,
-        total_gpu_seconds: float,
         ctx: Optional[PlacementContext] = None,
     ) -> Optional[SchedulingDecision]:
         """Algorithm 3: non-preemptive first, preemptive fallback for HP tasks."""
@@ -64,7 +78,7 @@ class PreemptiveTaskScheduler:
                     task,
                     ctx,
                     now,
-                    cfg.scoring,
+                    cfg,
                     use_colocation=cfg.use_colocation,
                     use_eviction_awareness=cfg.use_eviction_awareness,
                 )
@@ -86,7 +100,7 @@ class PreemptiveTaskScheduler:
             cluster,
             now,
             beta=cfg.beta,
-            total_gpu_seconds=total_gpu_seconds,
+            total_gpu_seconds=cluster.total_gpus() * max(1.0, now - self._start_time),
             random_selection=cfg.random_preemption,
             rng=self._rng,
         )

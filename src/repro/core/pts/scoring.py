@@ -9,27 +9,20 @@ Three criteria are evaluated lexicographically for every candidate node:
 * **Score 3 — eviction awareness** (Eqs. 15-16): spot tasks avoid nodes
   with a history of evictions, HP tasks are steered towards them; a
   circuit breaker blacklists nodes whose spot score reaches zero.
+
+The weights gamma and m are :class:`~repro.core.config.GFSConfig`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from ...cluster import Node, Task
+from ..config import GFSConfig
 
-
-@dataclass
-class ScoringConfig:
-    """Parameters of the scoring model (Table 4)."""
-
-    #: weight between short-term and long-term eviction counts (gamma)
-    gamma: float = 0.8
-    #: penalty intensity m of Eq. (16)
-    penalty: float = 3.0
-    #: short / long eviction observation windows, in seconds
-    short_window: float = 3600.0
-    long_window: float = 24 * 3600.0
+#: short / long eviction observation windows of Eq. (15), in seconds
+SHORT_WINDOW = 3600.0
+LONG_WINDOW = 24 * 3600.0
 
 
 def packing_score(node: Node, idle_gpus: float) -> float:
@@ -46,15 +39,15 @@ def colocation_score(node: Node, task: Task) -> float:
     return node.allocated_gpus_by_type(task.task_type) / node.total_gpus
 
 
-def weighted_eviction_rate(node: Node, now: float, config: ScoringConfig) -> float:
+def weighted_eviction_rate(node: Node, now: float, config: GFSConfig) -> float:
     """Weighted node eviction measure ``e_bar`` of Eq. (15)."""
-    short = node.eviction_count_since(now, config.short_window)
-    long = node.eviction_count_since(now, config.long_window)
-    long_hours = config.long_window / 3600.0
+    short = node.eviction_count_since(now, SHORT_WINDOW)
+    long = node.eviction_count_since(now, LONG_WINDOW)
+    long_hours = LONG_WINDOW / 3600.0
     return config.gamma * short + (1.0 - config.gamma) * long / long_hours
 
 
-def eviction_penalty(node: Node, now: float, config: ScoringConfig) -> float:
+def eviction_penalty(node: Node, now: float, config: GFSConfig) -> float:
     """The penalty term ``0.01 * m * e_bar`` of Eq. (16).
 
     Exactly ``0.0`` for a node with an empty eviction history, so a caller
@@ -78,12 +71,12 @@ def eviction_terms(penalty: float, task: Task) -> Tuple[bool, float]:
     return _circuit_broken(penalty), _eviction_awareness(penalty, task)
 
 
-def eviction_awareness_score(node: Node, task: Task, now: float, config: ScoringConfig) -> float:
+def eviction_awareness_score(node: Node, task: Task, now: float, config: GFSConfig) -> float:
     """Score 3 (Eq. 16) with asymmetric penalties for HP and spot tasks."""
     return _eviction_awareness(eviction_penalty(node, now, config), task)
 
 
-def circuit_breaker_active(node: Node, now: float, config: ScoringConfig) -> bool:
+def circuit_breaker_active(node: Node, now: float, config: GFSConfig) -> bool:
     """Whether the node is blacklisted for spot scheduling (Score 3 == 0)."""
     return _circuit_broken(eviction_penalty(node, now, config))
 
@@ -93,7 +86,7 @@ def score_tuple(
     idle_gpus: float,
     task: Task,
     now: float,
-    config: ScoringConfig,
+    config: GFSConfig,
     use_colocation: bool = True,
     use_eviction_awareness: bool = True,
 ) -> Tuple[float, float, float]:

@@ -1,11 +1,5 @@
 """Spot Quota Allocator (SQA): inventory estimation and dynamic quota control."""
 
-from .inventory import GPUInventoryEstimator, InventoryEstimate
-from .quota import SQAConfig, SpotQuotaAllocator
+from .quota import MAX_ETA, MIN_ETA, SpotQuotaAllocator
 
-__all__ = [
-    "GPUInventoryEstimator",
-    "InventoryEstimate",
-    "SQAConfig",
-    "SpotQuotaAllocator",
-]
+__all__ = ["MAX_ETA", "MIN_ETA", "SpotQuotaAllocator"]

@@ -1,9 +1,17 @@
 """Spot Quota Allocator (Section 3.3).
 
 The SQA converts the GDE's probabilistic demand forecast into a concrete,
-time-varying GPU quota for spot tasks:
+time-varying GPU quota for spot tasks.  The inventory with guaranteed
+duration ``H`` at guarantee rate ``p`` is the cluster capacity left over
+after reserving the aggregated per-organization peak upper-bound demand:
 
-    Q_H = min(f(p, H) * eta,  S_0 + S_a)            (Eq. 10)
+    f(p, H) = max(0, C - sum_o max(y_hat_{o|p}[1:H]))      (Eq. 9)
+
+(the paper's ``max(C, ...)`` formulation together with its "set f to 0
+when demand saturates the cluster" convention is clamping at zero), and
+the quota is
+
+    Q_H = min(f(p, H) * eta,  S_0 + S_a)                   (Eq. 10)
 
 where ``S_0`` is the number of currently idle GPUs and ``S_a`` the GPUs
 held by spot tasks whose guaranteed duration extends at least ``H`` hours.
@@ -14,39 +22,50 @@ high, grow it when evictions are rare but spot tasks queue for too long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-from .inventory import GPUInventoryEstimator
+from ..config import GFSConfig
+from ..gde.estimator import GPUDemandEstimator
 
-
-@dataclass
-class SQAConfig:
-    """Tunable parameters of the spot quota allocator (Table 4)."""
-
-    #: target guarantee rate p; the tolerated eviction rate is 1 - p
-    guarantee_rate: float = 0.9
-    #: guaranteed duration H in hours
-    guarantee_hours: float = 1.0
-    #: initial safety coefficient eta
-    initial_eta: float = 1.0
-    #: queuing-time threshold theta (seconds) of the low-eviction rule
-    queue_threshold: float = 3600.0
-    #: bounds keeping eta in a sane range under feedback; the lower bound
-    #: prevents a collapse spiral where evictions shrink the quota so far
-    #: that evicted tasks can never be re-admitted
-    min_eta: float = 0.5
-    max_eta: float = 4.0
+#: safety coefficient eta before any feedback (Eq. 10)
+INITIAL_ETA = 1.0
+#: bounds keeping eta in a sane range under the Eq. (11) feedback; the lower
+#: bound prevents a collapse spiral where evictions shrink the quota so far
+#: that evicted tasks can never be re-admitted
+MIN_ETA = 0.5
+MAX_ETA = 4.0
 
 
 class SpotQuotaAllocator:
-    """Dynamic spot quota controller with eviction-aware feedback."""
+    """Dynamic spot quota controller with eviction-aware feedback.
 
-    def __init__(self, inventory: GPUInventoryEstimator, config: Optional[SQAConfig] = None):
-        self.inventory = inventory
-        self.config = config or SQAConfig()
-        self.eta = self.config.initial_eta
+    Holds the demand estimator and the cluster capacity ``C`` of Eq. (9);
+    ``p``, ``H`` and ``theta`` are the :class:`~repro.core.config.GFSConfig`'s.
+    """
+
+    def __init__(
+        self, estimator: GPUDemandEstimator, capacity: float, config: Optional[GFSConfig] = None
+    ):
+        if capacity <= 0:
+            raise ValueError("cluster capacity must be positive")
+        self.estimator = estimator
+        self.capacity = float(capacity)
+        self.config = config or GFSConfig()
+        self.eta = INITIAL_ETA
         self.current_quota: float = 0.0
+
+    # ------------------------------------------------------------------
+    # Inventory (Eq. 9)
+    # ------------------------------------------------------------------
+    def inventory(
+        self, start_hour: int, p: float, horizon_hours: float
+    ) -> Tuple[float, Dict[str, float]]:
+        """``f(p, H)`` from ``start_hour`` and the per-organization peaks it reserves.
+
+        The caller owns the returned dict.
+        """
+        per_org = self.estimator.peak_demand(start_hour, max(1, int(round(horizon_hours))), p)
+        return max(0.0, self.capacity - float(sum(per_org.values()))), per_org
 
     # ------------------------------------------------------------------
     # Feedback rule (Eq. 11)
@@ -61,7 +80,7 @@ class SpotQuotaAllocator:
             self.eta *= tolerated / max(eviction_rate, 1e-9)
         elif eviction_rate < 0.5 * tolerated and max_queue_time > cfg.queue_threshold:
             self.eta *= 1.5 - eviction_rate / tolerated
-        self.eta = min(cfg.max_eta, max(cfg.min_eta, self.eta))
+        self.eta = min(MAX_ETA, max(MIN_ETA, self.eta))
         return self.eta
 
     # ------------------------------------------------------------------
@@ -81,8 +100,8 @@ class SpotQuotaAllocator:
         cfg = self.config
         if adapt:
             self.update_eta(eviction_rate, max_queue_time)
-        estimate = self.inventory.estimate(start_hour, cfg.guarantee_hours, cfg.guarantee_rate)
-        quota = min(estimate.available * self.eta, idle_gpus + guaranteed_spot_gpus)
+        available, _ = self.inventory(start_hour, cfg.guarantee_rate, cfg.guarantee_hours)
+        quota = min(available * self.eta, idle_gpus + guaranteed_spot_gpus)
         self.current_quota = max(0.0, quota)
         return self.current_quota
 

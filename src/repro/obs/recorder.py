@@ -100,10 +100,7 @@ class EventLoopCounters:
 
     This is the single source of truth behind the simulator's O(1)
     liveness checks (``done``, tick revival, trailing-dynamics
-    abandonment).  It moved here from ad-hoc ``_task_events`` /
-    ``_dynamics_events`` / ``_tick_events`` attributes on the simulator;
-    ``ClusterSimulator.__setstate__`` migrates pre-obs pickles that
-    still carry the plain ints.
+    abandonment).
     """
 
     task_events: int = 0

@@ -5,7 +5,6 @@ from .chronus import ChronusScheduler
 from .fgd import FGDScheduler, fgd_score, fragmentation_after
 from .lyra import LyraScheduler
 from .placement import NodeView, PlacementContext, gpus_held_on_node, spot_tasks_on_node
-from .pts_only import PTSScheduler
 from .registry import available_schedulers, create_scheduler, register
 from .yarn_cs import YarnCSScheduler, best_fit_score
 
@@ -14,7 +13,6 @@ __all__ = [
     "FGDScheduler",
     "LyraScheduler",
     "NodeView",
-    "PTSScheduler",
     "PlacementContext",
     "Scheduler",
     "YarnCSScheduler",

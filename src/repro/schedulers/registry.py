@@ -8,7 +8,6 @@ from .base import Scheduler
 from .chronus import ChronusScheduler
 from .fgd import FGDScheduler
 from .lyra import LyraScheduler
-from .pts_only import PTSScheduler
 from .yarn_cs import YarnCSScheduler
 
 SchedulerFactory = Callable[..., Scheduler]
@@ -23,7 +22,7 @@ def register(name: str, factory: SchedulerFactory) -> None:
 
 def available_schedulers() -> List[str]:
     """Names of every registered scheduler."""
-    _ensure_gfs_registered()
+    _ensure_core_registered()
     return sorted(_REGISTRY)
 
 
@@ -31,7 +30,7 @@ def display_name(name: str) -> str:
     """The report name of a scheduler without building it: the class's
     ``name``, or the upper-cased kind for the ablation factories (which is
     what ``make_ablation`` names its instances)."""
-    _ensure_gfs_registered()
+    _ensure_core_registered()
     key = name.lower()
     return getattr(_REGISTRY.get(key), "name", key.upper())
 
@@ -40,7 +39,7 @@ def create_scheduler(name: str, **kwargs) -> Scheduler:
     """Instantiate a scheduler by its registered (case-insensitive) name.
 
     Accepts the four baselines (``"yarn-cs"``, ``"chronus"``, ``"lyra"``,
-    ``"fgd"``), the standalone placement engine (``"pts"``), ``"gfs"``
+    ``"fgd"``), PTS without admission control (``"pts"``), ``"gfs"``
     and the ablation variants (``"gfs-e"``,
     ``"gfs-d"``, ``"gfs-s"``, ``"gfs-p"``, ``"gfs-sp"``); keyword
     arguments are forwarded to the scheduler constructor.  Raises
@@ -53,19 +52,22 @@ def create_scheduler(name: str, **kwargs) -> Scheduler:
     >>> scheduler.name
     'GFS'
     """
-    _ensure_gfs_registered()
+    _ensure_core_registered()
     key = name.lower()
     if key not in _REGISTRY:
         raise KeyError(f"unknown scheduler {name!r}; available: {available_schedulers()}")
     return _REGISTRY[key](**kwargs)
 
 
-def _ensure_gfs_registered() -> None:
-    """Lazily register GFS variants to avoid a circular import at load time."""
+def _ensure_core_registered() -> None:
+    """Lazily register PTS and the GFS variants: ``repro.core`` imports
+    this package at load time, so a module-level import would be circular."""
     if "gfs" in _REGISTRY:
         return
     from ..core.gfs import GFSScheduler, make_ablation
+    from ..core.pts import PreemptiveTaskScheduler
 
+    register("pts", PreemptiveTaskScheduler)
     register("gfs", GFSScheduler)
     for variant in ("gfs-e", "gfs-d", "gfs-s", "gfs-p", "gfs-sp"):
         register(variant, lambda v=variant, **kw: make_ablation(v, **kw))
@@ -76,4 +78,3 @@ register("yarn_cs", YarnCSScheduler)
 register("chronus", ChronusScheduler)
 register("lyra", LyraScheduler)
 register("fgd", FGDScheduler)
-register("pts", PTSScheduler)

@@ -69,14 +69,16 @@ class SessionError(ValueError):
     """A request payload is invalid for this session or the service."""
 
 
-def _finite(name: str, value: object) -> float:
-    """``value`` as a finite float, else a :class:`SessionError` naming ``name``."""
+def _finite(name: str, value: object, non_negative: bool = False) -> float:
+    """``value`` as a finite float (and ``>= 0`` if ``non_negative``), else a
+    :class:`SessionError` naming ``name``."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if not math.isfinite(number):
-        raise SessionError(f"{name}={value!r} must be a finite number")
+    if not math.isfinite(number) or (non_negative and number < 0):
+        kind = "non-negative finite" if non_negative else "finite"
+        raise SessionError(f"{name}={value!r} must be a {kind} number")
     return number
 
 
@@ -217,12 +219,12 @@ class SimulationSession:
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> Dict[str, object]:
         """Step the simulator; returns processed-event count plus status."""
+        # A session's clock starts at 0: a negative time would move it (and
+        # GFS's forecast hour origin) before the trace.
         if until is not None:
-            until = _finite("until", until)
+            until = _finite("until", until, non_negative=True)
         if max_events is not None:
-            max_events = int(_finite("max_events", max_events))
-            if max_events < 0:
-                raise SessionError("max_events must be non-negative")
+            max_events = int(_finite("max_events", max_events, non_negative=True))
         processed = self.sim.advance(until=until, max_events=max_events)
         result = self.status()
         result["processed_events"] = processed
@@ -258,7 +260,8 @@ class SimulationSession:
                 f"unknown dynamics kind {kind_name!r} (accepted: {', '.join(sorted(_KIND_NAMES))})"
             )
         time = payload.get("time")
-        self.sim.inject(action, time=None if time is None else _finite("time", time), kind=kind)
+        time = None if time is None else _finite("time", time, non_negative=True)
+        self.sim.inject(action, time=time, kind=kind)
         if self.stream is not None:
             self.stream.emit(
                 "inject", {"t": self.sim.now, "node": action.node_id, "kind": kind.name}

@@ -170,6 +170,16 @@ class TestRegistry:
         with pytest.raises(KeyError):
             create_scheduler("slurm")
 
+    def test_pts_is_the_class_gfs_extends(self):
+        from repro.core.gfs import GFSScheduler
+        from repro.core.pts import PreemptiveTaskScheduler
+        from repro.schedulers.registry import display_name
+
+        pts = create_scheduler("pts")
+        assert type(pts) is PreemptiveTaskScheduler and pts.name == display_name("pts") == "PTS"
+        assert issubclass(GFSScheduler, PreemptiveTaskScheduler)
+        assert isinstance(create_scheduler("gfs-sp"), PreemptiveTaskScheduler)
+
 
 class TestBaselineEndToEnd:
     @pytest.mark.parametrize("scheduler_cls", [YarnCSScheduler, ChronusScheduler, LyraScheduler, FGDScheduler])

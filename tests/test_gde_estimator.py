@@ -13,6 +13,7 @@ from repro.core.gde import (
     SeasonalQuantileForecaster,
     normal_quantile,
 )
+from repro.core.sqa import SpotQuotaAllocator
 
 
 @pytest.fixture
@@ -315,7 +316,9 @@ class TestGPUDemandEstimator:
         estimator = GPUDemandEstimator().fit(seasonal_history)
         peaks = estimator.peak_demand(336, 24, p=0.9)
         assert set(peaks) == {"org-A", "org-B"}
-        assert estimator.aggregate_peak_demand(336, 24, 0.9) == pytest.approx(sum(peaks.values()))
+        # Eq. 9 aggregates them in the quota allocator.
+        available, per_org = SpotQuotaAllocator(estimator, capacity=512.0).inventory(336, 0.9, 24)
+        assert per_org == peaks and available == pytest.approx(512.0 - sum(peaks.values()))
 
     def test_unfitted_estimator_raises(self):
         with pytest.raises(RuntimeError):
@@ -354,7 +357,7 @@ class TestKeptPeakDemandMatchesFrozenRecomputation:
     #: few distinct queries, so that most of them repeat an earlier one
     START_HOURS, HORIZONS, RATES = (0, 30, 31), (1, 4), (0.9, 0.99)
     OPS = (
-        "peak", "peak", "peak", "aggregate", "upper bound", "mutate answer",
+        "peak", "peak", "peak", "inventory", "upper bound", "mutate answer",
         "append", "gap", "overwrite", "fit",
         "replace dict", "replace list", "shorten", "extend", "new org", "rename org",
     )
@@ -394,10 +397,11 @@ class TestKeptPeakDemandMatchesFrozenRecomputation:
             series = forecaster.history.get(org, [])
             if op == "peak":
                 asked = query()
-            elif op == "aggregate":
-                args = query()
-                want = float(sum(frozen_peak_demand(estimator, *args).values()))
-                assert estimator.aggregate_peak_demand(*args) == want
+            elif op == "inventory":
+                start_hour, horizon, p = query()
+                want = frozen_peak_demand(estimator, start_hour, horizon, p)
+                available, peaks = SpotQuotaAllocator(estimator, 1e6).inventory(start_hour, p, horizon)
+                assert peaks == want and available == max(0.0, 1e6 - float(sum(want.values())))
             elif op == "upper bound":
                 start_hour, horizon, p = query()
                 mu, sigma = forecaster.predict(org, start_hour, horizon)

@@ -7,6 +7,7 @@ from repro.cluster import Cluster, GPUModel, SimulatorConfig, TaskType, run_simu
 from repro.core import ABLATION_OVERRIDES, GFSConfig, GFSScheduler, make_ablation
 from repro.cluster.task import reset_task_counter
 from repro.core.gde import OrgLinear, PreviousWeekPeakForecaster, SeasonalQuantileForecaster
+from repro.core.pts import PreemptiveTaskScheduler
 from repro.workloads import generate_trace
 from tests.conftest import build_task
 
@@ -31,8 +32,10 @@ class TestConstruction:
                           SeasonalQuantileForecaster)
         assert isinstance(GFSScheduler(GFSConfig(forecaster="prev-week-peak")).gde.forecaster,
                           PreviousWeekPeakForecaster)
-        with pytest.raises(ValueError):
-            GFSScheduler(GFSConfig(forecaster="oracle"))
+        # One spelling per forecaster: former aliases are refused like unknown kinds.
+        for kind in ("oracle", "naive-peak"):
+            with pytest.raises(ValueError):
+                GFSScheduler(GFSConfig(forecaster=kind))
 
     def test_ablation_overrides(self):
         assert make_ablation("gfs-e").config.forecaster == "prev-week-peak"
@@ -50,6 +53,33 @@ class TestConstruction:
     def test_ablation_names(self):
         assert make_ablation("gfs").name == "GFS"
         assert make_ablation("gfs-sp").name == "GFS-SP"
+
+    def test_one_config_one_class_chain(self):
+        """GDE, SQA and PTS read one ``GFSConfig`` (Table 4 plus the forecaster
+        and ablation switches); no mirror config, second PTS wrapper or
+        inventory pair comes back under ``src/``."""
+        import dataclasses
+        import re
+        from pathlib import Path
+
+        import repro
+        from repro.core import gfs
+
+        package = Path(repro.__file__).parent
+        banned = re.compile(
+            r"\b(SQAConfig|PTSConfig|ScoringConfig|GPUInventoryEstimator|InventoryEstimate"
+            r"|PTSScheduler|pts_only)\b"
+        )
+        found = [
+            (str(path.relative_to(package)), match.group())
+            for path in sorted(package.rglob("*.py"))
+            for match in banned.finditer(path.read_text())
+        ]
+        assert found == []
+        assert not (package / "schedulers" / "pts_only.py").exists()
+        assert not (package / "core" / "sqa" / "inventory.py").exists()
+        assert len(dataclasses.fields(GFSConfig)) == 12
+        assert GFSConfig is repro.GFSConfig is gfs.GFSConfig
 
 
 class TestQuotaIntegration:
@@ -133,7 +163,7 @@ class TestQuotaFilteredQueue:
 
         class OffersEveryTask(GFSScheduler):
             def sort_queue(self, pending, now):
-                return self.pts.sort_queue(pending, now)
+                return PreemptiveTaskScheduler.sort_queue(self, pending, now)
 
         def run(scheduler_class):
             offers = []

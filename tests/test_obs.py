@@ -2,8 +2,8 @@
 
 Covers the instrument primitives (counters, gauges, histograms, spans),
 the :data:`NULL_RECORDER` zero-overhead contract (no-op surface, pickles
-back to the singleton), the simulator's event-counter shim and pre-obs
-pickle migration, and the Prometheus exposition renderer round-tripping
+back to the singleton), the simulator's event counters and pickle
+semantics, and the Prometheus exposition renderer round-tripping
 through the minimal parser that the smoke scrape uses.
 """
 
@@ -15,10 +15,8 @@ import pickle
 import pytest
 
 from tests.test_stepping_determinism import build_sim
-from repro.cluster.simulator import ClusterSimulator
 from repro.obs import (
     NULL_RECORDER,
-    EventLoopCounters,
     Histogram,
     NullRecorder,
     Recorder,
@@ -208,7 +206,7 @@ def test_null_recorder_is_inert_and_pickles_to_singleton():
 
 
 # ----------------------------------------------------------------------
-# Simulator integration: event counters, pickle semantics, migration
+# Simulator integration: event counters, pickle semantics
 # ----------------------------------------------------------------------
 def test_simulator_event_counters_cover_the_heap():
     sim = build_sim("gfs")
@@ -226,29 +224,6 @@ def test_simulator_pickle_strips_recorder():
     assert restored.obs is NULL_RECORDER
     # The live simulator keeps its recorder; only the pickle drops it.
     assert sim.obs.enabled
-
-
-def test_setstate_migrates_pre_obs_snapshot_counters():
-    sim = build_sim("gfs")
-    sim.advance(until=1800.0)
-    state = sim.__getstate__()
-    # Forge the pre-obs layout: plain ints, no EventLoopCounters, no obs.
-    counts = state.pop("_event_counts")
-    state.pop("obs")
-    state["_task_events"] = counts.task_events
-    state["_dynamics_events"] = counts.dynamics_events
-    state["_tick_events"] = counts.tick_events
-
-    legacy = ClusterSimulator.__new__(ClusterSimulator)
-    legacy.__setstate__(pickle.loads(pickle.dumps(state)))
-    assert legacy.obs is NULL_RECORDER
-    assert isinstance(legacy._event_counts, EventLoopCounters)
-    assert legacy._event_counts == counts
-    # The migrated ints live in the counters object, not the instance dict.
-    assert "_task_events" not in legacy.__dict__
-
-    legacy.advance()
-    legacy.finalize()  # must run to completion on migrated state
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import types
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,37 @@ def test_layers_against_its_own_tree_at_smoke_sizes(capsys, monkeypatch):
     # the work rows of a smoke run are non-trivial: equal means compared
     counts = {line.split()[1]: float(line.split()[2]) for line in lines if line.startswith("sweep")}
     assert counts["cluster.simulator.events"] > 0 and counts["experiments.engine.job_pickle_bytes"] > 0
+
+
+def test_both_trees_start_from_the_same_bytecode_state(tmp_path, monkeypatch):
+    """A tree with ``__pycache__`` imports faster than a fresh clone, which
+    under ``PYTHONDONTWRITEBYTECODE=1`` never gets one: each side runs with
+    its own fresh ``PYTHONPYCACHEPREFIX``, warmed untimed before the pairs."""
+    parent = tmp_path / "parent"
+    (parent / perf_pairs.RUNNER).parent.mkdir(parents=True)
+    (parent / perf_pairs.RUNNER).write_text("")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    metrics = [m["name"] for m in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    verdict = {"correct": True, "failed": 0, "metrics": {m: {"value": 1.0} for m in metrics}}
+    calls = []
+
+    def fake_run(command, cwd, env=None, **kwargs):
+        calls.append((Path(cwd).resolve(), dict(env) if env is not None else None, command))
+        return types.SimpleNamespace(stdout=f"digest x 1\n{json.dumps(verdict)}\n")
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", fake_run)
+    status = perf_pairs.main(["--parent", str(parent), "--seeds", "11", "12", "--workloads", "gfs_replay"])
+    assert status == 0
+    trees = {parent.resolve(): "parent", REPO_ROOT.resolve(): "change"}
+    prefixes = {}
+    for cwd, env, _ in calls:
+        assert env is not None and "PYTHONDONTWRITEBYTECODE" not in env
+        prefixes.setdefault(trees[cwd], set()).add(env["PYTHONPYCACHEPREFIX"])
+    assert all(len(p) == 1 for p in prefixes.values()) and prefixes["parent"] != prefixes["change"]
+    # One untimed smoke run per tree comes before the four timed runs.
+    assert sorted(trees[cwd] for cwd, _, _ in calls[:2]) == ["change", "parent"]
+    assert all("--smoke" in command for _, _, command in calls[:2])
+    assert len(calls) == 6 and not any("--smoke" in command for _, _, command in calls[2:])
 
 
 def test_unknown_workload_and_missing_runner_are_refused(tmp_path):

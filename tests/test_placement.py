@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, ClusterSimulator, GPUModel, PodPlacement, TaskState, TaskType
 from repro.cluster.task import RunLog
 from repro.cluster.gpu import EPSILON, is_fractional_pod
-from repro.core.pts import ScoringConfig, non_preemptive_placement
+from repro.core import GFSConfig
+from repro.core.pts import non_preemptive_placement
 from repro.schedulers.fgd import fgd_score
 from repro.schedulers.placement import (
     NodeView,
@@ -334,7 +335,7 @@ def test_pod_one_ulp_under_a_whole_gpu_is_whole_everywhere(cluster):
     ctx = PlacementContext(cluster)
     view_fit = ctx.index.view_fit_candidates(task.gpu_model, size)
     assert ctx.fit_candidates(task) == view_fit == cluster.nodes[:2]
-    placements = non_preemptive_placement(task, ctx, 0.0, ScoringConfig())
+    placements = non_preemptive_placement(task, ctx, 0.0, GFSConfig())
     assert [p.node_id for p in placements] == [cluster.nodes[0].node_id]
     assert len(cluster.nodes[0].allocate_pod(task)) == 1
     assert cluster.nodes[0].idle_gpus == 0

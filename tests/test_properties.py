@@ -13,7 +13,7 @@ from repro.cluster import (
 )
 from repro.core.gde import decompose, moving_average, normal_quantile
 from repro.core.gde.training import softmax, softplus
-from repro.core.sqa import GPUInventoryEstimator, SQAConfig, SpotQuotaAllocator
+from repro.core.sqa import MAX_ETA, MIN_ETA, SpotQuotaAllocator
 from repro.core.gde import GPUDemandEstimator, SeasonalQuantileForecaster
 from tests.conftest import build_task
 
@@ -125,12 +125,10 @@ class TestQuotaProperties:
         estimator = GPUDemandEstimator(SeasonalQuantileForecaster()).fit(
             {"org": np.full(168, demand)}
         )
-        sqa = SpotQuotaAllocator(
-            GPUInventoryEstimator(estimator, capacity=512.0), SQAConfig()
-        )
+        sqa = SpotQuotaAllocator(estimator, capacity=512.0)
         quota = sqa.compute_quota(
             now=0.0, start_hour=168, idle_gpus=idle, guaranteed_spot_gpus=guaranteed,
             eviction_rate=eviction, max_queue_time=queue,
         )
         assert 0.0 <= quota <= max(idle + guaranteed, 0.0) + 1e-6
-        assert SQAConfig().min_eta <= sqa.eta <= SQAConfig().max_eta
+        assert MIN_ETA <= sqa.eta <= MAX_ETA

@@ -20,10 +20,9 @@ from repro.cluster import (
 )
 from repro.cluster.gpu import EPSILON
 from repro.cluster.task import RunLog
+from repro.core import GFSConfig
 from repro.core.pts import (
-    PTSConfig,
     PreemptiveTaskScheduler,
-    ScoringConfig,
     circuit_breaker_active,
     colocation_score,
     eviction_awareness_score,
@@ -71,7 +70,7 @@ class TestScoring:
 
     def test_weighted_eviction_rate_mixes_windows(self, cluster):
         node = cluster.nodes[0]
-        config = ScoringConfig(gamma=0.8)
+        config = GFSConfig(gamma=0.8)
         node.record_eviction(90_000.0)          # inside the last hour
         node.record_eviction(30_000.0)          # only inside the last 24h
         rate = weighted_eviction_rate(node, now=90_100.0, config=config)
@@ -79,7 +78,7 @@ class TestScoring:
 
     def test_eviction_awareness_asymmetry(self, cluster):
         node = cluster.nodes[0]
-        config = ScoringConfig(penalty=3.0)
+        config = GFSConfig(penalty=3.0)
         for i in range(20):
             node.record_eviction(1000.0 + i)
         hp = eviction_awareness_score(node, build_task(TaskType.HP), 2000.0, config)
@@ -90,7 +89,7 @@ class TestScoring:
 
     def test_circuit_breaker_trips_after_many_evictions(self, cluster):
         node = cluster.nodes[0]
-        config = ScoringConfig(penalty=3.0)
+        config = GFSConfig(penalty=3.0)
         assert not circuit_breaker_active(node, 0.0, config)
         for i in range(50):
             node.record_eviction(1000.0 + i)
@@ -99,7 +98,7 @@ class TestScoring:
     def test_score_tuple_respects_ablation_switches(self, cluster):
         node = cluster.nodes[0]
         run_on(cluster, build_task(TaskType.HP, gpus_per_pod=4.0), 0)
-        config = ScoringConfig()
+        config = GFSConfig()
         full = score_tuple(node, 4, build_task(TaskType.HP), 0.0, config)
         stripped = score_tuple(
             node, 4, build_task(TaskType.HP), 0.0, config,
@@ -111,14 +110,14 @@ class TestScoring:
 
 class TestNonPreemptive:
     def test_places_all_pods_or_none(self, cluster):
-        config = ScoringConfig()
+        config = GFSConfig()
         ok = non_preemptive_placement(build_task(TaskType.HP, num_pods=4, gpus_per_pod=8.0), PlacementContext(cluster), 0.0, config)
         assert ok is not None and len(ok) == 4
         too_big = non_preemptive_placement(build_task(TaskType.HP, num_pods=5, gpus_per_pod=8.0), PlacementContext(cluster), 0.0, config)
         assert too_big is None
 
     def test_colocation_prefers_same_type_node(self, cluster):
-        config = ScoringConfig()
+        config = GFSConfig()
         run_on(cluster, build_task(TaskType.HP, gpus_per_pod=4.0), 0)
         run_on(cluster, build_task(TaskType.SPOT, gpus_per_pod=4.0), 1)
         placements = non_preemptive_placement(build_task(TaskType.SPOT, gpus_per_pod=2.0), PlacementContext(cluster), 0.0, config)
@@ -127,7 +126,7 @@ class TestNonPreemptive:
         assert placements[0].node_id == cluster.nodes[0].node_id
 
     def test_circuit_breaker_excludes_node_for_spot(self, cluster):
-        config = ScoringConfig(penalty=3.0)
+        config = GFSConfig(penalty=3.0)
         bad_node = cluster.nodes[0]
         for i in range(50):
             bad_node.record_eviction(100.0 + i)
@@ -235,7 +234,7 @@ class TestNonPreemptiveMatchesBruteForce:
         cluster = self._random_cluster(rng)
         # A low penalty never trips the circuit breaker, a high one trips
         # it on every node with a recent eviction.
-        config = ScoringConfig(gamma=rng.choice([0.5, 0.8]), penalty=rng.choice([3.0, 20.0, 60.0]))
+        config = GFSConfig(gamma=rng.choice([0.5, 0.8]), penalty=rng.choice([3.0, 20.0, 60.0]))
         switches = list(itertools.product([True, False], repeat=2))
         models = sorted({n.gpu_model for n in cluster.nodes})
         for _ in range(12):
@@ -261,7 +260,7 @@ class TestNonPreemptiveMatchesBruteForce:
         for seed in range(40):
             rng = random.Random(seed)
             cluster = self._random_cluster(rng)
-            config = ScoringConfig(penalty=60.0)
+            config = GFSConfig(penalty=60.0)
             tripped += sum(circuit_breaker_active(n, self.NOW, config) for n in cluster.nodes)
             gang = build_task(TaskType.SPOT, num_pods=4, gpus_per_pod=4.0)
             placements = non_preemptive_placement(gang, PlacementContext(cluster), self.NOW, config)
@@ -335,7 +334,7 @@ class TestPreemptive:
 class TestPTSFacade:
     def test_algorithm3_non_preemptive_first(self, cluster):
         pts = PreemptiveTaskScheduler()
-        decision = pts.schedule(build_task(TaskType.HP, gpus_per_pod=8.0), cluster, 0.0, 1e6)
+        decision = pts.schedule(build_task(TaskType.HP, gpus_per_pod=8.0), cluster, 0.0)
         assert decision is not None
         assert not decision.requires_preemption
 
@@ -343,16 +342,16 @@ class TestPTSFacade:
         pts = PreemptiveTaskScheduler()
         for i in range(4):
             run_on(cluster, build_task(TaskType.SPOT, gpus_per_pod=8.0, duration=7200.0), i)
-        hp_decision = pts.schedule(build_task(TaskType.HP, gpus_per_pod=8.0), cluster, 100.0, 1e6)
+        hp_decision = pts.schedule(build_task(TaskType.HP, gpus_per_pod=8.0), cluster, 100.0)
         assert hp_decision is not None and hp_decision.requires_preemption
-        spot_decision = pts.schedule(build_task(TaskType.SPOT, gpus_per_pod=8.0), cluster, 100.0, 1e6)
+        spot_decision = pts.schedule(build_task(TaskType.SPOT, gpus_per_pod=8.0), cluster, 100.0)
         assert spot_decision is None
 
     def test_random_preemption_mode_still_feasible(self, cluster):
-        pts = PreemptiveTaskScheduler(PTSConfig(random_preemption=True, seed=1))
+        pts = PreemptiveTaskScheduler(GFSConfig(random_preemption=True, seed=1))
         for i in range(4):
             run_on(cluster, build_task(TaskType.SPOT, gpus_per_pod=8.0, duration=7200.0), i)
-        decision = pts.schedule(build_task(TaskType.HP, gpus_per_pod=8.0), cluster, 100.0, 1e6)
+        decision = pts.schedule(build_task(TaskType.HP, gpus_per_pod=8.0), cluster, 100.0)
         assert decision is not None
         assert decision.requires_preemption
 
@@ -592,7 +591,7 @@ def test_placing_without_cloning_equals_the_frozen_cloning_searches(
 ):
     cluster = Cluster.homogeneous(num_nodes, 8, GPUModel.A100)
     apply_cluster_ops(cluster, ops, packed)
-    config = ScoringConfig(penalty=penalty)
+    config = GFSConfig(penalty=penalty)
     ctx = PlacementContext(cluster)
     switches = dict(use_colocation=use_colocation, use_eviction_awareness=use_eviction_awareness)
     for spot, num_pods, size in tasks:
@@ -643,7 +642,7 @@ def test_bucket_walk_equals_the_frozen_per_pod_argmax(
     """Mixed 4/8-card nodes of two models, tasks of either model or none."""
     cluster = mixed_cluster(shapes)
     apply_cluster_ops(cluster, ops, packed)
-    config = ScoringConfig(penalty=penalty)
+    config = GFSConfig(penalty=penalty)
     ctx = PlacementContext(cluster)
     switches = dict(use_colocation=use_colocation, use_eviction_awareness=use_eviction_awareness)
     for spot, num_pods, size, model in tasks:
@@ -681,7 +680,7 @@ def test_one_pod_scores_only_the_bucket_it_lands_in(monkeypatch):
     monkeypatch.setattr(Node, "allocated_gpus_by_type", s2)
     monkeypatch.setattr(algorithm1, "eviction_penalty", s3)
     task = build_task(TaskType.SPOT, gpus_per_pod=3.0)
-    placements = non_preemptive_placement(task, PlacementContext(cluster), NOW, ScoringConfig())
+    placements = non_preemptive_placement(task, PlacementContext(cluster), NOW, GFSConfig())
     assert placements == [PodPlacement(node_id=target.node_id, gpu_indices=(), fraction=3.0)]
     assert calls == {"s2": 1, "s3": 1}
 

@@ -283,6 +283,10 @@ def test_non_finite_or_unbounded_task_is_a_400_naming_the_field(field, value):
         # a NaN horizon answered 200 with a bare NaN in its body
         ("horizon_hours", "whatif", {"task": _payload("wi-001", 0.0), "horizon_hours": float("nan")}),
         ("horizon_hours", "whatif", {"task": _payload("wi-001", 0.0), "horizon_hours": float("inf")}),
+        # a negative `until` or `time` moved the clock (and GFS's forecast
+        # hour origin) before the trace
+        ("until", "advance", {"until": -7200.0}),
+        ("time", "inject", {"node_id": "a100-sim-0000", "kind": "NODE_FAIL", "time": -7200.0}),
     ],
 )
 def test_non_finite_request_number_is_a_400_naming_the_field(field, verb, body):

@@ -329,6 +329,36 @@ class TestRestartRecovery:
             "session-0042.json.quarantined",
         ]
 
+    def test_state_dir_of_an_earlier_build_is_quarantined_not_loaded(self, tmp_path):
+        # Snapshot format 1 pickled a scheduler graph this build no longer
+        # has: refused before unpickling, at boot and on restore alike.
+        state = tmp_path / "state"
+        current = SimulationSession(PARAMS).snapshot_bytes()
+        version1 = current[:8] + (1).to_bytes(2, "big") + current[10:]
+        SessionStore(state).save("session-0003", dict(PARAMS), version1)
+
+        async def body():
+            server = SchedulerServer(state_dir=state)
+            sink = EventSink()
+            server.telemetry.add_sink(sink)
+            await server.start(port=0)
+            client = AsyncServiceClient(server.host, server.port)
+            try:
+                [event] = sink.events("session_quarantined")
+                assert event["session_id"] == "session-0003" and "version 1" in event["error"]
+                sid = (await client.create_session(**PARAMS))["session_id"]
+                before = await client.status(sid)
+                with pytest.raises(ServiceError) as err:
+                    await client.restore(sid, version1)
+                assert err.value.status == 400 and "version 1" in err.value.message
+                assert await client.status(sid) == before
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(body())
+        assert (state / "session-0003.json.quarantined").exists()
+
     def test_health_probes_report_durability(self, tmp_path):
         async def durable():
             async with service_server(state_dir=tmp_path / "state") as (server, client):

@@ -283,7 +283,7 @@ def test_fork_copies_rng_state_and_warm_slot_statistics():
     # The walker the comparison test relies on does see aliasing where there is some.
     assert _mutable_objects(live).keys() & _mutable_objects(copy.copy(live)).keys()
 
-    rng, forked_rng = live.scheduler.pts._rng, fork.scheduler.pts._rng
+    rng, forked_rng = live.scheduler._rng, fork.scheduler._rng
     assert forked_rng is not rng and forked_rng.getstate() == rng.getstate()
     forked_rng.random()
     assert forked_rng.getstate() != rng.getstate()
@@ -422,10 +422,10 @@ def test_envelope_base64_roundtrip():
 
 
 def _level6_envelope(raw: bytes) -> bytes:
-    """The envelope as builds up to PR 14 wrote it into every ``--state-dir``
-    (zlib level 6), laid out by hand so the wire format is pinned here."""
+    """The envelope at zlib level 6, as earlier writers compressed it, laid
+    out by hand so the wire format is pinned here: the level is not part of it."""
     payload = zlib.compress(raw, 6)
-    header = struct.pack(">8sH32s", b"REPROSNP", 1, hashlib.sha256(payload).digest())
+    header = struct.pack(">8sH32s", b"REPROSNP", 2, hashlib.sha256(payload).digest())
     return header + payload
 
 
@@ -434,7 +434,7 @@ def test_level6_envelope_from_earlier_builds_still_restores():
     sim.advance(until=DURATION_HOURS * 1800.0)
     raw = sim.snapshot()
     old, new = _level6_envelope(raw), encode_snapshot(raw)
-    assert SNAPSHOT_VERSION == 1 and old[:10] == new[:10] and old != new  # only the level differs
+    assert SNAPSHOT_VERSION == 2 and old[:10] == new[:10] and old != new  # only the level differs
     assert decode_snapshot(old) == decode_snapshot(new) == raw
     restored = ClusterSimulator.restore(decode_snapshot(old))
     restored.advance()
@@ -443,7 +443,7 @@ def test_level6_envelope_from_earlier_builds_still_restores():
 
 
 def test_store_file_holding_a_level6_envelope_recovers_and_continues(tmp_path):
-    """A state directory written by the parent build boots under this one."""
+    """A state directory whose envelopes were written at zlib level 6 boots."""
     params = {"scheduler": "gfs", "num_nodes": 8, "duration_hours": 4.0,
               "spot_scale": 2.0, "seed": 5, "preload": True}
     witness = SimulationSession(params, session_id="session-0001")
@@ -461,49 +461,6 @@ def test_store_file_holding_a_level6_envelope_recovers_and_continues(tmp_path):
     assert_metrics_identical(revived.sim.finalize(), witness.sim.finalize(), "recovered session")
 
 
-def _bare_event_heap_snapshot(sim: ClusterSimulator) -> bytes:
-    """``sim``'s snapshot as builds before the tuple-keyed heap pickled it.
-
-    Their heap held bare ``Event``s ordered by the dataclass's own
-    ``(time, kind, tiebreak, seq)``; unwrapping each entry keeps the list
-    order, which is therefore a heap under that ordering too.
-    """
-    copy_ = ClusterSimulator.restore(sim.snapshot())
-    copy_._events = [entry[-1] for entry in copy_._events]
-    return copy_.snapshot()
-
-
-def test_bare_event_heap_snapshot_restores_and_continues():
-    sim = build_sim("gfs", "node_churn")
-    sim.advance(until=DURATION_HOURS * 1800.0)
-    old = _bare_event_heap_snapshot(sim)
-    restored = ClusterSimulator.restore(old)
-    assert len(restored._events) == len(sim._events) > 0
-    for time, kind, tiebreak, seq, event in restored._events:
-        assert (time, kind, tiebreak, seq) == (event.time, event.kind, event.tiebreak, event.seq)
-    restored.advance()
-    sim.advance()
-    assert_metrics_identical(restored.finalize(), sim.finalize(), "bare-Event heap")
-
-
-def test_store_file_holding_a_bare_event_heap_recovers_and_continues(tmp_path):
-    params = {"scheduler": "gfs", "num_nodes": 8, "duration_hours": 4.0,
-              "spot_scale": 2.0, "seed": 5, "preload": True}
-    witness = SimulationSession(params, session_id="session-0001")
-    witness.advance(until=5400.0)
-    store = SessionStore(tmp_path)
-    store.save("session-0001", witness.params, encode_snapshot(_bare_event_heap_snapshot(witness.sim)))
-
-    report = store.recover()
-    assert not report.quarantined and len(report.recovered) == 1
-    stored = report.recovered[0]
-    revived = SimulationSession.from_stored(stored.params, stored.session_id, stored.snapshot)
-    assert all(isinstance(entry, tuple) for entry in revived.sim._events)
-    for session in (witness, revived):
-        session.advance()
-    assert_metrics_identical(revived.sim.finalize(), witness.sim.finalize(), "recovered session")
-
-
 @pytest.mark.parametrize("write", [encode_snapshot, _level6_envelope], ids=["level1", "level6"])
 @pytest.mark.parametrize(
     "mutilate, match",
@@ -512,10 +469,12 @@ def test_store_file_holding_a_bare_event_heap_recovers_and_continues(tmp_path):
         (lambda e: e[:10], "too short"),
         (lambda e: b"NOTSNAPS" + e[8:], "bad magic"),
         (lambda e: e[:8] + bytes([0, SNAPSHOT_VERSION + 1]) + e[10:], "version"),
+        # snapshot format 1 pickled the scheduler graph of earlier builds
+        (lambda e: e[:8] + bytes([0, 1]) + e[10:], "version 1 is not supported"),
         (lambda e: e[:-3] + b"xyz", "checksum"),
         (lambda e: e[:42] + bytes([e[42] ^ 0xFF]) + e[43:], "checksum"),
     ],
-    ids=["truncated-half", "truncated-header", "bad-magic", "future-version",
+    ids=["truncated-half", "truncated-header", "bad-magic", "future-version", "version-1",
          "tail-corruption", "payload-bitflip"],
 )
 def test_envelope_rejects_every_corruption_mode(mutilate, match, write):

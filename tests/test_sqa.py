@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.gde import GPUDemandEstimator, SeasonalQuantileForecaster
-from repro.core.sqa import GPUInventoryEstimator, SQAConfig, SpotQuotaAllocator
+from repro.core import GFSConfig
+from repro.core.sqa import MAX_ETA, MIN_ETA, SpotQuotaAllocator
 
 
 def make_estimator(level_a=200.0, level_b=100.0, hours=336):
@@ -15,54 +16,54 @@ def make_estimator(level_a=200.0, level_b=100.0, hours=336):
     return GPUDemandEstimator(SeasonalQuantileForecaster()).fit(history)
 
 
+def make_sqa(estimator=None, capacity=512.0, **config_kwargs):
+    return SpotQuotaAllocator(estimator or make_estimator(), capacity, GFSConfig(**config_kwargs))
+
+
 class TestInventoryEstimation:
+    """Eq. 9, ``SpotQuotaAllocator.inventory``: f(p, H) and the per-org peaks."""
+
     def test_available_is_capacity_minus_peak(self):
-        inventory = GPUInventoryEstimator(make_estimator(), capacity=512.0)
-        estimate = inventory.estimate(start_hour=336, horizon_hours=1.0, p=0.9)
-        assert estimate.aggregated_peak_demand == pytest.approx(300.0, abs=15.0)
-        assert estimate.available == pytest.approx(512.0 - estimate.aggregated_peak_demand)
+        available, peaks = make_sqa().inventory(start_hour=336, p=0.9, horizon_hours=1.0)
+        assert sum(peaks.values()) == pytest.approx(300.0, abs=15.0)
+        assert available == pytest.approx(512.0 - sum(peaks.values()))
 
     def test_saturated_cluster_yields_zero(self):
-        inventory = GPUInventoryEstimator(make_estimator(400.0, 300.0), capacity=512.0)
-        assert inventory.available_gpus(336, 1.0, 0.9) == 0.0
+        assert make_sqa(make_estimator(400.0, 300.0)).inventory(336, 0.9, 1.0)[0] == 0.0
 
     def test_higher_guarantee_rate_reserves_more(self):
         history = {"org-A": 200.0 + 20.0 * np.random.default_rng(0).normal(size=336)}
-        estimator = GPUDemandEstimator(SeasonalQuantileForecaster()).fit(history)
-        inventory = GPUInventoryEstimator(estimator, capacity=512.0)
-        assert inventory.available_gpus(336, 1.0, 0.99) <= inventory.available_gpus(336, 1.0, 0.8)
+        sqa = make_sqa(GPUDemandEstimator(SeasonalQuantileForecaster()).fit(history))
+        assert sqa.inventory(336, 0.99, 1.0)[0] <= sqa.inventory(336, 0.8, 1.0)[0]
 
     def test_longer_horizon_cannot_increase_availability(self):
-        inventory = GPUInventoryEstimator(make_estimator(), capacity=512.0)
-        short = inventory.available_gpus(336, 1.0, 0.9)
-        long = inventory.available_gpus(336, 8.0, 0.9)
+        sqa = make_sqa()
+        short = sqa.inventory(336, 0.9, 1.0)[0]
+        long = sqa.inventory(336, 0.9, 8.0)[0]
         assert long <= short + 1e-6
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            GPUInventoryEstimator(make_estimator(), capacity=0.0)
+            make_sqa(capacity=0.0)
 
     def test_per_org_breakdown_present(self):
-        inventory = GPUInventoryEstimator(make_estimator(), capacity=512.0)
-        estimate = inventory.estimate(336, 1.0, 0.9)
-        assert set(estimate.per_org_peak) == {"org-A", "org-B"}
+        _, peaks = make_sqa().inventory(336, 0.9, 1.0)
+        assert set(peaks) == {"org-A", "org-B"}
 
     def test_per_org_breakdown_belongs_to_the_estimate(self):
-        """The GDE keeps its answer between quota updates; an estimate must not share it."""
-        inventory = GPUInventoryEstimator(make_estimator(), capacity=512.0)
-        estimate = inventory.estimate(336, 1.0, 0.9)
-        kept = dict(estimate.per_org_peak)
-        estimate.per_org_peak.clear()
-        again = inventory.estimate(336, 1.0, 0.9)
-        assert again.per_org_peak == kept
-        assert again.aggregated_peak_demand == estimate.aggregated_peak_demand
+        """The GDE keeps its answer between quota updates; the caller owns what it gets."""
+        sqa = make_sqa()
+        available, peaks = sqa.inventory(336, 0.9, 1.0)
+        kept = dict(peaks)
+        peaks.clear()
+        again, peaks_again = sqa.inventory(336, 0.9, 1.0)
+        assert peaks_again == kept
+        assert again == available
 
 
 class TestEtaFeedback:
     def make_sqa(self, **config_kwargs):
-        config = SQAConfig(**config_kwargs)
-        inventory = GPUInventoryEstimator(make_estimator(), capacity=512.0)
-        return SpotQuotaAllocator(inventory, config)
+        return make_sqa(**config_kwargs)
 
     def test_high_eviction_shrinks_eta(self):
         sqa = self.make_sqa(guarantee_rate=0.9)
@@ -89,19 +90,18 @@ class TestEtaFeedback:
         assert sqa.eta == pytest.approx(before)
 
     def test_eta_bounded(self):
-        sqa = self.make_sqa(min_eta=0.5, max_eta=2.0)
+        sqa = self.make_sqa()
         for _ in range(20):
             sqa.update_eta(eviction_rate=0.9, max_queue_time=0.0)
-        assert sqa.eta == pytest.approx(0.5)
+        assert sqa.eta == MIN_ETA == 0.5
         for _ in range(20):
             sqa.update_eta(eviction_rate=0.0, max_queue_time=1e6)
-        assert sqa.eta == pytest.approx(2.0)
+        assert sqa.eta == MAX_ETA == 4.0
 
 
 class TestQuotaComputation:
     def make_sqa(self):
-        inventory = GPUInventoryEstimator(make_estimator(), capacity=512.0)
-        return SpotQuotaAllocator(inventory, SQAConfig(guarantee_rate=0.9, guarantee_hours=1.0))
+        return make_sqa(guarantee_rate=0.9, guarantee_hours=1.0)
 
     def test_quota_bounded_by_physical_availability(self):
         sqa = self.make_sqa()
@@ -117,12 +117,10 @@ class TestQuotaComputation:
             now=0.0, start_hour=336, idle_gpus=512.0, guaranteed_spot_gpus=0.0,
             eviction_rate=0.0, max_queue_time=0.0, adapt=False,
         )
-        estimate = sqa.inventory.estimate(336, 1.0, 0.9)
-        assert quota == pytest.approx(estimate.available * sqa.eta)
+        assert quota == pytest.approx(sqa.inventory(336, 0.9, 1.0)[0] * sqa.eta)
 
     def test_quota_never_negative(self):
-        inventory = GPUInventoryEstimator(make_estimator(600.0, 300.0), capacity=512.0)
-        sqa = SpotQuotaAllocator(inventory, SQAConfig())
+        sqa = make_sqa(make_estimator(600.0, 300.0))
         quota = sqa.compute_quota(
             now=0.0, start_hour=336, idle_gpus=0.0, guaranteed_spot_gpus=0.0,
             eviction_rate=0.5, max_queue_time=0.0,

@@ -27,9 +27,13 @@ budget (``service.requests``) or a format that changed on purpose.
 
 Each tree runs its own ``benchmarks/perf`` (a change may not edit it, so
 they are the same program); the workloads, metrics and bounds are read
-from this tree's ``BENCHMARK.json``.  Nothing is written but the span
-file a traced run leaves in each tree's git-ignored
-``benchmarks/perf/out/``.  Exit status 0 unless a run failed, a pair's
+from this tree's ``BENCHMARK.json``.  Both trees start from the same
+bytecode state: each side runs with its own fresh ``PYTHONPYCACHEPREFIX``
+(and ``PYTHONDONTWRITEBYTECODE`` unset), warmed by one untimed smoke run
+before the first pair, so neither side's ``setup_s`` is read from a
+``__pycache__`` the other lacks.  Nothing else is written but the
+temporary bytecode caches and the span file a traced run leaves in each
+tree's git-ignored ``benchmarks/perf/out/``.  Exit status 0 unless a run failed, a pair's
 digests differ or something is worse.
 """
 
@@ -37,9 +41,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,27 +61,34 @@ MIN_PAIRS, MIN_WIN_SHARE = 10, 0.9
 WORK_UNITS = ("count", "bytes")
 
 
+def bytecode_env(prefix: Path) -> Dict[str, str]:
+    """This environment with bytecode read from and written to ``prefix`` only."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(prefix)
+    return env
+
+
 def run_once(
-    tree: Path, workload: str, seed: int, smoke: bool, trace: int = 0
+    tree: Path, workload: str, seed: int, smoke: bool, trace: int, env: Dict[str, str]
 ) -> Tuple[Dict[str, object], List[str]]:
     """One benchmark run in ``tree``: its verdict object and its digest lines."""
     command = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     if smoke:
         command.append("--smoke")
-    proc = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
+    proc = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[-1]), [line for line in lines if line.startswith("digest ")]
 
 
 def run_pair(
-    trees: Dict[str, Path], workload: str, seed: int, smoke: bool, trace: int, change_first: bool,
-    problems: List[str],
+    trees: Dict[str, Path], envs: Dict[str, Dict[str, str]], workload: str, seed: int, smoke: bool,
+    trace: int, change_first: bool, problems: List[str],
 ) -> Dict[str, Dict[str, object]]:
     """One run per tree, back to back: each side's verdict object.  Appends
     to ``problems`` a run that failed operations and digests that differ."""
     verdicts, digests = {}, {}
     for side in ("change", "parent") if change_first else ("parent", "change"):
-        verdicts[side], digests[side] = run_once(trees[side], workload, seed, smoke, trace)
+        verdicts[side], digests[side] = run_once(trees[side], workload, seed, smoke, trace, envs[side])
         if not verdicts[side]["correct"] or verdicts[side]["failed"]:
             problems.append(f"{workload} seed {seed} {side}: {verdicts[side]['failed']} failed operations")
     if digests["parent"] != digests["change"] or not digests["parent"]:
@@ -123,13 +136,14 @@ def compare(metric: Dict[str, object], parent: Sequence[float], change: Sequence
 
 
 def layers(
-    declared: Sequence[Dict[str, object]], workloads: Sequence[str], trees: Dict[str, Path], seed: int, smoke: bool
+    declared: Sequence[Dict[str, object]], workloads: Sequence[str], trees: Dict[str, Path],
+    envs: Dict[str, Dict[str, str]], seed: int, smoke: bool,
 ) -> int:
     """``--layers``: one traced run per tree and workload, every per-layer row side by side."""
     problems: List[str] = []
     flags: List[str] = []
     for workload in workloads:
-        verdicts = run_pair(trees, workload, seed, smoke, 1, False, problems)
+        verdicts = run_pair(trees, envs, workload, seed, smoke, 1, False, problems)
         for metric in declared:
             name, unit = metric["name"], metric["unit"]
             old, new = (float(verdicts[side]["metrics"][name]["value"]) for side in ("parent", "change"))
@@ -154,34 +168,17 @@ def layers(
     return 1 if problems else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
-    parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--smoke", action="store_true", help="tiny sizes: checks the tool, measures nothing")
-    parser.add_argument(
-        "--layers", type=int, metavar="SEED", help="instead of pairs: one traced run per tree at SEED"
-    )
-    args = parser.parse_args(argv)
-
-    catalog = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-    declared = [w["name"] for w in catalog["workloads"]]
-    workloads = args.workloads or declared
-    if set(workloads) - set(declared):
-        parser.error(f"unknown workloads {sorted(set(workloads) - set(declared))}; expected {declared}")
-    trees = {"parent": args.parent.resolve(), "change": REPO_ROOT}
-    if not (trees["parent"] / RUNNER).is_file():
-        parser.error(f"{trees['parent']} has no {RUNNER}")
-    if args.layers is not None:
-        return layers(catalog["per_layer"], workloads, trees, args.layers, args.smoke)
-
+def pairs(
+    catalog: Dict[str, object], workloads: Sequence[str], trees: Dict[str, Path],
+    envs: Dict[str, Dict[str, str]], seeds: Sequence[int], smoke: bool,
+) -> int:
+    """The seed pairs of every workload and the driver's rules per end-to-end metric."""
     failures: List[str] = []
     gains: List[str] = []
     for workload in workloads:
         values: Dict[str, Dict[str, List[float]]] = {side: {} for side in trees}
-        for index, seed in enumerate(args.seeds):
-            verdicts = run_pair(trees, workload, seed, args.smoke, 0, index % 2 == 1, failures)
+        for index, seed in enumerate(seeds):
+            verdicts = run_pair(trees, envs, workload, seed, smoke, 0, index % 2 == 1, failures)
             for side, verdict in verdicts.items():
                 for name, entry in verdict["metrics"].items():
                     values[side].setdefault(name, []).append(float(entry["value"]))
@@ -211,6 +208,34 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("verdict: " + ("gain on " + ", ".join(gains) if gains else "no gain") + ", "
           + (f"{len(failures)} problems" if failures else "nothing worse"))
     return 1 if failures else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
+    parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
+    parser.add_argument("--smoke", action="store_true", help="tiny sizes: checks the tool, measures nothing")
+    parser.add_argument(
+        "--layers", type=int, metavar="SEED", help="instead of pairs: one traced run per tree at SEED"
+    )
+    args = parser.parse_args(argv)
+
+    catalog = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    declared = [w["name"] for w in catalog["workloads"]]
+    workloads = args.workloads or declared
+    if set(workloads) - set(declared):
+        parser.error(f"unknown workloads {sorted(set(workloads) - set(declared))}; expected {declared}")
+    trees = {"parent": args.parent.resolve(), "change": REPO_ROOT}
+    if not (trees["parent"] / RUNNER).is_file():
+        parser.error(f"{trees['parent']} has no {RUNNER}")
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-pycache-") as cache:
+        envs = {side: bytecode_env(Path(cache) / side) for side in trees}
+        for side in trees:  # untimed: fills the side's cache before anything is measured
+            run_once(trees[side], workloads[0], args.seeds[0], True, 0, envs[side])
+        if args.layers is not None:
+            return layers(catalog["per_layer"], workloads, trees, envs, args.layers, args.smoke)
+        return pairs(catalog, workloads, trees, envs, args.seeds, args.smoke)
 
 
 if __name__ == "__main__":
