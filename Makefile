@@ -24,6 +24,7 @@ loc:
 		printf '%-11s %s\n' $$dir/ "$$(find $$dir -name '*.py' | xargs wc -l | tail -1 | awk '{print $$1}')"; \
 	done
 	@for pkg in src/repro/*/; do \
+		case $$pkg in */__pycache__/) continue;; esac; \
 		printf '  %-21s %s\n' $${pkg#src/} "$$(find $$pkg -name '*.py' -exec cat {} + | wc -l)"; \
 	done
 

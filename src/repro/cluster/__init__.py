@@ -6,8 +6,8 @@ task model with checkpoints and run logs, the event loop, metric
 collection and a simple pricing model.
 """
 
-from .capacity_index import CapacityIndex, CapacityIndexError
-from .cluster import AggregateConsistencyError, Cluster, ClusterStats
+from .capacity_index import AggregateConsistencyError, CapacityIndex
+from .cluster import Cluster, ClusterStats
 from .events import (
     DYNAMICS_EVENT_KINDS,
     DynamicsAction,
@@ -45,7 +45,6 @@ from .task import (
 __all__ = [
     "AggregateConsistencyError",
     "CapacityIndex",
-    "CapacityIndexError",
     "Cluster",
     "ClusterStats",
     "ClusterSimulator",

@@ -1,10 +1,15 @@
-"""Per-GPU-model candidate indexes over node capacity.
+"""The cluster's one per-GPU-model capacity ledger.
 
-The placement search used to rescan every model-compatible node per task
-per pass.  :class:`CapacityIndex` replaces those scans with incrementally
-maintained per-model structures, updated through the same capacity-listener
-mechanism that keeps the cluster's O(1) aggregates consistent:
+:class:`CapacityIndex` is each node's capacity listener: every
+``allocate_pod``/``release_task`` (and every fleet-membership change the
+cluster makes) is folded into one :class:`_ModelIndex` per GPU model,
+which holds both the figures the aggregate queries read and the
+structures the placement search walks:
 
+* **GPU figures** — online total, free, HP-held and spot-held GPUs, the
+  sums behind ``Cluster.total_gpus``/``idle_gpus``/``allocated_gpus``/
+  ``hp_gpus``/``spot_gpus``/``allocation_rate``/``stats``
+  (:meth:`CapacityIndex.gpus`).
 * **Idle-GPU buckets** — nodes bucketed by their count of completely idle
   cards, so candidates for a whole-GPU pod of size ``k`` are exactly the
   nodes in buckets ``k..max``, plus a ``max_idle`` watermark that rejects
@@ -43,12 +48,21 @@ from .gpu import EPSILON, GPUModel, is_fractional_pod
 from .node import Node
 
 
-class _ModelIndex:
-    """Bucketed capacity structures for the nodes of one GPU model."""
+class AggregateConsistencyError(RuntimeError):
+    """Raised in debug mode when cached capacity figures drift from a full scan."""
 
-    __slots__ = ("idle_buckets", "max_idle", "total_idle", "free", "frac", "spot")
+
+class _ModelIndex:
+    """GPU figures and bucketed capacity structures for the nodes of one GPU model."""
+
+    __slots__ = (
+        "total_gpus", "free_capacity", "hp_gpus", "spot_gpus",
+        "idle_buckets", "max_idle", "total_idle", "free", "frac", "spot",
+    )
 
     def __init__(self, max_gpus: int):
+        #: the ``Node`` figures of the same names, summed over the online nodes
+        self.total_gpus = self.free_capacity = self.hp_gpus = self.spot_gpus = 0.0
         #: idle-card count -> {node_id: Node}; one bucket per count up to the
         #: largest node ever inserted, so ``len - 1`` bounds every node's size
         self.idle_buckets: List[Dict[str, Node]] = [dict() for _ in range(max_gpus + 1)]
@@ -62,38 +76,53 @@ class _ModelIndex:
         #: nodes with spot-held GPUs (spot_gpus > 0)
         self.spot: Dict[str, Node] = {}
 
+    @property
+    def allocated_gpus(self) -> float:
+        return self.total_gpus - self.free_capacity
+
     def insert(self, node: Node) -> None:
-        idle = node.idle_gpus
+        # Joining or leaving the fleet moves only total and free: a node
+        # leaves empty, so its held figures are zero up to a rounding
+        # residue, which stays in the running sums.
+        self.total_gpus += node.total_gpus
+        self.free_capacity += node.free_capacity
         while len(self.idle_buckets) <= node.num_gpus:
             self.idle_buckets.append(dict())
+        self._bucket(node, node.idle_gpus)
+        self._sync_sets(node)
+
+    def remove(self, node: Node, idle: int) -> None:
+        """Take ``node`` (in bucket ``idle``) out of every structure."""
+        self.total_gpus -= node.total_gpus
+        self.free_capacity -= node.free_capacity
+        self._unbucket(node.node_id, idle)
+        for members in (self.free, self.frac, self.spot):
+            members.pop(node.node_id, None)
+
+    def move(self, node: Node, old_idle: int) -> None:
+        """Re-bucket ``node`` after a mutation (``old_idle`` = previous bucket)."""
+        if node.idle_gpus != old_idle:
+            self._unbucket(node.node_id, old_idle)
+            self._bucket(node, node.idle_gpus)
+        self._sync_sets(node)
+
+    def _bucket(self, node: Node, idle: int) -> None:
         self.idle_buckets[idle][node.node_id] = node
         self.total_idle += idle
         if idle > self.max_idle:
             self.max_idle = idle
-        if node.free_capacity > 0.0:
-            self.free[node.node_id] = node
-        if node.max_card_free > 0.0:
-            self.frac[node.node_id] = node
-        if node.spot_gpus > 0.0:
-            self.spot[node.node_id] = node
 
-    def move(self, node: Node, old_idle: int) -> None:
-        """Re-bucket ``node`` after a mutation (``old_idle`` = previous bucket)."""
-        new_idle = node.idle_gpus
-        if new_idle != old_idle:
-            del self.idle_buckets[old_idle][node.node_id]
-            self.idle_buckets[new_idle][node.node_id] = node
-            self.total_idle += new_idle - old_idle
-            if new_idle > self.max_idle:
-                self.max_idle = new_idle
-            elif old_idle == self.max_idle and not self.idle_buckets[old_idle]:
-                level = old_idle
-                while level > 0 and not self.idle_buckets[level]:
-                    level -= 1
-                self.max_idle = level
-        self._sync_set(self.free, node, node.free_capacity > 0.0)
-        self._sync_set(self.frac, node, node.max_card_free > 0.0)
-        self._sync_set(self.spot, node, node.spot_gpus > 0.0)
+    def _unbucket(self, node_id: str, idle: int) -> None:
+        del self.idle_buckets[idle][node_id]
+        self.total_idle -= idle
+        while self.max_idle > 0 and not self.idle_buckets[self.max_idle]:
+            self.max_idle -= 1
+
+    def _sync_sets(self, node: Node) -> None:
+        sync = self._sync_set
+        sync(self.free, node, node.free_capacity > 0.0)
+        sync(self.frac, node, node.max_card_free > 0.0)
+        sync(self.spot, node, node.spot_gpus > 0.0)
 
     @staticmethod
     def _sync_set(members: Dict[str, Node], node: Node, belongs: bool) -> None:
@@ -104,18 +133,17 @@ class _ModelIndex:
             members.pop(node.node_id, None)
 
 
-class CapacityIndexError(RuntimeError):
-    """Raised in debug mode when the index drifts from a full node scan."""
-
-
 class CapacityIndex:
     """Candidate-selection index over a fixed set of nodes.
 
-    Owned by :class:`~repro.cluster.cluster.Cluster`, which forwards every
-    capacity-listener notification to :meth:`on_node_change`.  All queries
+    Owned by :class:`~repro.cluster.cluster.Cluster`, which registers
+    :meth:`on_node_change` as every node's capacity listener.  All queries
     take an optional ``model``; ``None`` unions every model, preserving
     global construction order.
     """
+
+    #: absolute tolerance of the debug consistency check on the GPU figures
+    _VALIDATE_ATOL = 1e-6
 
     def __init__(self, nodes: Iterable[Node]):
         self._order: Dict[str, int] = {}
@@ -132,24 +160,40 @@ class CapacityIndex:
             index = self._models.get(node.gpu_model)
             if index is None:
                 index = self._models[node.gpu_model] = _ModelIndex(node.num_gpus)
+            index.hp_gpus += node.hp_gpus
+            index.spot_gpus += node.spot_gpus
             index.insert(node)
             self._known_idle[node.node_id] = node.idle_gpus
             self._node_mut[node.node_id] = 0
 
     # ------------------------------------------------------------------
-    # Maintenance (driven by the cluster's capacity listener)
+    # Maintenance (this is every node's capacity listener)
     # ------------------------------------------------------------------
-    def on_node_change(self, node: Node, free_delta: float, spot_delta: float) -> None:
+    def on_node_change(
+        self, node: Node, free_delta: float, hp_delta: float, spot_delta: float
+    ) -> None:
         """Fold one node mutation into the index (amortised O(1))."""
+        ix = self._models[node.gpu_model]
+        ix.free_capacity += free_delta
+        ix.hp_gpus += hp_delta
+        ix.spot_gpus += spot_delta
         self._mutations += 1
         self._node_mut[node.node_id] = self._mutations
         if free_delta > 0.0:
             self.free_increase_seq += 1
         if spot_delta > 0.0:
             self.spot_increase_seq += 1
-        old_idle = self._known_idle[node.node_id]
-        self._models[node.gpu_model].move(node, old_idle)
+        ix.move(node, self._known_idle[node.node_id])
         self._known_idle[node.node_id] = node.idle_gpus
+
+    def gpus(self, figure: str, model: Optional[GPUModel] = None) -> float:
+        """One GPU figure (``"total_gpus"``, ``"free_capacity"``, ``"hp_gpus"``,
+        ``"spot_gpus"`` or ``"allocated_gpus"``) summed over the models
+        ``model`` selects, in first-seen model order (O(#models))."""
+        total = 0
+        for ix in self._indexes_for(model):
+            total += getattr(ix, figure)
+        return float(total)
 
     def node_mutation(self, node_id: str) -> int:
         """Stamp of the node's last capacity mutation (0 = never mutated)."""
@@ -192,18 +236,7 @@ class CapacityIndex:
             raise KeyError(f"node {node_id} is not indexed (already offline?)")
         self._mutations += 1
         self._node_mut[node_id] = self._mutations
-        ix = self._models[node.gpu_model]
-        idle = self._known_idle.pop(node_id)
-        del ix.idle_buckets[idle][node_id]
-        ix.total_idle -= idle
-        if idle == ix.max_idle and not ix.idle_buckets[idle]:
-            level = idle
-            while level > 0 and not ix.idle_buckets[level]:
-                level -= 1
-            ix.max_idle = level
-        ix.free.pop(node_id, None)
-        ix.frac.pop(node_id, None)
-        ix.spot.pop(node_id, None)
+        self._models[node.gpu_model].remove(node, self._known_idle.pop(node_id))
 
     def add_node(self, node: Node) -> None:
         """Re-index ``node`` after it rejoins the fleet (repair/activation).
@@ -228,11 +261,11 @@ class CapacityIndex:
     # ------------------------------------------------------------------
     # O(1) feasibility gates
     # ------------------------------------------------------------------
-    def _indexes_for(self, model: Optional[GPUModel]) -> List[_ModelIndex]:
+    def _indexes_for(self, model: Optional[GPUModel]) -> Iterable[_ModelIndex]:
         if model is None:
-            return list(self._models.values())
+            return self._models.values()
         index = self._models.get(model)
-        return [index] if index is not None else []
+        return (index,) if index is not None else ()
 
     def max_idle_gpus(self, model: Optional[GPUModel] = None) -> int:
         """Largest count of idle cards on any single node of ``model``."""
@@ -342,11 +375,12 @@ class CapacityIndex:
     # Debug validation
     # ------------------------------------------------------------------
     def validate(self, nodes: Iterable[Node]) -> None:
-        """Verify every index structure against a full node scan.
+        """Verify every figure and structure against a full scan of ``nodes``.
 
         Called from ``Cluster.validate_aggregates`` in debug mode
-        (``REPRO_VALIDATE_AGGREGATES=1``); raises
-        :class:`CapacityIndexError` on any drift.
+        (``REPRO_VALIDATE_AGGREGATES=1``) with the online nodes; raises
+        :class:`AggregateConsistencyError` on any drift (beyond ``1e-6``
+        for the GPU figures).
         """
         per_model: Dict[GPUModel, List[Node]] = {}
         for node in nodes:
@@ -354,16 +388,24 @@ class CapacityIndex:
         # Offline nodes are passed filtered out, so a model may legitimately
         # have zero online members; its (empty) index is still checked below.
         if not set(per_model) <= set(self._models):
-            raise CapacityIndexError(
+            raise AggregateConsistencyError(
                 f"indexed models {sorted(m.value for m in self._models)} miss "
                 f"some of {sorted(m.value for m in per_model)}"
             )
         for model, ix in self._models.items():
             members = per_model.get(model, [])
+            for figure in ("total_gpus", "free_capacity", "hp_gpus", "spot_gpus"):
+                cached = getattr(ix, figure)
+                want = float(sum(getattr(n, figure) for n in members))
+                if abs(cached - want) > self._VALIDATE_ATOL:
+                    raise AggregateConsistencyError(
+                        f"cached {figure} for {model.value} is {cached!r}, "
+                        f"full scan says {want!r}"
+                    )
             for node in members:
                 idle = node.idle_gpus
                 if node.node_id not in ix.idle_buckets[idle]:
-                    raise CapacityIndexError(
+                    raise AggregateConsistencyError(
                         f"node {node.node_id} (idle={idle}) missing from its idle bucket"
                     )
                 for belongs, name, index_set in (
@@ -372,23 +414,23 @@ class CapacityIndex:
                     (node.spot_gpus > 0.0, "spot", ix.spot),
                 ):
                     if belongs != (node.node_id in index_set):
-                        raise CapacityIndexError(
+                        raise AggregateConsistencyError(
                             f"node {node.node_id} {name}-set membership is "
                             f"{node.node_id in index_set}, expected {belongs}"
                         )
             bucketed = sum(len(b) for b in ix.idle_buckets)
             if bucketed != len(members):
-                raise CapacityIndexError(
+                raise AggregateConsistencyError(
                     f"{model.value}: {bucketed} nodes bucketed, {len(members)} exist"
                 )
             want_total = sum(n.idle_gpus for n in members)
             if ix.total_idle != want_total:
-                raise CapacityIndexError(
+                raise AggregateConsistencyError(
                     f"{model.value}: cached total_idle {ix.total_idle} != {want_total}"
                 )
             want_max = max((n.idle_gpus for n in members), default=0)
             if ix.max_idle != want_max:
-                raise CapacityIndexError(
+                raise AggregateConsistencyError(
                     f"{model.value}: cached max_idle {ix.max_idle} != {want_max}"
                 )
 

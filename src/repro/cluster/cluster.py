@@ -7,18 +7,18 @@ finish and evict tasks.
 Aggregate queries are O(1)
 --------------------------
 ``total_gpus``/``idle_gpus``/``allocated_gpus``/``spot_gpus``/``hp_gpus``
-/``allocation_rate``/``stats`` answer from **incrementally maintained
-per-GPU-model aggregates** instead of re-scanning every node.  The
-aggregates are kept consistent by a capacity listener each node invokes
-after every ``allocate_pod``/``release_task`` mutation — including
-mutations performed directly on a node object, bypassing
-:meth:`Cluster.place_task`.
+/``allocation_rate``/``stats`` answer from the per-GPU-model figures of
+the :class:`~repro.cluster.capacity_index.CapacityIndex`, the one
+capacity ledger, instead of re-scanning every node.  The index is the
+capacity listener each node invokes after every
+``allocate_pod``/``release_task`` mutation — including mutations
+performed directly on a node object, bypassing :meth:`Cluster.place_task`.
 
 Invariants (checked in debug mode, see ``validate_aggregates``):
 
-* ``_agg[m].free  == sum(n.free_capacity for n in nodes of model m)``
-* ``_agg[m].hp    == sum(n.hp_gpus for n in nodes of model m)``
-* ``_agg[m].spot  == sum(n.spot_gpus for n in nodes of model m)``
+* each model's ``total_gpus``/``free_capacity``/``hp_gpus``/``spot_gpus``
+  in ``capacity_index`` equals the sum of the same ``Node`` figure over
+  its online nodes, and its buckets and node sets match a full scan;
 * ``_running_spot`` holds exactly the spot tasks in ``running_tasks``,
   in the same insertion order.
 
@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from .capacity_index import CapacityIndex
+from .capacity_index import AggregateConsistencyError, CapacityIndex
 from .gpu import GPUModel
 from .node import Node
 from .task import PodPlacement, Task, TaskType
@@ -42,7 +42,7 @@ from .task import PodPlacement, Task, TaskType
 
 @dataclass
 class ClusterStats:
-    """Aggregate counters the SQA feedback loop and reports consume."""
+    """Aggregate figures and counters, as the service's occupancy view reports them."""
 
     total_gpus: float = 0.0
     idle_gpus: float = 0.0
@@ -60,35 +60,17 @@ class ClusterStats:
         return (self.total_gpus - self.idle_gpus) / self.total_gpus
 
 
-@dataclass
-class _ModelAggregate:
-    """Incrementally maintained capacity figures for one GPU model."""
-
-    total: float = 0.0
-    free: float = 0.0
-    hp: float = 0.0
-    spot: float = 0.0
-
-    @property
-    def allocated(self) -> float:
-        return self.total - self.free
-
-
-class AggregateConsistencyError(RuntimeError):
-    """Raised in debug mode when cached aggregates drift from a full scan."""
-
-
 class Cluster:
     """A set of nodes, optionally spanning several GPU models.
 
     Exposes the aggregate queries schedulers rely on (``idle_gpus``,
     ``allocation_rate``, ``stats``, ``spot_gpus_with_guarantee``, …) as
-    O(1) lookups against incrementally maintained per-model caches, plus
+    O(1) lookups against the capacity index's per-model figures, plus
     the mutation primitives the simulator drives (``place_task``,
     ``remove_task``).  A node belongs to at most one cluster:
-    construction registers a capacity listener on every node so the
-    aggregates stay consistent with per-node allocations, even ones made
-    directly on a :class:`~repro.cluster.node.Node`.
+    construction registers the index as every node's capacity listener
+    so the figures stay consistent with per-node allocations, even ones
+    made directly on a :class:`~repro.cluster.node.Node`.
 
     Example
     -------
@@ -98,9 +80,6 @@ class Cluster:
     >>> cluster.total_gpus(), cluster.idle_gpus()
     (256.0, 256.0)
     """
-
-    #: absolute tolerance used by the debug consistency check
-    _VALIDATE_ATOL = 1e-6
 
     def __init__(self, nodes: Iterable[Node], validate_aggregates: Optional[bool] = None):
         self.nodes: List[Node] = list(nodes)
@@ -113,14 +92,9 @@ class Cluster:
         self.running_tasks: Dict[str, Task] = {}
         #: running *spot* task id -> Task (same insertion order as above)
         self._running_spot: Dict[str, Task] = {}
-        #: number of running tasks per (task.gpu_model, task type); the
-        #: model key may be None for model-agnostic tasks
-        self._running_counts: Dict[Tuple[Optional[GPUModel], TaskType], int] = {}
         #: historical counters for the preemption-cost denominator (Eq. 18/19)
         self.successful_spot_runs: int = 0
         self.evicted_spot_runs: int = 0
-        #: cumulative GPU-seconds of execution, per node, for the usage term
-        self.node_gpu_seconds: Dict[str, float] = {n.node_id: 0.0 for n in self.nodes}
 
         if validate_aggregates is None:
             validate_aggregates = os.environ.get(
@@ -128,22 +102,15 @@ class Cluster:
             ).strip().lower() not in ("", "0", "false", "no", "off")
         self._validate = bool(validate_aggregates)
 
-        # Static per-model node lists plus incrementally updated aggregates.
         self._nodes_by_model: Dict[GPUModel, List[Node]] = {}
-        self._agg: Dict[GPUModel, _ModelAggregate] = {}
-        #: capacity-indexed candidate selection (built before listeners fire)
+        #: the per-model capacity ledger (built before listeners fire)
         self.capacity_index = CapacityIndex(self.nodes)
         registered: List[Node] = []
         try:
             for node in self.nodes:
-                node.register_capacity_listener(self._on_node_capacity_change)
+                node.register_capacity_listener(self.capacity_index.on_node_change)
                 registered.append(node)
                 self._nodes_by_model.setdefault(node.gpu_model, []).append(node)
-                agg = self._agg.setdefault(node.gpu_model, _ModelAggregate())
-                agg.total += node.total_gpus
-                agg.free += node.free_capacity
-                agg.hp += node.hp_gpus
-                agg.spot += node.spot_gpus
         except Exception:
             # Unwind so a failed construction (e.g. one node already owned
             # by another cluster) does not leave nodes claimed by this
@@ -153,77 +120,30 @@ class Cluster:
             raise
 
     # ------------------------------------------------------------------
-    # Aggregate maintenance
+    # Debug validation
     # ------------------------------------------------------------------
-    def _on_node_capacity_change(
-        self, node: Node, free_delta: float, hp_delta: float, spot_delta: float
-    ) -> None:
-        """Fold a node mutation into the per-model aggregates (O(1))."""
-        agg = self._agg[node.gpu_model]
-        agg.free += free_delta
-        agg.hp += hp_delta
-        agg.spot += spot_delta
-        self.capacity_index.on_node_change(node, free_delta, spot_delta)
-
     def validate_aggregates(self) -> None:
-        """Verify every cached aggregate against a full node/task scan.
+        """Verify the running-spot index, then the capacity index, against
+        a full task and node scan.
 
-        Raises :class:`AggregateConsistencyError` on any drift beyond
-        ``1e-6``.  Called automatically on every query when the cluster
-        was built with ``validate_aggregates=True`` (or the
+        Raises :class:`AggregateConsistencyError` on any drift (GPU figures
+        beyond ``1e-6``).  Called automatically on every query when the
+        cluster was built with ``validate_aggregates=True`` (or the
         ``REPRO_VALIDATE_AGGREGATES`` environment variable is set).
         """
-        for model, agg in self._agg.items():
-            # Offline nodes (dynamics: failed/drained/reclaimed) contribute
-            # nothing to the schedulable aggregates.
-            nodes = [n for n in self._nodes_by_model[model] if n.available]
-            expected = {
-                "total": float(sum(n.total_gpus for n in nodes)),
-                "free": float(sum(n.free_capacity for n in nodes)),
-                "hp": float(sum(n.hp_gpus for n in nodes)),
-                "spot": float(sum(n.spot_gpus for n in nodes)),
-            }
-            cached = {"total": agg.total, "free": agg.free, "hp": agg.hp, "spot": agg.spot}
-            for key, want in expected.items():
-                if abs(cached[key] - want) > self._VALIDATE_ATOL:
-                    raise AggregateConsistencyError(
-                        f"cached {key} aggregate for {model.value} is {cached[key]!r}, "
-                        f"full scan says {want!r}"
-                    )
         spot_ids = [tid for tid, t in self.running_tasks.items() if t.is_spot]
         if spot_ids != list(self._running_spot):
             raise AggregateConsistencyError(
                 "running-spot index diverged from running_tasks: "
                 f"{spot_ids} != {list(self._running_spot)}"
             )
-        counts: Dict[Tuple[Optional[GPUModel], TaskType], int] = {}
-        for task in self.running_tasks.values():
-            key = (task.gpu_model, task.task_type)
-            counts[key] = counts.get(key, 0) + 1
-        if counts != {k: v for k, v in self._running_counts.items() if v}:
-            raise AggregateConsistencyError(
-                f"running-task counters diverged: {self._running_counts} != {counts}"
-            )
+        # Offline nodes (dynamics: failed/drained/reclaimed) contribute
+        # nothing to the schedulable figures.
         self.capacity_index.validate(n for n in self.nodes if n.available)
 
     def _check(self) -> None:
         if self._validate:
             self.validate_aggregates()
-
-    def _sum(self, field: str, model: Optional[GPUModel]) -> float:
-        """One cached aggregate, summed over the models ``model`` selects (all for ``None``).
-
-        Unchecked, so compound queries (stats, allocation_rate) validate
-        once per public call, not once per sub-query.
-        """
-        if model is None:
-            aggs = self._agg.values()
-        else:
-            aggs = (self._agg[model],) if model in self._agg else ()
-        total = 0
-        for agg in aggs:
-            total += getattr(agg, field)
-        return float(total)
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -242,55 +162,57 @@ class Cluster:
         return list(self._nodes_by_model)
 
     # ------------------------------------------------------------------
-    # Capacity accounting (O(1) from cached aggregates)
+    # Capacity accounting (O(#models) from the capacity index's figures;
+    # compound queries validate once per public call, not per figure)
     # ------------------------------------------------------------------
     def total_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._sum("total", model)
+        return self.capacity_index.gpus("total_gpus", model)
 
     def idle_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._sum("free", model)
+        return self.capacity_index.gpus("free_capacity", model)
 
     def allocated_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._sum("allocated", model)
+        return self.capacity_index.gpus("allocated_gpus", model)
 
     def spot_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._sum("spot", model)
+        return self.capacity_index.gpus("spot_gpus", model)
 
     def hp_gpus(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        return self._sum("hp", model)
+        return self.capacity_index.gpus("hp_gpus", model)
 
     def allocation_rate(self, model: Optional[GPUModel] = None) -> float:
         self._check()
-        total = self._sum("total", model)
+        total = self.capacity_index.gpus("total_gpus", model)
         if total <= 0:
             return 0.0
-        return self._sum("allocated", model) / total
-
-    def _running_count(self, model: Optional[GPUModel], task_type: TaskType) -> int:
-        if model is None:
-            return sum(
-                count for (m, t), count in self._running_counts.items() if t is task_type
-            )
-        # Tasks with no model constraint count toward every model's view.
-        return self._running_counts.get((model, task_type), 0) + self._running_counts.get(
-            (None, task_type), 0
-        )
+        return self.capacity_index.gpus("allocated_gpus", model) / total
 
     def stats(self, model: Optional[GPUModel] = None) -> ClusterStats:
-        """A snapshot of aggregate cluster statistics (O(1))."""
+        """A snapshot of aggregate cluster statistics.
+
+        O(#models) for the whole cluster; a per-model view counts its
+        running tasks with a scan (tasks with no model constraint count
+        toward every model's view).
+        """
         self._check()
+        if model is None:
+            running, spot = len(self.running_tasks), len(self._running_spot)
+        else:
+            mine = [t for t in self.running_tasks.values() if t.gpu_model in (None, model)]
+            running, spot = len(mine), sum(t.is_spot for t in mine)
+        index = self.capacity_index
         return ClusterStats(
-            total_gpus=self._sum("total", model),
-            idle_gpus=self._sum("free", model),
-            hp_gpus=self._sum("hp", model),
-            spot_gpus=self._sum("spot", model),
-            running_hp_tasks=self._running_count(model, TaskType.HP),
-            running_spot_tasks=self._running_count(model, TaskType.SPOT),
+            total_gpus=index.gpus("total_gpus", model),
+            idle_gpus=index.gpus("free_capacity", model),
+            hp_gpus=index.gpus("hp_gpus", model),
+            spot_gpus=index.gpus("spot_gpus", model),
+            running_hp_tasks=running - spot,
+            running_spot_tasks=spot,
             successful_spot_runs=self.successful_spot_runs,
             evicted_spot_runs=self.evicted_spot_runs,
         )
@@ -358,8 +280,6 @@ class Cluster:
         self.running_tasks[task.task_id] = task
         if task.is_spot:
             self._running_spot[task.task_id] = task
-        key = (task.gpu_model, task.task_type)
-        self._running_counts[key] = self._running_counts.get(key, 0) + 1
         self._check()
 
     def remove_task(self, task: Task) -> None:
@@ -367,25 +287,10 @@ class Cluster:
         for pod in task.placements:
             self.node(pod.node_id).release_task(task.task_id)
         # A task may have pods on the same node; release_task is idempotent.
-        removed = self.running_tasks.pop(task.task_id, None)
-        if removed is not None:
+        if self.running_tasks.pop(task.task_id, None) is not None:
             self._running_spot.pop(task.task_id, None)
-            # place_task always set this key; a KeyError here means the
-            # bookkeeping drifted and should surface, not be masked.
-            key = (removed.gpu_model, removed.task_type)
-            self._running_counts[key] -= 1
         task.placements = []
         self._check()
-
-    def record_execution(self, task: Task, runtime: float) -> None:
-        """Accumulate GPU-seconds of execution on the nodes the task used."""
-        if runtime <= 0:
-            return
-        per_pod = task.gpus_per_pod * runtime
-        for pod in task.placements:
-            self.node_gpu_seconds[pod.node_id] = (
-                self.node_gpu_seconds.get(pod.node_id, 0.0) + per_pod
-            )
 
     def record_spot_outcome(self, evicted: bool) -> None:
         """Update the historical spot success/eviction counters (G and F)."""
@@ -421,9 +326,6 @@ class Cluster:
                 f"{sorted(node.task_shares)} (kill or requeue them first)"
             )
         node.available = False
-        agg = self._agg[node.gpu_model]
-        agg.total -= node.total_gpus
-        agg.free -= node.free_capacity
         self.capacity_index.remove_node(node)
         self._check()
         return node
@@ -440,9 +342,6 @@ class Cluster:
         if node.available:
             raise ValueError(f"node {node_id} is already online")
         node.available = True
-        agg = self._agg[node.gpu_model]
-        agg.total += node.total_gpus
-        agg.free += node.free_capacity
         self.capacity_index.add_node(node)
         self._check()
         return node

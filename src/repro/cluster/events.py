@@ -12,7 +12,7 @@ from .task import PodPlacement, Task
 class EventKind(int, Enum):
     """Discrete-event kinds, ordered by processing priority at equal times.
 
-    The first four kinds are the original task-driven loop; the dynamics
+    The first three kinds are the original task-driven loop; the dynamics
     kinds (``NODE_FAIL``/``NODE_REPAIR``/``NODE_DRAIN``/``CAPACITY_CHANGE``)
     carry cluster-dynamics actions from a pre-generated fault schedule (see
     :mod:`repro.dynamics`).  Dynamics kinds deliberately sort *after* the
@@ -25,7 +25,6 @@ class EventKind(int, Enum):
     TASK_FINISH = 0      # releases resources first so arrivals can reuse them
     TASK_ARRIVAL = 1
     QUOTA_TICK = 2
-    SAMPLE = 3
     NODE_FAIL = 4        # unplanned node loss: rollback to last checkpoint
     NODE_REPAIR = 5      # failed/drained node rejoins the fleet
     NODE_DRAIN = 6       # planned maintenance: checkpoint-and-requeue

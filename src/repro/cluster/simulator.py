@@ -429,7 +429,6 @@ class ClusterSimulator:
                 self._handle_tick()
             elif event.kind in DYNAMICS_EVENT_KINDS:
                 self._handle_dynamics(event)
-            # SAMPLE events are folded into ticks.
             if rec.enabled:
                 rec.record_dispatch(event.kind.name, perf_counter() - dispatch_start)
             processed += 1
@@ -526,13 +525,11 @@ class ClusterSimulator:
             return  # stale finish event from a run that was preempted
         if task.state is not TaskState.RUNNING:
             return
-        runtime = self.now - task.run_logs[-1].start
         task.run_logs[-1].end = self.now
         task.run_logs[-1].checkpoint_index = len(task.checkpoints) - 1
         task.completed_work = task.duration
         task.state = TaskState.COMPLETED
         task.finish_time = self.now
-        self.cluster.record_execution(task, runtime)
         self.cluster.remove_task(task)
         if task.is_spot:
             self.cluster.record_spot_outcome(evicted=False)
@@ -670,7 +667,6 @@ class ClusterSimulator:
         task.completed_work = new_completed
         task.dynamics_kill_count += 1
         task.lost_gpu_seconds += lost * task.total_gpus
-        self.cluster.record_execution(task, elapsed)
         self.cluster.remove_task(task)
         task.state = TaskState.PENDING
         task.queue_enter_time = self.now
@@ -823,7 +819,6 @@ class ClusterSimulator:
         run.evicted = True
         run.checkpoint_index = ckpt_idx
         task.eviction_count += 1
-        self.cluster.record_execution(task, elapsed)
         for pod in task.placements:
             self.cluster.node(pod.node_id).record_eviction(self.now)
         self.cluster.remove_task(task)

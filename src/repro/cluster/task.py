@@ -42,8 +42,6 @@ class TaskState(str, Enum):
     PENDING = "pending"
     RUNNING = "running"
     COMPLETED = "completed"
-    EVICTED = "evicted"          # evicted, waiting to be re-queued
-    CANCELLED = "cancelled"
 
 
 @dataclass

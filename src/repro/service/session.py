@@ -58,10 +58,6 @@ SESSION_DEFAULTS: Dict[str, object] = {
     "stream_backlog": STREAM_BACKLOG,
 }
 
-#: retired create parameters: boot recovery drops them from a stored session,
-#: a create request naming one gets the unknown-parameter 400 like a typo
-RETIRED_SESSION_PARAMS = frozenset({"pass_record_limit"})
-
 _session_counter = itertools.count(1)
 
 
@@ -448,10 +444,8 @@ class SimulationSession:
         state is replaced wholesale from the checksummed snapshot — so a
         recovered session advances bit-identically to one that never
         went down (guarded by ``tests/test_service_durability.py``).
-        A stored parameter this version has retired is dropped first.
         """
-        kept = {k: v for k, v in params.items() if k not in RETIRED_SESSION_PARAMS}
-        session = cls(kept, session_id=session_id)
+        session = cls(params, session_id=session_id)
         session.restore_bytes(snapshot)
         return session
 

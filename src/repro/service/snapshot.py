@@ -23,9 +23,10 @@ session is persisted after every mutating request, and on a 259-task
 GFS session (208 KB of pickle) level 1 costs 1.3 ms for 42 KB where
 level 6 cost 3.5 ms for 38 KB.  The level is a writer-side choice only:
 any zlib stream decodes.  ``SNAPSHOT_VERSION`` moves when what the pickle
-holds changes shape: version 2 is the scheduler graph with one GFS
-configuration, and a version-1 envelope (written by earlier builds) is
-refused before unpickling, not migrated.
+holds changes shape: version 3 is the cluster whose per-model capacity
+lives only in its capacity index (every node's listener is bound to the
+index), and a version-1 or version-2 envelope (written by earlier builds)
+is refused before unpickling, not migrated.
 
 Security note: the payload is still a pickle, and unpickling executes
 code.  Only restore snapshots you produced yourself — the server is a
@@ -42,7 +43,7 @@ import zlib
 
 #: current wire-format version; bump when the envelope layout or the shape
 #: of the pickled simulator changes
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _MAGIC = b"REPROSNP"
 _HEADER = struct.Struct(">8sH32s")  # magic, version, sha256 digest

@@ -25,6 +25,32 @@ def cluster():
     return Cluster.homogeneous(4, 8, GPUModel.A100)
 
 
+def test_one_capacity_ledger():
+    """Per-model GPU figures live only in the capacity index, which is every
+    node's listener; no second ledger or unread counter comes back."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    package = Path(repro.__file__).parent
+    banned = re.compile(
+        r"\b(_ModelAggregate|_running_counts|node_gpu_seconds|record_execution"
+        r"|_on_node_capacity_change|CapacityIndexError)\b"
+    )
+    found = [
+        (str(path.relative_to(package)), match.group())
+        for path in sorted(package.rglob("*.py"))
+        for match in banned.finditer(path.read_text())
+    ]
+    assert found == []
+    cluster = Cluster.homogeneous(2, 8, GPUModel.A100)
+    assert all(
+        node._capacity_listener == cluster.capacity_index.on_node_change
+        for node in cluster.nodes
+    )
+
+
 # ----------------------------------------------------------------------
 # Fractional pods sharing nodes with whole-GPU pods
 # ----------------------------------------------------------------------

@@ -64,13 +64,6 @@ class TestClusterAccounting:
         assert small_cluster.evicted_spot_runs == 1
         assert small_cluster.successful_spot_runs == 2
 
-    def test_record_execution_accumulates_gpu_seconds(self, small_cluster):
-        task = build_task(TaskType.HP, gpus_per_pod=4.0)
-        node_id = small_cluster.nodes[0].node_id
-        place(small_cluster, task, [node_id])
-        small_cluster.record_execution(task, runtime=100.0)
-        assert small_cluster.node_gpu_seconds[node_id] == pytest.approx(400.0)
-
     def test_spot_gpus_with_guarantee(self, small_cluster):
         task = build_task(TaskType.SPOT, gpus_per_pod=2.0)
         task.guaranteed_hours = 2.0

@@ -268,7 +268,7 @@ def test_bookkeeping_equals_frozen_rescan_after_every_step(ops):
     # Every aggregate query re-verifies the caches and the index (debug mode).
     cluster = Cluster([node], validate_aggregates=True)
     deltas = []
-    fold = cluster._on_node_capacity_change
+    fold = cluster.capacity_index.on_node_change
     node.register_capacity_listener(None)
     node.register_capacity_listener(lambda n, *d: (deltas.append(d), fold(n, *d)))
 

@@ -145,21 +145,10 @@ def test_src_has_no_second_sim_channel_ring():
 
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
     banned = {"PassRecord", "TickSample", "pass_record_limit", "_trim", "on_pass"}
-    found, retired = [], None
+    found = []
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
-        tree = ast.parse(path.read_text())
-        # The one sanctioned mention: the retired-parameter set boot
-        # recovery uses to read session files an older version wrote.
-        skip = set()
-        for node in ast.walk(tree):
-            targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
-            if rel == "service/session.py" and targets == ["RETIRED_SESSION_PARAMS"]:
-                retired = {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
-                skip = {id(c) for c in ast.walk(node)}
-        for node in ast.walk(tree):
-            if id(node) in skip:
-                continue
+        for node in ast.walk(ast.parse(path.read_text())):
             names = {getattr(node, field, None) for field in ("id", "attr", "name", "arg")}
             if isinstance(node, ast.Constant):
                 names.add(node.value)
@@ -171,7 +160,6 @@ def test_src_has_no_second_sim_channel_ring():
             else:
                 found += [(rel, name) for name in names & banned]
     assert found == []
-    assert retired == {"pass_record_limit"}
 
 
 def test_recorder_snapshot_is_json_shaped():

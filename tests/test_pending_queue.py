@@ -330,6 +330,16 @@ class TestAggregateConsistency:
         with pytest.raises(AggregateConsistencyError):
             cluster.validate_aggregates()
 
+    def test_index_figure_drift_is_caught_in_debug_mode(self):
+        """The capacity index's per-model GPU figures are the cluster's one
+        ledger: a drifted free figure fails the debug check although every
+        bucket and node set still matches the nodes."""
+        cluster = self._hetero_cluster(validate=False)
+        cluster.validate_aggregates()
+        cluster.capacity_index._models[GPUModel.H800].free_capacity -= 1.0
+        with pytest.raises(AggregateConsistencyError, match="free_capacity for H800"):
+            cluster.validate_aggregates()
+
     def test_spot_gpus_with_guarantee_uses_spot_index(self):
         cluster = self._hetero_cluster()
         committed = build_task(TaskType.SPOT, gpus_per_pod=4.0)

@@ -251,39 +251,6 @@ class TestRestartRecovery:
         (state / "session-0042.json").write_text("{torn mid-write")
         asyncio.run(second_life())
 
-    def test_session_stored_with_a_retired_parameter_recovers(self, tmp_path):
-        # Files written before the pass-record ring went carry its size in
-        # their params; recovery drops the retired key instead of
-        # quarantining every live session after an upgrade.
-        state = tmp_path / "state"
-        witness = SimulationSession(PARAMS)
-        witness.submit(_wave("old", 4))
-        witness.advance(until=900.0)
-        stored = dict(witness.params, pass_record_limit=4096)
-        SessionStore(state).save("session-0005", stored, witness.snapshot_bytes())
-        witness.advance()
-        reference = _fingerprint({"metrics": witness.metrics()})
-
-        async def body():
-            server = SchedulerServer(state_dir=state)
-            sink = EventSink()
-            server.telemetry.add_sink(sink)
-            await server.start(port=0)
-            client = AsyncServiceClient(server.host, server.port)
-            try:
-                ready = await client.readyz()
-                assert ready["recovered"] == 1 and ready["quarantined"] == 0
-                assert sink.events("session_quarantined") == []
-                await client.advance("session-0005")
-                return _fingerprint({"metrics": await client.metrics("session-0005")})
-            finally:
-                await client.close()
-                await server.stop()
-
-        assert asyncio.run(body()) == reference
-        [record] = SessionStore(state).recover().recovered
-        assert "pass_record_limit" not in record.params
-
     def test_unrebuildable_session_quarantined_not_fatal(self, tmp_path):
         # A file that parses and passes its checksum but cannot rebuild a
         # session (bogus params) must cost one session, not the boot.
@@ -330,12 +297,14 @@ class TestRestartRecovery:
         ]
 
     def test_state_dir_of_an_earlier_build_is_quarantined_not_loaded(self, tmp_path):
-        # Snapshot format 1 pickled a scheduler graph this build no longer
-        # has: refused before unpickling, at boot and on restore alike.
+        # Snapshot formats 1 and 2 pickled a scheduler graph and a cluster
+        # this build no longer has: refused before unpickling, at boot and
+        # on restore alike, one quarantine event per file.
         state = tmp_path / "state"
         current = SimulationSession(PARAMS).snapshot_bytes()
-        version1 = current[:8] + (1).to_bytes(2, "big") + current[10:]
-        SessionStore(state).save("session-0003", dict(PARAMS), version1)
+        earlier = {v: current[:8] + v.to_bytes(2, "big") + current[10:] for v in (1, 2)}
+        for version, envelope in earlier.items():
+            SessionStore(state).save(f"session-000{version + 2}", dict(PARAMS), envelope)
 
         async def body():
             server = SchedulerServer(state_dir=state)
@@ -344,13 +313,15 @@ class TestRestartRecovery:
             await server.start(port=0)
             client = AsyncServiceClient(server.host, server.port)
             try:
-                [event] = sink.events("session_quarantined")
-                assert event["session_id"] == "session-0003" and "version 1" in event["error"]
+                events = sorted(sink.events("session_quarantined"), key=lambda e: e["session_id"])
+                assert [e["session_id"] for e in events] == ["session-0003", "session-0004"]
                 sid = (await client.create_session(**PARAMS))["session_id"]
                 before = await client.status(sid)
-                with pytest.raises(ServiceError) as err:
-                    await client.restore(sid, version1)
-                assert err.value.status == 400 and "version 1" in err.value.message
+                for (version, envelope), event in zip(earlier.items(), events):
+                    assert f"version {version}" in event["error"]
+                    with pytest.raises(ServiceError) as err:
+                        await client.restore(sid, envelope)
+                    assert err.value.status == 400 and f"version {version}" in err.value.message
                 assert await client.status(sid) == before
             finally:
                 await client.close()
@@ -358,6 +329,7 @@ class TestRestartRecovery:
 
         asyncio.run(body())
         assert (state / "session-0003.json.quarantined").exists()
+        assert (state / "session-0004.json.quarantined").exists()
 
     def test_health_probes_report_durability(self, tmp_path):
         async def durable():

@@ -425,7 +425,7 @@ def _level6_envelope(raw: bytes) -> bytes:
     """The envelope at zlib level 6, as earlier writers compressed it, laid
     out by hand so the wire format is pinned here: the level is not part of it."""
     payload = zlib.compress(raw, 6)
-    header = struct.pack(">8sH32s", b"REPROSNP", 2, hashlib.sha256(payload).digest())
+    header = struct.pack(">8sH32s", b"REPROSNP", 3, hashlib.sha256(payload).digest())
     return header + payload
 
 
@@ -434,7 +434,7 @@ def test_level6_envelope_from_earlier_builds_still_restores():
     sim.advance(until=DURATION_HOURS * 1800.0)
     raw = sim.snapshot()
     old, new = _level6_envelope(raw), encode_snapshot(raw)
-    assert SNAPSHOT_VERSION == 2 and old[:10] == new[:10] and old != new  # only the level differs
+    assert SNAPSHOT_VERSION == 3 and old[:10] == new[:10] and old != new  # only the level differs
     assert decode_snapshot(old) == decode_snapshot(new) == raw
     restored = ClusterSimulator.restore(decode_snapshot(old))
     restored.advance()
@@ -471,11 +471,13 @@ def test_store_file_holding_a_level6_envelope_recovers_and_continues(tmp_path):
         (lambda e: e[:8] + bytes([0, SNAPSHOT_VERSION + 1]) + e[10:], "version"),
         # snapshot format 1 pickled the scheduler graph of earlier builds
         (lambda e: e[:8] + bytes([0, 1]) + e[10:], "version 1 is not supported"),
+        # format 2 pickled a cluster that kept its per-model capacity twice
+        (lambda e: e[:8] + bytes([0, 2]) + e[10:], "version 2 is not supported"),
         (lambda e: e[:-3] + b"xyz", "checksum"),
         (lambda e: e[:42] + bytes([e[42] ^ 0xFF]) + e[43:], "checksum"),
     ],
     ids=["truncated-half", "truncated-header", "bad-magic", "future-version", "version-1",
-         "tail-corruption", "payload-bitflip"],
+         "version-2", "tail-corruption", "payload-bitflip"],
 )
 def test_envelope_rejects_every_corruption_mode(mutilate, match, write):
     envelope = write(b"payload bytes that will be damaged in transit")
